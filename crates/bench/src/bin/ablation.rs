@@ -1,7 +1,8 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
 //! 1. page-overlap strategy (the paper's naive scan vs sorted merge vs
-//!    §6.2's page-bitmap suggestion) on a lock-heavy epoch;
+//!    §6.2's page-bitmap suggestion) on two lock-heavy epoch shapes: long
+//!    page lists, and `lock_storm`'s many one-page intervals;
 //! 2. diff-derived write detection (§6.5) vs store instrumentation on
 //!    Water: slowdown saved, races kept/missed;
 //! 3. first-race filtering (§6.4) on TSP: how many reports survive;
@@ -18,7 +19,7 @@ use cvm_apps::{tsp, water, App};
 use cvm_bench::paper_config;
 use cvm_dsm::{Protocol, WriteDetection};
 use cvm_page::Geometry;
-use cvm_race::{make_interval, EpochDetector, Interval, OverlapStrategy};
+use cvm_race::{make_interval, DetectorStats, EpochDetector, Interval, OverlapStrategy};
 
 fn main() {
     overlap_strategies();
@@ -31,12 +32,10 @@ fn main() {
     checkpoint_recovery();
 }
 
-fn overlap_strategies() {
-    println!("Ablation 1. Page-overlap strategy (epoch of 256 intervals, 40-page lists)");
-    cvm_bench::rule(64);
-    // A synthetic lock-heavy epoch: 8 procs x 32 intervals, page lists far
-    // longer than the paper's "usually less than ten".
-    let mut intervals: Vec<Interval> = Vec::new();
+/// Ablation 1's original epoch: 8 procs x 32 intervals, all concurrent,
+/// page lists far longer than the paper's "usually less than ten".
+fn long_lists_epoch() -> Vec<Interval> {
+    let mut intervals = Vec::new();
     for p in 0..8u16 {
         for i in 1..=32u32 {
             let mut vc = vec![0u32; 8];
@@ -46,29 +45,71 @@ fn overlap_strategies() {
             intervals.push(make_interval(p, i, vc, &writes, &reads));
         }
     }
-    for strategy in [
-        OverlapStrategy::Quadratic,
-        OverlapStrategy::SortedMerge,
-        OverlapStrategy::PageBitmap,
-        OverlapStrategy::Auto,
-    ] {
-        let d = EpochDetector {
-            overlap: strategy,
-            ..Default::default()
-        };
-        let started = Instant::now();
-        let mut checks = 0usize;
-        for _ in 0..10 {
-            let plan = d.plan(&intervals);
-            checks = plan.check.len();
+    intervals
+}
+
+/// The shape of one `lock_storm` epoch (the ledger workload whose wall
+/// time the plan phase dominates): 4 procs x 97 intervals, all concurrent, each
+/// writing one page of its process's own stripe; only the first interval
+/// of each process also writes the shared clash page.
+fn many_small_intervals_epoch() -> Vec<Interval> {
+    const CLASH_PAGE: u32 = 4;
+    let mut intervals = Vec::new();
+    for p in 0..4u16 {
+        for i in 1..=97u32 {
+            let mut vc = vec![0u32; 4];
+            vc[p as usize] = i;
+            let mut writes = vec![u32::from(p)];
+            if i == 1 {
+                writes.push(CLASH_PAGE);
+            }
+            intervals.push(make_interval(p, i, vc, &writes, &[]));
         }
-        let elapsed = started.elapsed() / 10;
-        println!(
-            "  {:<14} {:>8} check entries   {:>12.1?} per plan",
-            format!("{strategy:?}"),
-            checks,
-            elapsed
-        );
+    }
+    intervals
+}
+
+fn overlap_strategies() {
+    println!("Ablation 1. Page-overlap strategy in the plan phase, two epoch shapes");
+    cvm_bench::rule(64);
+    for (shape, intervals, reps) in [
+        (
+            "long_lists: 8 x 32 intervals, 40-page lists",
+            long_lists_epoch(),
+            10,
+        ),
+        (
+            "many_small_intervals: 4 x 97 one-page intervals",
+            many_small_intervals_epoch(),
+            200,
+        ),
+    ] {
+        println!("  {shape}");
+        for strategy in [
+            OverlapStrategy::Quadratic,
+            OverlapStrategy::SortedMerge,
+            OverlapStrategy::PageBitmap,
+            OverlapStrategy::Auto,
+        ] {
+            let d = EpochDetector {
+                overlap: strategy,
+                ..Default::default()
+            };
+            let started = Instant::now();
+            let mut stats = DetectorStats::default();
+            for _ in 0..reps {
+                stats = std::hint::black_box(d.plan(std::hint::black_box(&intervals))).stats;
+            }
+            let elapsed = started.elapsed() / reps;
+            println!(
+                "    {:<12} {:>6} check entries of {:>6} concurrent pairs {:>10.1?} per plan ({:.1} ns/pair)",
+                format!("{strategy:?}"),
+                stats.pairs_overlapping,
+                stats.pairs_concurrent,
+                elapsed,
+                elapsed.as_nanos() as f64 / stats.pairs_concurrent.max(1) as f64,
+            );
+        }
     }
     println!();
 }

@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use cvm_page::{Bitmap, Geometry, PageBitmaps, PageId};
 use cvm_vclock::{IntervalId, ProcId};
@@ -270,7 +271,8 @@ pub struct EpochDetector {
     pub enumeration: PairEnumeration,
     /// Worker threads for planning and word-level comparison: `0` resolves
     /// to the host's available parallelism, `1` is the paper's serial
-    /// master.
+    /// master.  The calling thread is one of the workers: `n` shards cost
+    /// `n - 1` thread spawns.
     ///
     /// Every worker count produces **bit-identical** plans, reports, and
     /// statistics: work is split into contiguous shards of the serial
@@ -278,6 +280,15 @@ pub struct EpochDetector {
     /// so parallelism changes wall-clock time only — never what the
     /// detector reports or what the simulated cost model charges.
     pub workers: usize,
+}
+
+/// The host's available parallelism, resolved once: std documents the
+/// call as uncached and expensive (on Linux it re-reads the affinity mask
+/// and the cgroup quota files every time), and both phases of every epoch
+/// need it.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl EpochDetector {
@@ -293,7 +304,7 @@ impl EpochDetector {
             return 1;
         }
         let cap = match self.workers {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            0 => host_parallelism(),
             n => n,
         };
         cap.clamp(1, items)
@@ -394,35 +405,10 @@ impl EpochDetector {
         F: Fn(&mut Planner<'_>, &mut WorkerScratch, Range<usize>) + Sync,
     {
         let ranges = balanced_ranges(weights, self.effective_workers(weights.len()));
-        let scratches = arena.scratches(ranges.len());
-        if ranges.len() <= 1 {
-            return ranges
-                .into_iter()
-                .zip(scratches)
-                .map(|(r, scratch)| {
-                    let mut p = Planner::new(self);
-                    fill(&mut p, scratch, r);
-                    p
-                })
-                .collect();
-        }
-        std::thread::scope(|s| {
-            let fill = &fill;
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .zip(scratches.iter_mut())
-                .map(|(r, scratch)| {
-                    s.spawn(move || {
-                        let mut p = Planner::new(self);
-                        fill(&mut p, scratch, r);
-                        p
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("plan shard panicked"))
-                .collect()
+        run_sharded(ranges, arena, |range, scratch| {
+            let mut p = Planner::new(self);
+            fill(&mut p, scratch, range);
+            p
         })
     }
 
@@ -532,30 +518,9 @@ impl EpochDetector {
         let entries = &plan.check.entries;
         let weights: Vec<u64> = entries.iter().map(|e| e.pages.len() as u64).collect();
         let ranges = balanced_ranges(&weights, self.effective_workers(entries.len()));
-        let scratches = arena.scratches(ranges.len());
-        let shards: Vec<CompareShard> = if ranges.len() <= 1 {
-            ranges
-                .into_iter()
-                .zip(scratches)
-                .map(|(r, scratch)| compare_entries(&entries[r], bitmaps, geometry, epoch, scratch))
-                .collect()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .into_iter()
-                    .zip(scratches.iter_mut())
-                    .map(|(r, scratch)| {
-                        s.spawn(move || {
-                            compare_entries(&entries[r], bitmaps, geometry, epoch, scratch)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("compare shard panicked"))
-                    .collect()
-            })
-        };
+        let shards = run_sharded(ranges, arena, |range, scratch| {
+            compare_entries(&entries[range], bitmaps, geometry, epoch, scratch)
+        });
         let mut reports = Vec::new();
         for shard in shards {
             // Counters and reports of shards past a failing one are
@@ -569,6 +534,40 @@ impl EpochDetector {
         plan.stats.races_found += reports.len() as u64;
         Ok(reports)
     }
+}
+
+/// Runs `work` over each range with a scratch set of its own and returns
+/// the outputs in range order.  The calling thread takes the first range
+/// itself and spawns a scoped thread for each further one, so a single
+/// range spawns nothing and a thread that would only wait in `join` does
+/// a shard's work instead.
+fn run_sharded<T, F>(ranges: Vec<Range<usize>>, arena: &mut EpochArena, work: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut WorkerScratch) -> T + Sync,
+{
+    let scratches = arena.scratches(ranges.len());
+    let mut shards = ranges.into_iter().zip(scratches.iter_mut());
+    let Some((first_range, first_scratch)) = shards.next() else {
+        return Vec::new();
+    };
+    if shards.len() == 0 {
+        return vec![work(first_range, first_scratch)];
+    }
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = shards
+            .map(|(range, scratch)| s.spawn(move || work(range, scratch)))
+            .collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(work(first_range, first_scratch));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("detector shard panicked")),
+        );
+        out
+    })
 }
 
 /// Splits `0..weights.len()` into at most `shards` contiguous, non-empty
@@ -1130,6 +1129,43 @@ mod tests {
             assert_eq!(next, weights.len());
         }
         assert!(balanced_ranges(&[], 4).is_empty());
+    }
+
+    /// An explicit worker count is honoured whatever the host has (down to
+    /// one item per shard); `0` takes the host's parallelism.
+    #[test]
+    fn worker_count_resolves_against_items_and_host() {
+        let with = |workers| EpochDetector {
+            workers,
+            ..EpochDetector::new()
+        };
+        assert_eq!(with(1).effective_workers(1000), 1);
+        assert_eq!(with(4).effective_workers(1000), 4);
+        assert_eq!(with(64).effective_workers(28), 28);
+        assert_eq!(with(4).effective_workers(0), 1);
+        assert_eq!(with(0).effective_workers(1000), host_parallelism());
+        assert_eq!(with(0).effective_workers(1), 1);
+    }
+
+    /// The calling thread is a worker: it runs the first shard itself, so
+    /// one shard spawns nothing and `n` shards spawn `n - 1` threads;
+    /// outputs come back in range order either way.
+    #[test]
+    fn first_shard_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let mut arena = EpochArena::new();
+        let ran_on = |ranges: Vec<Range<usize>>, arena: &mut EpochArena| {
+            run_sharded(ranges, arena, |r, _| (r.start, std::thread::current().id()))
+        };
+        assert!(ran_on(Vec::new(), &mut arena).is_empty());
+        let whole = std::iter::once(0..7).collect();
+        assert_eq!(ran_on(whole, &mut arena), [(0, me)]);
+        let split = ran_on(vec![0..3, 3..5, 5..7], &mut arena);
+        let starts: Vec<usize> = split.iter().map(|&(start, _)| start).collect();
+        assert_eq!(starts, [0, 3, 5]);
+        assert_eq!(split[0].1, me);
+        assert!(split[1..].iter().all(|&(_, id)| id != me));
+        assert_ne!(split[1].1, split[2].1);
     }
 
     /// A multi-epoch-sized synthetic input: plans, reports, and statistics

@@ -3,10 +3,13 @@
 //! The detector must agree with a brute-force oracle that compares every
 //! access of every interval pair directly, on randomly generated epochs.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use cvm_page::{Geometry, PageBitmaps, PageId};
-use cvm_race::{BitmapStore, EpochDetector, Interval, OverlapStrategy, RaceKind};
+use cvm_race::{
+    BitmapStore, CheckEntry, DetectorStats, EpochDetector, Interval, OverlapStrategy,
+    PairEnumeration, RaceKind, RaceReport,
+};
 use cvm_vclock::{IntervalId, IntervalStamp, ProcId, VClock};
 use proptest::prelude::*;
 
@@ -25,10 +28,14 @@ struct RawInterval {
     accesses: Vec<(u32, usize, bool)>,
 }
 
-fn arb_raw(proc: usize) -> impl Strategy<Value = RawInterval> {
+fn arb_raw(
+    proc: usize,
+    pages: impl Strategy<Value = u32>,
+    max_index: u32,
+) -> impl Strategy<Value = RawInterval> {
     (
-        proptest::collection::vec(0u32..3, NPROCS),
-        proptest::collection::vec((0..NPAGES, 0..PAGE_WORDS, any::<bool>()), 0..12),
+        proptest::collection::vec(0..=max_index, NPROCS),
+        proptest::collection::vec((pages, 0..PAGE_WORDS, any::<bool>()), 0..12),
     )
         .prop_map(move |(knowledge, accesses)| RawInterval {
             proc,
@@ -37,12 +44,27 @@ fn arb_raw(proc: usize) -> impl Strategy<Value = RawInterval> {
         })
 }
 
+/// One epoch: `per_proc` intervals per process with monotone clocks.
+fn arb_epoch_of<S: Strategy<Value = u32>>(
+    per_proc: usize,
+    pages: impl Fn() -> S,
+) -> impl Strategy<Value = Vec<RawInterval>> {
+    let procs: Vec<_> = (0..NPROCS)
+        .map(|p| proptest::collection::vec(arb_raw(p, pages(), per_proc as u32), per_proc))
+        .collect();
+    procs.prop_map(|v| v.into_iter().flatten().collect())
+}
+
 /// One epoch: two intervals per process with monotone clocks.
 fn arb_epoch() -> impl Strategy<Value = Vec<RawInterval>> {
-    let per_proc: Vec<_> = (0..NPROCS)
-        .map(|p| proptest::collection::vec(arb_raw(p), 2))
-        .collect();
-    per_proc.prop_map(|v| v.into_iter().flatten().collect())
+    arb_epoch_of(2, || 0..NPAGES)
+}
+
+/// Page ids spread over five multiples of 64, so the page-bitmap overlap
+/// strategy works on bitmaps several words long and distinct pages of one
+/// epoch share a bit position within their words.
+fn arb_sparse_page() -> impl Strategy<Value = u32> {
+    (0..3u32, 0..5u32).prop_map(|(bit, multiple)| bit + 64 * multiple)
 }
 
 /// Normalizes raw intervals into well-formed `Interval`s + bitmaps.
@@ -305,4 +327,187 @@ fn pruned_enumeration_reduces_comparisons_on_ordered_epochs() {
         "pruned did {} comparisons",
         pruned.stats.pair_comparisons
     );
+}
+
+/// What planning and comparing one epoch must produce, derived pair by
+/// pair from the vector clocks, notice lists and bitmaps alone — no
+/// overlap strategy, no sharding.
+struct Reference {
+    entries: Vec<CheckEntry>,
+    requests: Vec<(IntervalId, PageId)>,
+    reports: Vec<RaceReport>,
+    stats: DetectorStats,
+}
+
+/// Probes a binary search for a partition point makes over `len` items
+/// when the point is `answer` (each counts as one vector comparison).
+fn partition_probes(len: usize, answer: usize) -> u64 {
+    let (mut lo, mut hi, mut probes) = (0, len, 0);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        probes += 1;
+        if mid < answer {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    probes
+}
+
+fn reference(
+    intervals: &[Interval],
+    store: &BitmapStore,
+    g: Geometry,
+    enumeration: PairEnumeration,
+    epoch: u64,
+) -> Reference {
+    let mut stats = DetectorStats {
+        intervals_total: intervals.len() as u64,
+        bitmaps_total: intervals
+            .iter()
+            .map(|iv| (iv.write_notices.len() + iv.read_notices.len()) as u64)
+            .sum(),
+        ..DetectorStats::default()
+    };
+    // Concurrent pairs, in the order the enumeration visits them.
+    let mut concurrent: Vec<(&Interval, &Interval)> = Vec::new();
+    match enumeration {
+        PairEnumeration::Naive => {
+            for (i, a) in intervals.iter().enumerate() {
+                for b in &intervals[i + 1..] {
+                    if a.proc() == b.proc() {
+                        continue;
+                    }
+                    stats.pair_comparisons += 1;
+                    if a.stamp.concurrent_with(&b.stamp) {
+                        concurrent.push((a, b));
+                    }
+                }
+            }
+        }
+        PairEnumeration::Pruned => {
+            let mut by_proc: BTreeMap<ProcId, Vec<&Interval>> = BTreeMap::new();
+            for iv in intervals {
+                by_proc.entry(iv.proc()).or_default().push(iv);
+            }
+            for list in by_proc.values_mut() {
+                list.sort_by_key(|iv| iv.id().index);
+            }
+            for (p, pa) in &by_proc {
+                for (q, qb) in by_proc.range(*p..).skip(1) {
+                    for a in pa {
+                        // The two searches bracket the concurrent run:
+                        // it starts past everything `a` has seen and holds
+                        // every interval concurrent with `a`.
+                        let seen = qb.iter().filter(|b| b.id().index <= a.stamp.vc.get(*q));
+                        let lo = seen.count();
+                        let run: Vec<_> = qb
+                            .iter()
+                            .filter(|b| a.stamp.concurrent_with(&b.stamp))
+                            .collect();
+                        stats.pair_comparisons += partition_probes(qb.len(), lo)
+                            + partition_probes(qb.len() - lo, run.len());
+                        concurrent.extend(run.into_iter().map(|b| (*a, *b)));
+                    }
+                }
+            }
+        }
+    }
+
+    let mut entries = Vec::new();
+    let mut requests = BTreeSet::new();
+    let mut used = BTreeSet::new();
+    let mut reports = Vec::new();
+    for (a, b) in concurrent {
+        stats.pairs_concurrent += 1;
+        let set = |pages: &[PageId]| pages.iter().copied().collect::<BTreeSet<PageId>>();
+        let (aw, bw) = (set(&a.write_notices), set(&b.write_notices));
+        let a_any = &aw | &set(&a.read_notices);
+        let b_any = &bw | &set(&b.read_notices);
+        let pages: Vec<PageId> = (&(&aw & &b_any) | &(&a_any & &bw)).into_iter().collect();
+        if pages.is_empty() {
+            continue;
+        }
+        stats.pairs_overlapping += 1;
+        used.extend([a.id(), b.id()]);
+        for &page in &pages {
+            requests.extend([(a.id(), page), (b.id(), page)]);
+            stats.bitmap_comparisons += 1;
+            let ba = store.get(a.id(), page).expect("a's bitmaps");
+            let bb = store.get(b.id(), page).expect("b's bitmaps");
+            let mut report = |word: usize, kind: RaceKind| {
+                reports.push(RaceReport {
+                    addr: g.addr_of(page, word),
+                    kind,
+                    a: a.id(),
+                    b: b.id(),
+                    epoch,
+                });
+            };
+            // Write-write first, then each read-write direction, every
+            // racy word once.
+            let ww = |w: usize| ba.write.get(w) && bb.write.get(w);
+            for w in (0..g.page_words).filter(|&w| ww(w)) {
+                report(w, RaceKind::WriteWrite);
+            }
+            for w in 0..g.page_words {
+                if ba.write.get(w) && bb.read.get(w) && !ww(w) {
+                    report(w, RaceKind::ReadWrite);
+                }
+            }
+            for w in 0..g.page_words {
+                if ba.read.get(w) && bb.write.get(w) && !ba.write.get(w) {
+                    report(w, RaceKind::ReadWrite);
+                }
+            }
+        }
+        entries.push(CheckEntry {
+            a: a.id(),
+            b: b.id(),
+            pages,
+        });
+    }
+    stats.intervals_used = used.len() as u64;
+    stats.bitmaps_requested = requests.len() as u64;
+    stats.races_found = reports.len() as u64;
+    Reference {
+        entries,
+        requests: requests.into_iter().collect(),
+        reports,
+        stats,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every enumeration, overlap strategy and worker count yields the
+    /// check list, request set, reports and statistics — each field — of
+    /// the pairwise reference, on epochs of sparse page ids.
+    #[test]
+    fn plan_and_compare_match_pairwise_reference(raw in arb_epoch_of(3, arb_sparse_page)) {
+        let (intervals, store) = normalize(&raw);
+        let g = Geometry { page_words: PAGE_WORDS };
+        for enumeration in [PairEnumeration::Naive, PairEnumeration::Pruned] {
+            let want = reference(&intervals, &store, g, enumeration, 4);
+            for overlap in [
+                OverlapStrategy::Auto,
+                OverlapStrategy::Quadratic,
+                OverlapStrategy::SortedMerge,
+                OverlapStrategy::PageBitmap,
+            ] {
+                for workers in [1, 2, 4] {
+                    let d = EpochDetector { overlap, enumeration, workers };
+                    let mut plan = d.plan(&intervals);
+                    prop_assert_eq!(&plan.check.entries, &want.entries, "{:?}", d);
+                    let requests: Vec<_> = plan.bitmap_requests().collect();
+                    prop_assert_eq!(&requests, &want.requests, "{:?}", d);
+                    let reports = d.compare(&mut plan, &store, g, 4).expect("bitmaps present");
+                    prop_assert_eq!(&reports, &want.reports, "{:?}", d);
+                    prop_assert_eq!(plan.stats, want.stats, "{:?}", d);
+                }
+            }
+        }
+    }
 }

@@ -24,7 +24,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver};
 use cvm_page::PageId;
-use cvm_race::{filter_first_races, BitmapStore, DetectionPlan, EpochDetector, Interval};
+use cvm_race::{
+    filter_first_races, BitmapStore, DetectionPlan, EpochArena, EpochDetector, Interval,
+};
 use cvm_vclock::{IntervalId, ProcId, VClock};
 
 use crate::error::DsmError;
@@ -41,6 +43,10 @@ use crate::simtime::OverheadCat;
 pub(crate) struct BarrierMaster {
     nprocs: usize,
     phase: Phase,
+    /// Planning and comparison scratch, kept across epochs so steady-state
+    /// detection does no mid-epoch heap allocation (the pipelined stage
+    /// thread owns its own).
+    arena: EpochArena,
     /// Present when detection runs pipelined (see [`crate::pipeline`]):
     /// the barrier releases on settlement and detection is deferred to the
     /// stage thread this state feeds.
@@ -74,6 +80,7 @@ impl BarrierMaster {
                 arrived: Vec::new(),
                 records: Vec::new(),
             },
+            arena: EpochArena::new(),
             pipe: None,
         }
     }
@@ -254,12 +261,8 @@ fn run_detection(st: &mut NodeCore, node: &Node) -> Result<(), DsmError> {
     }
 
     st.phase_strike(cvm_net::ProtocolPhase::BitmapRound)?;
-    let detector = EpochDetector {
-        overlap: st.cfg.detect.overlap,
-        enumeration: st.cfg.detect.enumeration,
-        workers: st.cfg.detect.workers,
-    };
-    let plan = detector.plan(&records);
+    let master = st.barrier.as_mut().expect("master only");
+    let plan = EpochDetector::from(st.cfg.detect).plan_with(&records, &mut master.arena);
     // "Intervals" overhead: the comparison algorithm, serialized at the
     // master (the effect behind Figure 4's scaling).
     let c = st.cfg.costs;
@@ -369,15 +372,11 @@ fn finish_detection(
     mut plan: DetectionPlan,
     store: BitmapStore,
 ) -> Result<(), DsmError> {
-    let detector = EpochDetector {
-        overlap: st.cfg.detect.overlap,
-        enumeration: st.cfg.detect.enumeration,
-        workers: st.cfg.detect.workers,
-    };
     let geometry = st.cfg.geometry;
     let epoch = st.epoch;
-    let reports = detector
-        .compare(&mut plan, &store, geometry, epoch)
+    let master = st.barrier.as_mut().expect("master only");
+    let reports = EpochDetector::from(st.cfg.detect)
+        .compare_with(&mut plan, &store, geometry, epoch, &mut master.arena)
         .expect("check-listed bitmaps must have been retrieved");
     let c = st.cfg.costs;
     let blocks = geometry.page_words.div_ceil(64) as u64;

@@ -3,7 +3,7 @@
 use cvm_net::reliable::LossConfig;
 use cvm_net::NetConfig;
 use cvm_page::{GAddr, Geometry};
-use cvm_race::{OverlapStrategy, PairEnumeration};
+use cvm_race::{EpochDetector, OverlapStrategy, PairEnumeration};
 
 use crate::replay::SyncSchedule;
 use crate::simtime::CostModel;
@@ -152,9 +152,11 @@ pub struct DetectConfig {
     /// the binary-search pruning its discussion alludes to).
     pub enumeration: PairEnumeration,
     /// Worker threads for the barrier master's planning and word-level
-    /// comparison phases: `0` uses the host's available parallelism, `1`
-    /// is the paper's serial master.  Race reports and detector statistics
-    /// are bit-identical for every worker count (and therefore so is the
+    /// comparison phases: `0` (the default) uses the host's available
+    /// parallelism, `1` is the paper's serial master.  The master's own
+    /// thread is one of the workers, so `n` shards cost `n - 1` thread
+    /// spawns per phase.  Race reports and detector statistics are
+    /// bit-identical for every worker count (and therefore so is the
     /// simulated cost accounting); only wall-clock time changes.
     pub workers: usize,
     /// Source of write-access information.
@@ -179,6 +181,17 @@ pub struct DetectConfig {
     /// run-wide first-error cell, never a hang).  `None` (the default)
     /// injects nothing.
     pub stage_panic_epoch: Option<u64>,
+}
+
+/// The comparison algorithm this configuration selects.
+impl From<DetectConfig> for EpochDetector {
+    fn from(detect: DetectConfig) -> Self {
+        EpochDetector {
+            overlap: detect.overlap,
+            enumeration: detect.enumeration,
+            workers: detect.workers,
+        }
+    }
 }
 
 impl DetectConfig {

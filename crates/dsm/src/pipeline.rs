@@ -290,11 +290,7 @@ pub(crate) fn detection_stage(
     detect: DetectConfig,
     geometry: Geometry,
 ) {
-    let detector = EpochDetector {
-        overlap: detect.overlap,
-        enumeration: detect.enumeration,
-        workers: detect.workers,
-    };
+    let detector = EpochDetector::from(detect);
     let mut arena = EpochArena::new();
     loop {
         match rx.recv_timeout(SERVICE_POLL) {

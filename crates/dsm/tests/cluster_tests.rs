@@ -696,3 +696,79 @@ fn full_stack_over_lossy_wire() {
     let locked_addr = report.segments.segments()[0].base;
     assert!(report.races.at(locked_addr).is_empty());
 }
+
+/// The shape on which detection costs the most wall time (the ledger's
+/// `lock_storm`): every process closes ~100 one-page intervals per epoch
+/// under locks no other process takes, so every interval is concurrent
+/// with every remote one, and only each epoch's first intervals clash on
+/// one unsynchronised word.  Neither the worker count nor pipelining may
+/// change a report or a detector counter.
+#[test]
+fn lock_storm_is_invariant_across_workers_and_pipelining() {
+    const NODES: usize = 4;
+    const LOCK_OPS: u64 = 100;
+    const EPOCHS: u64 = 3;
+    const STRIPE_WORDS: u64 = 512;
+    let run = |workers: usize, pipelined: bool| {
+        let mut c = cfg(NODES);
+        c.detect = if pipelined {
+            DetectConfig::pipelined()
+        } else {
+            DetectConfig::on()
+        };
+        c.detect.workers = workers;
+        Cluster::run(
+            c,
+            |alloc| {
+                alloc
+                    .alloc_page_aligned("storm", (NODES as u64 + 1) * STRIPE_WORDS * 8)
+                    .unwrap()
+            },
+            |h, &arr| {
+                let me = h.proc() as u64;
+                for e in 0..EPOCHS {
+                    for k in 0..LOCK_OPS {
+                        let lock = (me * LOCK_OPS + k) as u32 + 1;
+                        h.lock(lock);
+                        h.write(arr.word(me * STRIPE_WORDS + e * LOCK_OPS + k), k);
+                        if k == 0 {
+                            h.write(arr.word(NODES as u64 * STRIPE_WORDS + e), me);
+                        }
+                        h.unlock(lock);
+                    }
+                    h.barrier();
+                }
+            },
+        )
+        .expect("cluster run")
+    };
+    let reference = run(1, false);
+    // One write-write report per process pair per epoch, on the clash word.
+    let pairs = (NODES * (NODES - 1) / 2) as u64;
+    assert_eq!(reference.races.len() as u64, EPOCHS * pairs);
+    let clash = reference.segments.segments()[0]
+        .base
+        .word(NODES as u64 * STRIPE_WORDS);
+    for r in reference.races.reports() {
+        assert_eq!(
+            (r.kind, r.addr),
+            (RaceKind::WriteWrite, clash.word(r.epoch))
+        );
+    }
+    assert_eq!(reference.det_stats.pairs_overlapping, EPOCHS * pairs);
+    // Every lock interval of an epoch is concurrent with every remote one,
+    // and nearly all of those pairs share no page.
+    assert!(reference.det_stats.pairs_concurrent >= EPOCHS * pairs * LOCK_OPS * LOCK_OPS);
+    for (workers, pipelined) in [(0, false), (4, false), (0, true), (1, true), (4, true)] {
+        let report = run(workers, pipelined);
+        assert_eq!(
+            report.races.reports(),
+            reference.races.reports(),
+            "workers {workers}, pipelined {pipelined}"
+        );
+        assert_eq!(
+            report.det_stats, reference.det_stats,
+            "workers {workers}, pipelined {pipelined}"
+        );
+    }
+}

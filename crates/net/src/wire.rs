@@ -405,13 +405,21 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The header an integrity frame puts before `body`:
+/// `magic | body length | crc32c(body)`.
+pub fn frame_header(body: &[u8]) -> [u8; FRAME_HEADER_BYTES] {
+    let mut header = [0; FRAME_HEADER_BYTES];
+    header[..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[8..].copy_from_slice(&crc32c(body).to_le_bytes());
+    header
+}
+
 /// Wraps an encoded datagram body in an integrity frame:
-/// `magic | body length | crc32c(body) | body`.
+/// [`frame_header`]`(body) | body`.
 pub fn encode_frame(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + body.len());
-    FRAME_MAGIC.encode(&mut out);
-    (body.len() as u32).encode(&mut out);
-    crc32c(body).encode(&mut out);
+    out.extend_from_slice(&frame_header(body));
     out.extend_from_slice(body);
     out
 }

@@ -42,7 +42,8 @@ use std::time::Duration;
 
 use cvm_dsm::{DsmError, Protocol, RecoveryPolicy, RunReport};
 use cvm_net::wire::{
-    decode_frame, encode_frame, Reader, Wire, WireError, FRAME_HEADER_BYTES, FRAME_MAGIC,
+    decode_frame, encode_frame, frame_header, Reader, Wire, WireError, FRAME_HEADER_BYTES,
+    FRAME_MAGIC,
 };
 use parking_lot::Mutex;
 
@@ -1213,11 +1214,19 @@ impl Persist {
     }
 }
 
+/// The snapshot file's bytes: magic, version, then the shadow in one
+/// integrity frame.  The shadow is encoded once, in place behind its frame
+/// header: a snapshot holds every job the daemon has seen, so each further
+/// copy made on the way is resident memory that grows with the job count.
 fn encode_snapshot(shadow: &ShadowState) -> Vec<u8> {
     let mut buf = Vec::new();
     SNAPSHOT_MAGIC.encode(&mut buf);
     SNAPSHOT_VERSION.encode(&mut buf);
-    buf.extend_from_slice(&encode_frame(&shadow.to_bytes()));
+    let body_at = buf.len() + FRAME_HEADER_BYTES;
+    buf.resize(body_at, 0);
+    shadow.encode(&mut buf);
+    let header = frame_header(&buf[body_at..]);
+    buf[body_at - FRAME_HEADER_BYTES..body_at].copy_from_slice(&header);
     buf
 }
 
