@@ -80,10 +80,7 @@ pub(crate) struct LinkRx<T> {
 
 impl<T> LinkRx<T> {
     fn took(&self) {
-        // Saturating: a parked replacement receiver shares no history.
-        let _ = self
-            .depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));
+        self.depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Blocking receive.
@@ -101,8 +98,7 @@ impl<T> LinkRx<T> {
         Ok(v)
     }
 
-    /// Non-blocking receive; the error type lets a `LinkRx` stand in for a
-    /// raw receiver inside `select!`.
+    /// Non-blocking receive.
     pub(crate) fn try_recv(&self) -> Result<T, TryRecvError> {
         let v = self.rx.try_recv()?;
         self.took();

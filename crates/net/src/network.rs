@@ -7,6 +7,7 @@ use crossbeam::channel::TryRecvError;
 use cvm_vclock::ProcId;
 
 use crate::link::{metered_link, LinkRx, LinkTx};
+use crate::reliable::Outbound;
 use crate::stats::{ByteBreakdown, NetStats, TrafficClass};
 use crate::wire::Wire;
 
@@ -140,8 +141,9 @@ enum Transport {
     /// Straight into the destination's channel (a reliable, metered link).
     Direct(Arc<Vec<LinkTx<NetEvent>>>),
     /// Through the owning node's reliability engine (lossy wire
-    /// underneath; see [`crate::reliable`]).
-    Reliable(LinkTx<(ProcId, Packet)>),
+    /// underneath; see [`crate::reliable`]).  Shared by every clone of the
+    /// node's sender, so the engine hears when the last one is dropped.
+    Reliable(Arc<Outbound>),
 }
 
 /// Cloneable sending half bound to a source process.
@@ -202,9 +204,7 @@ impl NetSender {
             Transport::Direct(txs) => txs[dst.index()]
                 .send(NetEvent::Packet(pkt))
                 .map_err(|_| NetError::Disconnected),
-            Transport::Reliable(outbound) => outbound
-                .send((dst, pkt))
-                .map_err(|_| NetError::Disconnected),
+            Transport::Reliable(outbound) => outbound.send(dst, pkt),
         }
     }
 
@@ -361,7 +361,7 @@ impl Network {
                     id,
                     sender: NetSender {
                         src: id,
-                        transport: Transport::Reliable(outbound),
+                        transport: Transport::Reliable(Arc::new(outbound)),
                         fanout: n,
                         stats: Arc::clone(&stats),
                         config,

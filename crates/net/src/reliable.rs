@@ -13,7 +13,8 @@
 //!   ("partition node N at datagram K", "kill node N at event K",
 //!   "corrupt node N's frame K");
 //! * checksummed wire frames — every datagram crosses the wire as bytes
-//!   behind a magic/length/CRC-32C header ([`encode_frame`]/
+//!   behind a magic/length/CRC-32C header
+//!   ([`encode_frame`](crate::wire::encode_frame)/
 //!   [`decode_frame`](crate::wire::decode_frame)), so corruption is
 //!   *detected* at the receiver and turned into an ordinary loss that the
 //!   retransmit path repairs;
@@ -50,14 +51,15 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cvm_vclock::ProcId;
 
 use crate::link::{metered_link, LinkRx, LinkTx};
-use crate::wire::{decode_frame, encode_frame, Wire};
-use crate::{NetEvent, Packet};
+use crate::wire::{decode_frame, encode_framed, Wire};
+use crate::{NetError, NetEvent, Packet};
 
 /// How an injected corruption mutates a frame's bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,7 +197,8 @@ pub struct FaultPlan {
     pub dup_rate: f64,
     /// Probability in `[0, 1)` that a datagram is held back and swapped
     /// with the next datagram on the same link (a reordering window of
-    /// one; held datagrams are flushed every engine tick).
+    /// one; a held datagram with no swap partner is released after half
+    /// an RTO).
     pub reorder_rate: f64,
     /// Probability in `[0, 1)` that a datagram's bytes are mutated on the
     /// wire (seeded bit-flip, truncation, or garbage tail, chosen per
@@ -449,7 +452,7 @@ pub struct ReliabilityStats {
     /// across all engines.  Non-zero here plus no delivery progress is the
     /// watchdog's credit-deadlock signature.
     pub credit_stalled_now: AtomicU64,
-    /// Deepest any transport channel (wire, outbound, delivery) ever got,
+    /// Deepest any transport channel (engine inbox, delivery) ever got,
     /// shared by the fabric's metered links.
     link_high_water: Arc<AtomicU64>,
 }
@@ -581,6 +584,15 @@ impl Wire for Dgram {
             tag => return Err(crate::wire::WireError::BadTag { what: "Dgram", tag }),
         })
     }
+
+    // Exact and allocation-free: `encode_framed` sizes every wire frame
+    // with it.
+    fn wire_size(&self) -> u64 {
+        match self {
+            Dgram::Data { packet, .. } => 1 + 2 + 8 + packet.wire_size(),
+            Dgram::Ack { .. } => 1 + 2 + 8,
+        }
+    }
 }
 
 impl Dgram {
@@ -706,17 +718,50 @@ fn threshold(rate: f64) -> u64 {
     (rate * u64::MAX as f64) as u64
 }
 
+/// Everything a reliability engine waits for, on one inbox.
+pub(crate) enum EngineIn {
+    /// A new packet from one of this node's senders.
+    Outbound(ProcId, Packet),
+    /// A frame off the faulty wire: encoded, checksummed bytes, not a
+    /// structure, so the fault plan can corrupt it like a real physical
+    /// layer.
+    Wire(Vec<u8>),
+    /// The node's last sender is gone: drain, then exit.  Not an engine
+    /// event — [`FaultEvent::Kill`] ordinals count packets and frames only.
+    OutboundClosed,
+}
+
+/// A node's sending side as its [`NetSender`](crate::NetSender)s share it.
+/// Dropping the last clone posts [`EngineIn::OutboundClosed`] behind
+/// everything already sent, which is how the engine learns that no further
+/// outbound packet can arrive.
+pub(crate) struct Outbound {
+    inbox: LinkTx<EngineIn>,
+}
+
+impl Outbound {
+    pub(crate) fn send(&self, dst: ProcId, packet: Packet) -> Result<(), NetError> {
+        self.inbox
+            .send(EngineIn::Outbound(dst, packet))
+            .map_err(|_| NetError::Disconnected)
+    }
+}
+
+impl Drop for Outbound {
+    fn drop(&mut self) {
+        // An engine that already exited (killed, or drained) needs no notice.
+        let _ = self.inbox.send(EngineIn::OutboundClosed);
+    }
+}
+
 /// Per-node reliability engine, run on its own thread.
 pub(crate) struct ReliabilityEngine {
     node: ProcId,
-    /// Raw wire senders to every node (faulty).  The wire carries encoded,
-    /// checksummed frames — bytes, not structures — so the fault plan can
-    /// corrupt them like a real physical layer.
-    wire_txs: Vec<LinkTx<Vec<u8>>>,
-    /// Raw wire receiver.
-    wire_rx: LinkRx<Vec<u8>>,
-    /// New outbound packets from this node's senders.
-    outbound_rx: LinkRx<(ProcId, Packet)>,
+    /// Every node's inbox, this one's included: the faulty wire.
+    wire_txs: Vec<LinkTx<EngineIn>>,
+    /// Outbound packets, wire arrivals and the close notice, in arrival
+    /// order.
+    inbox: LinkRx<EngineIn>,
     /// In-order delivery (and peer-death events) to the application
     /// endpoint.
     deliver_tx: LinkTx<NetEvent>,
@@ -753,22 +798,21 @@ pub(crate) struct ReliabilityEngine {
     killed: bool,
     /// Peers declared dead (retransmit budget exhausted).
     dead: HashSet<ProcId>,
-    /// Frames held back by the delay distribution.
+    /// Frames held back by the delay distribution, with their release
+    /// times.
     delayed: Vec<(Instant, ProcId, Vec<u8>)>,
-    /// Per-destination reordering holdback slot.
-    holdback: HashMap<ProcId, Vec<u8>>,
+    /// Per-destination reordering holdback slot: the held frame and when
+    /// it is released if no swap partner turns up.
+    holdback: HashMap<ProcId, (Instant, Vec<u8>)>,
     stats: Arc<ReliabilityStats>,
     tx_flows: HashMap<ProcId, FlowTx>,
     rx_flows: HashMap<ProcId, FlowRx>,
-    /// Keep-alive senders for parked (closed) input channels, so `select!`
-    /// blocks on the tick instead of spinning on a disconnected receiver.
-    parked_outbound: Option<LinkTx<(ProcId, Packet)>>,
-    parked_wire: Option<LinkTx<Vec<u8>>>,
 }
 
 impl ReliabilityEngine {
-    /// Notes one engine event; returns `true` once the scripted kill point
-    /// has been reached.
+    /// Notes one engine event (an outbound packet or a wire arrival);
+    /// returns `true` once the scripted kill point has been reached, in
+    /// which case the event is not handled.
     fn note_event(&mut self) -> bool {
         self.events_handled += 1;
         if let Some(k) = self.kill_at {
@@ -813,7 +857,7 @@ impl ReliabilityEngine {
     /// independent corruption decision — just like a real wire.
     fn frame_for(&mut self, dst: ProcId, dgram: &Dgram, tag: u64, a: u64, b: u64) -> Vec<u8> {
         self.frames_sent += 1;
-        let mut frame = encode_frame(&dgram.to_bytes());
+        let mut frame = encode_framed(dgram);
         let ordinal = self.frames_sent;
         let kind = self
             .corrupt_at
@@ -887,7 +931,7 @@ impl ReliabilityEngine {
     /// Final emission stage: the pairwise reordering window, then the raw
     /// channel send.
     fn enqueue(&mut self, dst: ProcId, frame: Vec<u8>, tag: u64, a: u64, b: u64) {
-        if let Some(held) = self.holdback.remove(&dst) {
+        if let Some((_, held)) = self.holdback.remove(&dst) {
             // Swap: the newer frame overtakes the held one.
             self.raw_send(dst, frame);
             self.raw_send(dst, held);
@@ -898,16 +942,26 @@ impl ReliabilityEngine {
             .hit(TAG_REORDER, dst.0 as u64 ^ tag, a, b, self.reorder_t)
         {
             self.stats.reordered.fetch_add(1, Ordering::Relaxed);
-            self.holdback.insert(dst, frame);
+            let release = Instant::now() + self.holdback_window();
+            self.holdback.insert(dst, (release, frame));
             return;
         }
         self.raw_send(dst, frame);
     }
 
+    /// How long a held datagram waits for a swap partner: half an RTO, so
+    /// the reordering is over before the retransmit timer could mask it.
+    fn holdback_window(&self) -> Duration {
+        (self.plan.rto / 2).max(Duration::from_micros(200))
+    }
+
     fn raw_send(&self, dst: ProcId, frame: Vec<u8>) {
         // A closed peer means shutdown is in progress; count it so
         // shutdown loss is distinguishable from wire loss.
-        if self.wire_txs[dst.index()].send(frame).is_err() {
+        if self.wire_txs[dst.index()]
+            .send(EngineIn::Wire(frame))
+            .is_err()
+        {
             self.stats.peer_closed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -945,6 +999,17 @@ impl ReliabilityEngine {
     }
 
     fn handle_outbound(&mut self, dst: ProcId, packet: Packet) {
+        if self.note_event() {
+            return;
+        }
+        if self.dead.contains(&dst) {
+            // Nobody is left to acknowledge it.  Kept, it would outlive its
+            // own retransmit budget (a peer is declared dead only once, and
+            // that is when its flow is cleared): the engine could never
+            // drain, and the expired `due` would have it wake without pause.
+            self.stats.partition_drops.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         let window = self.window;
         let flow = self.tx_flows.entry(dst).or_insert_with(FlowTx::new);
         // Credit gate: a packet may only enter the wire while the flow
@@ -1017,6 +1082,9 @@ impl ReliabilityEngine {
     }
 
     fn handle_wire(&mut self, frame: Vec<u8>) {
+        if self.note_event() {
+            return;
+        }
         self.note_wire_dgram();
         // Scripted slow consumer: dwell on every arrival past the trigger.
         // The dwell sits *before* the ACK is produced, so peers see their
@@ -1091,10 +1159,10 @@ impl ReliabilityEngine {
         }
     }
 
-    /// Retransmits due datagrams; declares a peer dead once one datagram
-    /// exhausts the retransmit budget.
-    fn retransmit_due(&mut self) {
-        let now = Instant::now();
+    /// Retransmits the datagrams due at `now`; declares a peer dead once
+    /// one datagram exhausts the retransmit budget.  Returns the earliest
+    /// `due` still pending.
+    fn retransmit_due(&mut self, now: Instant) -> Option<Instant> {
         let max = self.plan.max_retransmits;
         let mut resend: Vec<(ProcId, u64, u32, Packet)> = Vec::new();
         let mut died: Vec<ProcId> = Vec::new();
@@ -1146,108 +1214,105 @@ impl ReliabilityEngine {
                 let _ = self.deliver_tx.send(NetEvent::PeerDead { peer: dst });
             }
         }
+        self.tx_flows
+            .values()
+            .flat_map(|f| &f.unacked)
+            .map(|u| u.due)
+            .min()
     }
 
-    /// Releases delay-held datagrams whose due time has passed.
-    fn flush_delayed(&mut self) {
+    /// Releases the delay-held frames whose time has come at `now`;
+    /// returns the earliest release still pending.
+    fn flush_delayed(&mut self, now: Instant) -> Option<Instant> {
         if self.delayed.is_empty() {
-            return;
+            return None;
         }
+        let (due, held): (Vec<_>, Vec<_>) = std::mem::take(&mut self.delayed)
+            .into_iter()
+            .partition(|(at, ..)| *at <= now);
+        self.delayed = held;
+        for (_, dst, frame) in due {
+            self.raw_send(dst, frame);
+        }
+        self.delayed.iter().map(|(at, ..)| *at).min()
+    }
+
+    /// Releases the held frames no swap partner arrived for within the
+    /// [holdback window](Self::holdback_window); returns the earliest
+    /// release still pending.
+    fn flush_holdback(&mut self, now: Instant) -> Option<Instant> {
+        let due: Vec<ProcId> = self
+            .holdback
+            .iter()
+            .filter(|(_, (release, _))| *release <= now)
+            .map(|(&dst, _)| dst)
+            .collect();
+        for dst in due {
+            let (_, frame) = self.holdback.remove(&dst).expect("listed above");
+            self.raw_send(dst, frame);
+        }
+        self.holdback.values().map(|(release, _)| *release).min()
+    }
+
+    /// Fires every timer that is due and returns the earliest one still
+    /// armed: an unacked datagram's `due`, a delayed frame's release, or a
+    /// holdback slot's release.  Retransmissions go first because they can
+    /// arm the other two.
+    fn fire_timers(&mut self) -> Option<Instant> {
         let now = Instant::now();
-        let mut due = Vec::new();
-        self.delayed.retain(|(at, dst, frame)| {
-            if *at <= now {
-                due.push((*dst, frame.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        for (dst, frame) in due {
-            self.raw_send(dst, frame);
-        }
+        let retransmit = self.retransmit_due(now);
+        let delayed = self.flush_delayed(now);
+        let holdback = self.flush_holdback(now);
+        [retransmit, delayed, holdback].into_iter().flatten().min()
     }
 
-    /// Flushes the reordering holdback slots (called on idle ticks so a
-    /// held datagram waits at most one tick for a swap partner).
-    fn flush_holdback(&mut self) {
-        if self.holdback.is_empty() {
-            return;
-        }
-        let held: Vec<(ProcId, Vec<u8>)> = self.holdback.drain().collect();
-        for (dst, frame) in held {
-            self.raw_send(dst, frame);
-        }
-    }
-
-    /// Parks the closed outbound channel behind a never-ready receiver so
-    /// `select!` blocks on the tick instead of spinning on the disconnect.
-    fn park_outbound(&mut self) {
-        let (tx, rx) = metered_link(self.stats.link_gauge());
-        self.parked_outbound = Some(tx);
-        self.outbound_rx = rx;
-    }
-
-    fn park_wire(&mut self) {
-        let (tx, rx) = metered_link(self.stats.link_gauge());
-        self.parked_wire = Some(tx);
-        self.wire_rx = rx;
+    /// Nothing of this node's is left in flight.
+    fn drained(&self) -> bool {
+        self.tx_flows
+            .values()
+            .all(|f| f.unacked.is_empty() && f.pending.is_empty())
+            && self.delayed.is_empty()
+            && self.holdback.is_empty()
     }
 
     fn run(mut self) {
-        // Event loop: new outbound sends, wire arrivals, and a periodic
-        // retransmission scan.  Exits when the outbound channel closes and
-        // every flow is drained (or the wire is gone too), or at the
-        // scripted kill point.
-        let tick = (self.plan.rto / 2).max(Duration::from_micros(200));
+        // Event loop: block on the inbox until a message arrives or the
+        // earliest armed timer is due — with no timer armed, indefinitely.
+        // Exits once the last sender is gone and every flow is drained, or
+        // at the scripted kill point.  The inbox cannot disconnect first:
+        // this engine's own `wire_txs` holds a sender to it.
         let mut outbound_open = true;
-        let mut wire_open = true;
+        let mut wake: Option<Instant> = None;
         loop {
-            crossbeam::channel::select! {
-                recv(self.outbound_rx) -> msg => match msg {
-                    Ok((dst, pkt)) => {
-                        if !self.note_event() {
-                            self.handle_outbound(dst, pkt);
-                        }
-                    }
-                    Err(_) => {
-                        outbound_open = false;
-                        self.park_outbound();
-                    }
+            let msg = match wake {
+                None => match self.inbox.recv() {
+                    Ok(msg) => Some(msg),
+                    Err(_) => return,
                 },
-                recv(self.wire_rx) -> msg => match msg {
-                    Ok(frame) => {
-                        if !self.note_event() {
-                            self.handle_wire(frame);
-                        }
-                    }
-                    Err(_) => {
-                        wire_open = false;
-                        self.park_wire();
-                    }
+                Some(at) => match self
+                    .inbox
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))
+                {
+                    Ok(msg) => Some(msg),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => return,
                 },
-                default(tick) => self.flush_holdback(),
+            };
+            match msg {
+                Some(EngineIn::Outbound(dst, pkt)) => self.handle_outbound(dst, pkt),
+                Some(EngineIn::Wire(frame)) => self.handle_wire(frame),
+                Some(EngineIn::OutboundClosed) => outbound_open = false,
+                // A timer came due.
+                None => {}
             }
             if self.killed {
                 // Crashed node: drop every channel on the way out; peers
                 // detect the death through their retransmit budgets.
                 return;
             }
-            self.flush_delayed();
-            // Skip the retransmit scan entirely while nothing is unacked.
-            if self.tx_flows.values().any(|f| !f.unacked.is_empty()) {
-                self.retransmit_due();
-            }
-            if !outbound_open {
-                let drained = self
-                    .tx_flows
-                    .values()
-                    .all(|f| f.unacked.is_empty() && f.pending.is_empty())
-                    && self.delayed.is_empty()
-                    && self.holdback.is_empty();
-                if drained || !wire_open {
-                    return;
-                }
+            wake = self.fire_timers();
+            if !outbound_open && self.drained() {
+                return;
             }
         }
     }
@@ -1268,34 +1333,27 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// Per-node wiring of a faulty network: outbound senders (for
+/// Per-node wiring of a faulty network: outbound handles (for
 /// `NetSender`), in-order event receivers (for `Endpoint`), and the
 /// shared stats block.
-pub(crate) type ReliableFabric = (
-    Vec<LinkTx<(ProcId, Packet)>>,
-    Vec<LinkRx<NetEvent>>,
-    Arc<ReliabilityStats>,
-);
+pub(crate) type ReliableFabric = (Vec<Outbound>, Vec<LinkRx<NetEvent>>, Arc<ReliabilityStats>);
 
 /// Builds the per-node engines and wiring for a faulty network.  Every
-/// channel — wire, outbound, delivery — is a metered link feeding the
+/// channel — engine inbox, delivery — is a metered link feeding the
 /// shared [`ReliabilityStats::link_high_water`] gauge, so no unobservable
 /// queue survives in the transport.
 pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric {
     let stats = Arc::new(ReliabilityStats::default());
-    let mut wire_txs = Vec::with_capacity(n);
-    let mut wire_rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = metered_link::<Vec<u8>>(stats.link_gauge());
-        wire_txs.push(tx);
-        wire_rxs.push(rx);
-    }
-    let mut outbound_txs = Vec::with_capacity(n);
+    let (wire_txs, inboxes): (Vec<_>, Vec<_>) = (0..n)
+        .map(|_| metered_link::<EngineIn>(stats.link_gauge()))
+        .unzip();
+    let mut outbounds = Vec::with_capacity(n);
     let mut deliver_rxs = Vec::with_capacity(n);
-    for (i, wire_rx) in wire_rxs.into_iter().enumerate() {
-        let (outbound_tx, outbound_rx) = metered_link(stats.link_gauge());
+    for (i, inbox) in inboxes.into_iter().enumerate() {
         let (deliver_tx, deliver_rx) = metered_link(stats.link_gauge());
-        outbound_txs.push(outbound_tx);
+        outbounds.push(Outbound {
+            inbox: wire_txs[i].clone(),
+        });
         deliver_rxs.push(deliver_rx);
         let me = ProcId::from_index(i);
         // Collect *every* partition window scripted for this node — an
@@ -1340,8 +1398,7 @@ pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric
         let engine = ReliabilityEngine {
             node: me,
             wire_txs: wire_txs.clone(),
-            wire_rx,
-            outbound_rx,
+            inbox,
             deliver_tx,
             dice: FaultDice {
                 seed: plan.seed ^ (i as u64).wrapping_mul(0x1234_5677),
@@ -1370,8 +1427,6 @@ pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric
             stats: Arc::clone(&stats),
             tx_flows: HashMap::new(),
             rx_flows: HashMap::new(),
-            parked_outbound: None,
-            parked_wire: None,
             plan: plan.clone(),
         };
         std::thread::Builder::new()
@@ -1379,12 +1434,13 @@ pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric
             .spawn(move || engine.run())
             .expect("spawn reliability engine");
     }
-    (outbound_txs, deliver_rxs, stats)
+    (outbounds, deliver_rxs, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_frame;
 
     #[test]
     fn dice_matches_rate_roughly() {
@@ -1466,6 +1522,32 @@ mod tests {
                     "{kind:?} with roll {roll} slipped through"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn datagram_frames_in_place_byte_for_byte() {
+        // `frame_for` frames each datagram in place, sized by the
+        // hand-written `wire_size`: both must agree with the plain codec.
+        let data = Dgram::Data {
+            flow_src: ProcId(2),
+            seq: 77,
+            packet: Packet {
+                src: ProcId(2),
+                dst: ProcId(0),
+                sent_at: 9,
+                breakdown: crate::ByteBreakdown::single(crate::TrafficClass::Data, 5),
+                payload: vec![1, 2, 3, 4, 5],
+            },
+        };
+        let ack = Dgram::Ack {
+            flow_dst: ProcId(1),
+            upto: 42,
+        };
+        for dgram in [data, ack] {
+            let body = dgram.to_bytes();
+            assert_eq!(dgram.wire_size(), body.len() as u64);
+            assert_eq!(encode_framed(&dgram), encode_frame(&body));
         }
     }
 

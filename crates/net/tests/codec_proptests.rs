@@ -1,7 +1,10 @@
 //! Property-based round-trip tests for the wire codec and the checksummed
 //! frame layer.
 
-use cvm_net::wire::{decode_frame, encode_frame, Wire, WireError, FRAME_HEADER_BYTES};
+use cvm_net::wire::{
+    decode_frame, encode_frame, encode_framed, Wire, WireError, FRAME_HEADER_BYTES,
+};
+use cvm_net::{ByteBreakdown, Packet, TrafficClass};
 use cvm_vclock::{IntervalId, IntervalStamp, ProcId, VClock};
 use proptest::prelude::*;
 
@@ -91,6 +94,27 @@ proptest! {
         let frame = encode_frame(&body);
         prop_assert_eq!(frame.len(), FRAME_HEADER_BYTES + body.len());
         prop_assert_eq!(decode_frame(&frame).expect("own frame decodes"), &body[..]);
+    }
+
+    /// The in-place framing the reliability engine puts every datagram
+    /// through yields the very bytes of framing the finished encoding.
+    #[test]
+    fn in_place_frame_matches_encode_frame(
+        src: u16,
+        dst: u16,
+        sent_at: u64,
+        payload in proptest::collection::vec(any::<u8>(), 0..512),
+        nested: Vec<(u16, Vec<u64>)>,
+    ) {
+        let packet = Packet {
+            src: ProcId(src),
+            dst: ProcId(dst),
+            sent_at,
+            breakdown: ByteBreakdown::single(TrafficClass::Data, payload.len() as u64),
+            payload,
+        };
+        prop_assert_eq!(encode_framed(&packet), encode_frame(&packet.to_bytes()));
+        prop_assert_eq!(encode_framed(&nested), encode_frame(&nested.to_bytes()));
     }
 
     /// Decoding arbitrary bytes as a frame never panics: a value or a

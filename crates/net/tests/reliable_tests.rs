@@ -1,9 +1,13 @@
 //! Tests of the reliable-over-lossy transport (CVM's UDP layer).
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cvm_net::reliable::LossConfig;
-use cvm_net::{ByteBreakdown, CorruptKind, FaultPlan, NetConfig, NetError, Network, TrafficClass};
+use cvm_net::{
+    ByteBreakdown, CorruptKind, FaultPlan, NetConfig, NetError, Network, ReliabilitySnapshot,
+    ReliabilityStats, TrafficClass,
+};
 use cvm_vclock::ProcId;
 
 fn payload(i: u32) -> Vec<u8> {
@@ -30,6 +34,22 @@ fn recv_all(eps: &[cvm_net::Endpoint], at: usize, n: u32) -> Vec<u32> {
             u32::from_le_bytes(pkt.payload[..4].try_into().unwrap())
         })
         .collect()
+}
+
+/// Waits until all but `live` of the fabric's engine threads have exited.
+/// Every engine owns one reference to the stats block and nothing else
+/// does, so the count above the test's own is the number still running.
+/// Once it reaches zero the counters are final.
+fn await_engines(rstats: &Arc<ReliabilityStats>, live: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while Arc::strong_count(rstats) > 1 + live {
+        assert!(
+            Instant::now() < deadline,
+            "{} engines still running, expected {live}",
+            Arc::strong_count(rstats) - 1
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
@@ -99,9 +119,9 @@ fn loss_pattern_is_reproducible_per_seed() {
             Network::with_loss(2, NetConfig::default(), LossConfig::new(0.25, seed));
         send_n(&eps, 0, 1, 100);
         let _ = recv_all(&eps, 1, 100);
-        // Wait for any trailing retransmissions/acks to settle so the drop
-        // count is stable.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Shut the fabric down so the drop count is final.
+        drop(eps);
+        await_engines(&rstats, 0);
         rstats.snapshot().0
     };
     // The wire-drop sequence for the initial transmissions is seed-driven;
@@ -125,12 +145,24 @@ fn same_plan_and_seed_reproduce_identical_stats() {
         let plan = FaultPlan::clean(seed)
             .with_duplication(0.2)
             .with_rto(Duration::from_secs(1), Duration::from_secs(2));
-        let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
+        let (mut eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
         send_n(&eps, 0, 1, 150);
         assert_eq!(recv_all(&eps, 1, 150), (0..150).collect::<Vec<_>>());
-        // Let trailing ACKs (and their injected duplicates) settle.
-        std::thread::sleep(Duration::from_millis(20));
-        rstats.full()
+        // Shut down sender first.  Its engine exits once all 150 are
+        // acknowledged, by which time every data copy it injected sits in
+        // node 1's inbox; node 1's close notice then queues behind them,
+        // so node 1 handles each one (and injects every ACK duplicate)
+        // before it exits.
+        drop(eps.remove(0));
+        await_engines(&rstats, 1);
+        drop(eps);
+        await_engines(&rstats, 0);
+        // How many of node 1's trailing ACKs found node 0 already gone is
+        // the one count shutdown order does not fix.
+        ReliabilitySnapshot {
+            peer_closed: 0,
+            ..rstats.full()
+        }
     };
     let first = run(0xFEED);
     let second = run(0xFEED);
@@ -366,4 +398,126 @@ fn credit_window_is_invisible_to_loss_repair() {
         use std::sync::atomic::Ordering;
         assert!(rstats.queue_high_water.load(Ordering::Relaxed) <= u64::from(capacity));
     }
+}
+
+#[test]
+fn held_frame_leaves_within_the_window_despite_other_traffic() {
+    // Nearly every frame is held for reordering.  Node 0's only packet to
+    // node 1 has no swap partner, so it must be released by its own timer
+    // after half an RTO (100 ms) — even though the engine never goes idle,
+    // being kept busy with traffic for node 2 — and well before the
+    // retransmit timer (>= 200 ms) could push it out instead.
+    let rto = Duration::from_millis(200);
+    let plan = FaultPlan::clean(3)
+        .with_reordering(0.99)
+        .with_rto(rto, rto * 2);
+    let (eps, _, rstats) = Network::with_loss(3, NetConfig::default(), plan);
+    let started = Instant::now();
+    send_n(&eps, 0, 1, 1);
+    let tx = eps[0].sender();
+    let arrived = loop {
+        tx.send(ProcId(2), 0, ByteBreakdown::default(), Vec::new())
+            .unwrap();
+        match eps[1].recv_timeout(Duration::from_millis(1)) {
+            Ok(_) => break started.elapsed(),
+            Err(NetError::Empty) => assert!(started.elapsed() < rto * 4, "held frame never left"),
+            Err(e) => panic!("unexpected {e:?}"),
+        }
+    };
+    assert!(arrived >= rto / 2, "seed 3 no longer holds the frame");
+    assert_eq!(
+        rstats.full().retransmissions,
+        0,
+        "released by a retransmission after {arrived:?}, not by the holdback timer"
+    );
+}
+
+#[test]
+fn packets_sent_before_the_last_sender_drops_all_arrive() {
+    // The close notice queues behind the 100 packets in node 0's inbox, and
+    // the engine keeps repairing losses until every one is acknowledged.
+    let (mut eps, _, _) = Network::with_loss(2, NetConfig::default(), LossConfig::new(0.25, 31));
+    send_n(&eps, 0, 1, 100);
+    drop(eps.remove(0));
+    // Node 1's endpoint is now `eps[0]`.
+    assert_eq!(recv_all(&eps, 0, 100), (0..100).collect::<Vec<_>>());
+}
+
+#[test]
+fn engines_exit_once_the_last_endpoint_is_dropped() {
+    // An idle fabric: engines blocked with no timer armed must still wake
+    // for the close notice.
+    let (eps, _, rstats) = Network::with_loss(3, NetConfig::default(), FaultPlan::clean(1));
+    assert_eq!(Arc::strong_count(&rstats), 4, "one reference per engine");
+    drop(eps);
+    await_engines(&rstats, 0);
+
+    // A fabric with a killed peer: the survivor holds unacknowledged data
+    // for it, and exits once the retransmit budget is spent — not never.
+    let plan = FaultPlan::clean(7)
+        .with_rto(Duration::from_millis(1), Duration::from_millis(4))
+        .with_max_retransmits(6)
+        .with_kill(ProcId(1), 3);
+    let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
+    send_n(&eps, 0, 1, 20);
+    drop(eps);
+    await_engines(&rstats, 0);
+    assert_eq!(rstats.full().peers_declared_dead, 1);
+}
+
+#[test]
+fn packets_for_a_peer_already_declared_dead_are_dropped_not_kept() {
+    // Node 0 learns that node 1 is dead and only then sends it more.  Those
+    // packets can never be acknowledged: the engine must not keep them (it
+    // would never drain, and their long-expired timers would have it wake
+    // without pause), so it still exits when its endpoint goes.
+    let plan = FaultPlan::clean(7)
+        .with_rto(Duration::from_millis(1), Duration::from_millis(4))
+        .with_max_retransmits(6)
+        .with_kill(ProcId(1), 3);
+    let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
+    send_n(&eps, 0, 1, 20);
+    assert_eq!(
+        eps[0].recv().unwrap_err(),
+        NetError::PeerDead { peer: ProcId(1) }
+    );
+    let retransmitted = rstats.full().retransmissions;
+    send_n(&eps, 0, 1, 5);
+    drop(eps);
+    await_engines(&rstats, 0);
+    let snap = rstats.full();
+    assert_eq!(snap.peers_declared_dead, 1);
+    assert_eq!(snap.retransmissions, retransmitted);
+    assert!(snap.partition_drops >= 5);
+}
+
+#[test]
+fn kill_ordinal_ignores_the_close_notice() {
+    // Node 1 dies at its 8th event.  Its first is an outbound packet to
+    // node 2 (killed by that packet's arrival, so it never acknowledges and
+    // node 1 stays undrained); the rest are data frames from node 0.  Six
+    // of those are handled before the kill whether or not node 1's senders
+    // were dropped, and their close notice queued, in between.
+    let delivered_before_kill = |drop_senders_first: bool| {
+        let plan = FaultPlan::clean(19)
+            .with_rto(Duration::from_secs(1), Duration::from_secs(2))
+            .with_max_retransmits(1)
+            .with_kill(ProcId(2), 1)
+            .with_kill(ProcId(1), 8);
+        let (mut eps, _, rstats) = Network::with_loss(3, NetConfig::default(), plan);
+        send_n(&eps, 1, 2, 1);
+        let ep1 = eps.remove(1);
+        if drop_senders_first {
+            drop(ep1);
+            send_n(&eps, 0, 1, 20);
+        } else {
+            send_n(&eps, 0, 1, 20);
+            drop(ep1);
+        }
+        // Only node 0's engine outlives the two kills.
+        await_engines(&rstats, 1);
+        rstats.delivered.load(std::sync::atomic::Ordering::Relaxed)
+    };
+    assert_eq!(delivered_before_kill(false), 6);
+    assert_eq!(delivered_before_kill(true), 6);
 }

@@ -5,14 +5,13 @@
 //! stubs implementing exactly the API surface the workspace uses (see
 //! `stubs/README.md`).  Channels are re-exports of `std::sync::mpsc`
 //! (which has been backed by crossbeam's queue implementation since Rust
-//! 1.72, including a `Sync` sender); `select!` is a polling
-//! implementation specialised to the two-receivers-plus-timeout shape the
-//! workspace uses.
+//! 1.72, including a `Sync` sender).  Upstream's multi-channel select macro
+//! is deliberately absent: a consumer with several sources merges them
+//! into one channel of an enum and blocks on that (see
+//! `cvm_net::reliable`).
 
 /// Multi-producer single-consumer channels (`std::sync::mpsc` re-exports).
 pub mod channel {
-    use std::cell::Cell;
-
     pub use std::sync::mpsc::{Receiver, RecvError, SendError, Sender, TryRecvError};
 
     /// Creates an unbounded channel.
@@ -28,96 +27,11 @@ pub mod channel {
     pub fn bounded<T>(_cap: usize) -> (Sender<T>, Receiver<T>) {
         std::sync::mpsc::channel()
     }
-
-    // Re-export the polling select! under `crossbeam::channel::select!`,
-    // matching crossbeam's module layout.
-    pub use crate::select;
-
-    thread_local! {
-        static SELECT_SEQ: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Per-thread invocation counter used by `select!` to rotate which
-    /// receiver is polled first, so a permanently-ready operation (e.g. a
-    /// disconnected channel) cannot starve the other arm across calls.
-    #[doc(hidden)]
-    pub fn __select_seq() -> u64 {
-        SELECT_SEQ.with(|c| {
-            let v = c.get();
-            c.set(v.wrapping_add(1));
-            v
-        })
-    }
-}
-
-/// Polling `select!` over two `recv` operations with a `default` timeout.
-///
-/// Semantics match crossbeam for this shape: blocks until one receiver is
-/// ready (a message or a disconnect), binding the arm variable to
-/// `Result<T, RecvError>`; if neither becomes ready within the timeout the
-/// `default` arm runs.  Readiness is polled at 100 µs granularity, which
-/// is far below the millisecond-scale timeouts the workspace passes.
-#[macro_export]
-macro_rules! select {
-    (
-        recv($r1:expr) -> $m1:ident => $a1:expr,
-        recv($r2:expr) -> $m2:ident => $a2:expr,
-        default($t:expr) => $ad:expr $(,)?
-    ) => {{
-        let __deadline = ::std::time::Instant::now() + $t;
-        let mut __order = $crate::channel::__select_seq();
-        loop {
-            let __try1 = __order % 2 == 0;
-            __order = __order.wrapping_add(1);
-            let (__first, __second) = if __try1 { (0u8, 1u8) } else { (1u8, 0u8) };
-            let mut __out = ::core::option::Option::None;
-            for __which in [__first, __second] {
-                if __out.is_some() {
-                    break;
-                }
-                if __which == 0 {
-                    // Bind the poll result first so the receiver borrow
-                    // ends before the arm body (which may borrow the
-                    // receiver's owner mutably) runs.  A single binding
-                    // covers both the message and disconnect cases so the
-                    // item type is inferred from the receiver.
-                    let __polled = $r1.try_recv();
-                    if !::core::matches!(
-                        __polled,
-                        ::core::result::Result::Err($crate::channel::TryRecvError::Empty)
-                    ) {
-                        let $m1 = __polled.map_err(|_| $crate::channel::RecvError);
-                        __out = ::core::option::Option::Some($a1);
-                    }
-                } else {
-                    let __polled = $r2.try_recv();
-                    if !::core::matches!(
-                        __polled,
-                        ::core::result::Result::Err($crate::channel::TryRecvError::Empty)
-                    ) {
-                        let $m2 = __polled.map_err(|_| $crate::channel::RecvError);
-                        __out = ::core::option::Option::Some($a2);
-                    }
-                }
-            }
-            if let ::core::option::Option::Some(__v) = __out {
-                break __v;
-            }
-            if ::std::time::Instant::now() >= __deadline {
-                // Bind before breaking so a unit default arm (`=> {}`)
-                // does not expand to `break ()` (clippy::unused_unit).
-                let __default = $ad;
-                break __default;
-            }
-            ::std::thread::sleep(::std::time::Duration::from_micros(100));
-        }
-    }};
 }
 
 #[cfg(test)]
 mod tests {
     use super::channel;
-    use std::time::Duration;
 
     #[test]
     fn unbounded_roundtrip() {
@@ -131,58 +45,5 @@ mod tests {
         fn assert_sync_clone<T: Sync + Clone>(_: &T) {}
         let (tx, _rx) = channel::unbounded::<u32>();
         assert_sync_clone(&tx);
-    }
-
-    #[test]
-    fn select_receives_from_either_arm() {
-        let (tx1, rx1) = channel::unbounded::<u32>();
-        let (tx2, rx2) = channel::unbounded::<u32>();
-        tx2.send(7).unwrap();
-        let got = select! {
-            recv(rx1) -> msg => msg.ok(),
-            recv(rx2) -> msg => msg.ok().map(|v| v + 100),
-            default(Duration::from_millis(50)) => None,
-        };
-        assert_eq!(got, Some(107));
-        tx1.send(1).unwrap();
-        let got = select! {
-            recv(rx1) -> msg => msg.ok(),
-            recv(rx2) -> msg => msg.ok().map(|v| v + 100),
-            default(Duration::from_millis(50)) => None,
-        };
-        assert_eq!(got, Some(1));
-    }
-
-    #[test]
-    fn select_times_out_to_default() {
-        let (_tx1, rx1) = channel::unbounded::<u32>();
-        let (_tx2, rx2) = channel::unbounded::<u32>();
-        let got = select! {
-            recv(rx1) -> msg => msg.ok(),
-            recv(rx2) -> msg => msg.ok(),
-            default(Duration::from_millis(5)) => Some(99),
-        };
-        assert_eq!(got, Some(99));
-    }
-
-    #[test]
-    fn select_fires_disconnect_arms_fairly() {
-        let (tx1, rx1) = channel::unbounded::<u32>();
-        let (tx2, rx2) = channel::unbounded::<u32>();
-        drop(tx1);
-        tx2.send(3).unwrap();
-        drop(tx2);
-        // Across repeated calls, both the disconnected arm and the
-        // message-bearing arm must fire.
-        let mut saw_err1 = false;
-        let mut saw_msg2 = false;
-        for _ in 0..8 {
-            select! {
-                recv(rx1) -> msg => if msg.is_err() { saw_err1 = true; },
-                recv(rx2) -> msg => if msg.is_ok() { saw_msg2 = true; },
-                default(Duration::from_millis(1)) => {},
-            }
-        }
-        assert!(saw_err1 && saw_msg2);
     }
 }
