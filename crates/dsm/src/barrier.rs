@@ -464,7 +464,7 @@ pub(crate) fn apply_release(
     // Close the empty between interval (second structure per barrier).
     // Note: it has no accesses, so no sender interaction is needed; use a
     // direct close without diff flushing.
-    debug_assert!(st.cur.dirty.is_empty());
+    debug_assert!(st.cur.dirty_pages().is_empty());
     let boundary = st.cur.index; // The quiet interval's index.
     close_quiet(st);
     if st.cfg.trace {

@@ -310,9 +310,11 @@ pub(crate) fn snapshot(st: &NodeCore) -> NodeImage {
         st.replay_pending.values().all(|q| q.is_empty()),
         "replay hold at cut"
     );
-    debug_assert!(st.cur.dirty.is_empty(), "open interval dirty at cut");
+    let cur_dirty = st.cur.dirty_pages();
+    debug_assert!(cur_dirty.is_empty(), "open interval dirty at cut");
 
-    let mut frames: Vec<(PageId, (u8, Vec<u64>))> = st
+    // `pages()` is ascending, the order the image fixes.
+    let frames: Vec<(PageId, (u8, Vec<u64>))> = st
         .pages
         .pages()
         .map(|p| {
@@ -320,15 +322,6 @@ pub(crate) fn snapshot(st: &NodeCore) -> NodeImage {
             (p, (prot_to_u8(f.prot), f.data.to_vec()))
         })
         .collect();
-    frames.sort_unstable_by_key(|(p, _)| *p);
-
-    let mut cur_bitmaps: Vec<(PageId, PageBitmaps)> = st
-        .cur
-        .bitmaps
-        .iter()
-        .map(|(p, b)| (*p, b.clone()))
-        .collect();
-    cur_bitmaps.sort_unstable_by_key(|(p, _)| *p);
 
     let mut bitmap_store: Vec<((IntervalId, PageId), PageBitmaps)> =
         st.bitmaps.iter().map(|(k, v)| (*k, v.clone())).collect();
@@ -400,9 +393,9 @@ pub(crate) fn snapshot(st: &NodeCore) -> NodeImage {
         vc: st.vc.clone(),
         cur_index: st.cur.index,
         cur_stamp_vc: st.cur.stamp_vc.clone(),
-        cur_dirty: st.cur.dirty.iter().copied().collect(),
-        cur_read: st.cur.read.iter().copied().collect(),
-        cur_bitmaps,
+        cur_dirty,
+        cur_read: st.cur.read_pages(),
+        cur_bitmaps: st.cur.sorted_bitmaps(),
         log: st.log.values().map(|r| (**r).clone()).collect(),
         unsent_own: st.unsent_own.clone(),
         bitmap_store,
@@ -447,13 +440,16 @@ pub(crate) fn restore(st: &mut NodeCore, img: &NodeImage) {
     let c = st.cfg.costs;
     st.clock.add(OverheadCat::Base, words * c.restore_per_word);
     st.vc = img.vc.clone();
-    st.cur = OpenInterval {
-        index: img.cur_index,
-        stamp_vc: img.cur_stamp_vc.clone(),
-        dirty: img.cur_dirty.iter().copied().collect(),
-        read: img.cur_read.iter().copied().collect(),
-        bitmaps: img.cur_bitmaps.iter().cloned().collect(),
-    };
+    st.cur = OpenInterval::new(img.cur_index, img.cur_stamp_vc.clone());
+    for &page in &img.cur_dirty {
+        st.cur.note_dirty(page);
+    }
+    for &page in &img.cur_read {
+        st.cur.note_read(page);
+    }
+    for (page, bm) in &img.cur_bitmaps {
+        *st.cur.bitmap_mut(*page, bm.read.len()) = bm.clone();
+    }
     st.log = img
         .log
         .iter()
@@ -975,6 +971,41 @@ mod tests {
         assert_eq!(fresh.pages.protection(PageId(4)), Protection::Write);
         assert_eq!(fresh.pages.frame(PageId(4)).unwrap().data[0], 7);
         assert!(fresh.pages.frame(PageId(4)).unwrap().twin.is_none());
+    }
+
+    #[test]
+    fn open_interval_survives_the_image_byte_for_byte() {
+        // A cut normally finds the open interval empty; the image format
+        // still carries its read notices and bitmaps, so they must come
+        // back exactly: notices ascending, bitmaps word for word.
+        let mut st = hydrated_core();
+        let g = st.cfg.geometry;
+        for (page, word, write) in [(9, 5, false), (2, 7, true), (9, 64, true), (4, 0, false)] {
+            st.track_access(g.addr_of(PageId(page), word), PageId(page), word, write, 0);
+        }
+        let img = snapshot(&st);
+        assert_eq!(img.cur_read, vec![PageId(4), PageId(9)]);
+        let pages: Vec<PageId> = img.cur_bitmaps.iter().map(|(p, _)| *p).collect();
+        assert_eq!(pages, vec![PageId(2), PageId(4), PageId(9)]);
+        assert!(img.cur_bitmaps[2].1.read.get(5) && img.cur_bitmaps[2].1.write.get(64));
+
+        let bytes = img.to_bytes();
+        let decoded = NodeImage::from_bytes(&bytes).unwrap();
+        let mut fresh = NodeCore::new(st.cfg.clone(), ProcId(1));
+        restore(&mut fresh, &decoded);
+        fresh.clock = VirtualClock::from_parts(img.clock_now, {
+            let mut cats = [0u64; NCATS];
+            cats.copy_from_slice(&img.clock_cats);
+            cats
+        });
+        assert_eq!(snapshot(&fresh).to_bytes(), bytes);
+        // The restored interval closes into the record the original would.
+        let (eps, _) = cvm_net::Network::new(3, cvm_net::NetConfig::default());
+        st.close_interval(&eps[1].sender()).unwrap();
+        fresh.close_interval(&eps[1].sender()).unwrap();
+        let id = IntervalId::new(ProcId(1), 6);
+        assert_eq!(st.log[&id], fresh.log[&id]);
+        assert_eq!(st.log[&id].read_notices, vec![PageId(4), PageId(9)]);
     }
 
     #[test]

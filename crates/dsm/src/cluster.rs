@@ -698,9 +698,13 @@ where
 /// [`DsmError::Timeout`] instead of hanging until some blocked operation's
 /// own deadline fires anonymously.
 fn service_loop(node: &Node, ep: Endpoint, rstats: Option<Arc<ReliabilityStats>>) {
-    let (op_deadline, cancel) = {
+    let (op_deadline, cancel, segment_pages) = {
         let st = node.state.lock();
-        (st.cfg.op_deadline, st.cfg.cancel.clone())
+        (
+            st.cfg.op_deadline,
+            st.cfg.cancel.clone(),
+            st.pages.segment_pages(),
+        )
     };
     let mut watchdog = Watchdog::default();
     loop {
@@ -757,6 +761,17 @@ fn service_loop(node: &Node, ep: Endpoint, rstats: Option<Arc<ReliabilityStats>>
         if msg.validate(ep.sender().fanout()).is_err() {
             node.ctl.fail(DsmError::Protocol {
                 context: "protocol message failed structural validation",
+            });
+            continue;
+        }
+        // Page ids index dense per-node tables: one named outside the
+        // segment is refused here, before any handler sees it.
+        if msg
+            .max_page()
+            .is_some_and(|page| page.index() >= segment_pages)
+        {
+            node.ctl.fail(DsmError::Protocol {
+                context: "page id outside the shared segment",
             });
             continue;
         }
@@ -1052,5 +1067,55 @@ mod tests {
         assert_eq!(st.master, ProcId(1));
         assert_eq!(st.seat_term, 3);
         assert_eq!(st.stale_msgs_fenced, 2, "adoption is not a fence event");
+    }
+
+    #[test]
+    fn page_ids_outside_the_segment_are_refused_at_dispatch() {
+        // A forged request naming the last page id there is must not reach
+        // a handler: the page table is a vector indexed by page id.
+        let forged = [
+            Msg::PageReadReq {
+                page: cvm_page::PageId(u32::MAX),
+                requester: ProcId(1),
+            },
+            Msg::BarrierArrive {
+                from: ProcId(1),
+                vc: cvm_vclock::VClock::from(vec![0, 1]),
+                records: vec![Arc::new(cvm_race::make_interval(
+                    1,
+                    1,
+                    vec![0, 1],
+                    &[u32::MAX],
+                    &[],
+                ))],
+            },
+        ];
+        for msg in forged {
+            let (mut eps, _) = Network::new(2, NetConfig::default());
+            let ep1 = eps.pop().expect("two endpoints");
+            let ep0 = eps.pop().expect("two endpoints");
+            let node = Node {
+                state: Mutex::new(NodeCore::new(DsmConfig::new(2), ProcId(0))),
+                sender: ep0.sender(),
+                ctl: Arc::new(ClusterCtl::new()),
+            };
+            let mut peer = NodeCore::new(DsmConfig::new(2), ProcId(1));
+            std::thread::scope(|s| {
+                s.spawn(|| service_loop(&node, ep0, None));
+                peer.send_msg(&ep1.sender(), ProcId(0), &msg).unwrap();
+                peer.send_msg(&ep1.sender(), ProcId(0), &Msg::Shutdown)
+                    .unwrap();
+            });
+            assert_eq!(
+                node.ctl.failure(),
+                Some(DsmError::Protocol {
+                    context: "page id outside the shared segment"
+                }),
+                "{msg:?}"
+            );
+            let st = node.state.lock();
+            assert_eq!(st.pages.resident(), 0, "nothing faulted into existence");
+            assert!(st.home_owner.is_empty() && st.log.is_empty());
+        }
     }
 }

@@ -334,6 +334,13 @@ impl DsmConfig {
         matches!(self.recovery, RecoveryPolicy::Recover { .. })
     }
 
+    /// Pages in the shared segment (a trailing partial page counts): the
+    /// bound on every page id a node will index its tables with.
+    pub(crate) fn segment_pages(&self) -> usize {
+        let pages = self.shared_capacity.div_ceil(self.geometry.page_bytes());
+        usize::try_from(pages).expect("segment page count overflows usize")
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics

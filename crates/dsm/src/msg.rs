@@ -719,6 +719,43 @@ impl Msg {
         }
     }
 
+    /// The highest page id this message names anywhere — request and reply
+    /// targets, diffs, notices inside interval records, bitmap items — or
+    /// `None` if it names none.  Receivers index dense per-page tables, so
+    /// they compare this against the segment's page count before dispatch.
+    pub(crate) fn max_page(&self) -> Option<PageId> {
+        fn noticed(records: &[Arc<Interval>]) -> Option<PageId> {
+            records
+                .iter()
+                .flat_map(|r| r.write_notices.iter().chain(&r.read_notices))
+                .copied()
+                .max()
+        }
+        match self {
+            Msg::PageReadReq { page, .. }
+            | Msg::PageReadFwd { page, .. }
+            | Msg::PageReadReply { page, .. }
+            | Msg::PageOwnReq { page, .. }
+            | Msg::PageOwnFwd { page, .. }
+            | Msg::PageOwnReply { page, .. }
+            | Msg::PageFetchReq { page, .. }
+            | Msg::PageFetchReply { page, .. } => Some(*page),
+            Msg::DiffFlush { diffs, .. } => diffs.iter().map(|d| d.page).max(),
+            Msg::LockGrant { records, .. }
+            | Msg::BarrierArrive { records, .. }
+            | Msg::BarrierRelease { records, .. } => noticed(records),
+            Msg::BitmapReq { items } => items.iter().map(|(_, page)| *page).max(),
+            Msg::BitmapReply { items } => items.iter().map(|(_, (page, _))| *page).max(),
+            Msg::LockReq { .. }
+            | Msg::LockFwd { .. }
+            | Msg::Shutdown
+            | Msg::CkptAck { .. }
+            | Msg::CkptGo { .. }
+            | Msg::MasterHandoff { .. }
+            | Msg::MasterHandoffAck { .. } => None,
+        }
+    }
+
     /// Byte breakdown of this message's encoding for traffic accounting.
     ///
     /// Read notices riding inside interval records are split out as

@@ -1,6 +1,6 @@
 //! Per-node protocol state and the shared-memory access path.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use crossbeam::channel::Sender;
@@ -17,19 +17,149 @@ use crate::replay::{ReplayCursor, SyncSchedule};
 use crate::report::WatchHit;
 use crate::simtime::{OverheadCat, VirtualClock};
 
+/// What the open interval knows about one page.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageSlot {
+    /// Interval stamp this slot was last claimed under.
+    stamp: u32,
+    /// Read this interval (a read notice at close; detection only).
+    read: bool,
+    /// Written this interval (a write notice at close).
+    dirty: bool,
+    /// Index into `OpenInterval::bitmaps`, `NO_BITMAP` until the first bit.
+    bm: u32,
+}
+
+const NO_BITMAP: u32 = u32::MAX;
+
 /// The interval currently being accumulated by a process.
+///
+/// Per-page state lives in one table indexed by page id.  A slot is live
+/// iff its stamp equals the interval's; closing bumps the stamp, which
+/// empties every slot at once.  Stamp 0 is never live, so a zeroed table is
+/// an empty one.
 #[derive(Debug)]
 pub(crate) struct OpenInterval {
     /// Interval index (own clock entry at close).
     pub index: u32,
     /// Vector timestamp snapshotted at interval begin.
     pub stamp_vc: VClock,
-    /// Pages written this interval (write notices at close).
-    pub dirty: BTreeSet<PageId>,
-    /// Pages read this interval (read notices at close; detection only).
-    pub read: BTreeSet<PageId>,
-    /// Word-granularity access bitmaps (detection only).
-    pub bitmaps: HashMap<PageId, PageBitmaps>,
+    slots: Vec<PageSlot>,
+    stamp: u32,
+    /// Pages with a live slot, in first-touch order.
+    touched: Vec<PageId>,
+    /// Word-granularity access bitmaps (detection only), addressed by
+    /// `PageSlot::bm`.
+    bitmaps: Vec<(PageId, PageBitmaps)>,
+}
+
+impl OpenInterval {
+    pub(crate) fn new(index: u32, stamp_vc: VClock) -> Self {
+        OpenInterval {
+            index,
+            stamp_vc,
+            slots: Vec::new(),
+            stamp: 1,
+            touched: Vec::new(),
+            bitmaps: Vec::new(),
+        }
+    }
+
+    /// The live slot of `page`, claimed for this interval on first touch.
+    #[inline]
+    fn slot(&mut self, page: PageId) -> &mut PageSlot {
+        let i = page.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, PageSlot::default());
+        }
+        let slot = &mut self.slots[i];
+        if slot.stamp != self.stamp {
+            *slot = PageSlot {
+                stamp: self.stamp,
+                bm: NO_BITMAP,
+                ..PageSlot::default()
+            };
+            self.touched.push(page);
+        }
+        slot
+    }
+
+    /// Whether `page` was written this interval.
+    #[inline]
+    pub(crate) fn is_dirty(&self, page: PageId) -> bool {
+        self.slots
+            .get(page.index())
+            .is_some_and(|s| s.stamp == self.stamp && s.dirty)
+    }
+
+    /// Marks `page` written this interval (a write notice at close).
+    #[inline]
+    pub(crate) fn note_dirty(&mut self, page: PageId) {
+        self.slot(page).dirty = true;
+    }
+
+    /// Marks `page` read this interval (a read notice at close).
+    #[inline]
+    pub(crate) fn note_read(&mut self, page: PageId) {
+        self.slot(page).read = true;
+    }
+
+    /// The interval's bitmaps for `page`, created empty on first use.
+    #[inline]
+    pub(crate) fn bitmap_mut(&mut self, page: PageId, page_words: usize) -> &mut PageBitmaps {
+        let next = u32::try_from(self.bitmaps.len()).expect("more bitmaps than pages");
+        let slot = self.slot(page);
+        let first = slot.bm == NO_BITMAP;
+        if first {
+            slot.bm = next;
+        }
+        let at = slot.bm as usize;
+        if first {
+            self.bitmaps.push((page, PageBitmaps::new(page_words)));
+        }
+        &mut self.bitmaps[at].1
+    }
+
+    fn pages_where(&self, keep: impl Fn(&PageSlot) -> bool) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = self
+            .touched
+            .iter()
+            .copied()
+            .filter(|p| keep(&self.slots[p.index()]))
+            .collect();
+        pages.sort_unstable();
+        pages
+    }
+
+    /// Pages written this interval, ascending.
+    pub(crate) fn dirty_pages(&self) -> Vec<PageId> {
+        self.pages_where(|s| s.dirty)
+    }
+
+    /// Pages read this interval, ascending.
+    pub(crate) fn read_pages(&self) -> Vec<PageId> {
+        self.pages_where(|s| s.read)
+    }
+
+    /// The interval's bitmaps, ascending by page.
+    pub(crate) fn sorted_bitmaps(&self) -> Vec<(PageId, PageBitmaps)> {
+        let mut pages = self.bitmaps.clone();
+        pages.sort_unstable_by_key(|(p, _)| *p);
+        pages
+    }
+
+    /// Forgets every page and hands back the bitmaps: the stamp moves on,
+    /// so no slot is live.  When the stamp wraps, slots claimed 2³² closes
+    /// ago would read live again; zero the table instead.
+    fn forget(&mut self) -> std::vec::Drain<'_, (PageId, PageBitmaps)> {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill(PageSlot::default());
+            self.stamp = 1;
+        }
+        self.touched.clear();
+        self.bitmaps.drain(..)
+    }
 }
 
 /// Local state of one lock.
@@ -249,18 +379,12 @@ impl NodeCore {
         stamp_vc.set(proc, index);
         let _ = &mut vc;
         NodeCore {
-            pages: PageStore::new(cfg.geometry),
+            pages: PageStore::new(cfg.geometry, cfg.segment_pages()),
             cfg,
             proc,
             clock: VirtualClock::new(),
             vc,
-            cur: OpenInterval {
-                index,
-                stamp_vc,
-                dirty: BTreeSet::new(),
-                read: BTreeSet::new(),
-                bitmaps: HashMap::new(),
-            },
+            cur: OpenInterval::new(index, stamp_vc),
             log: BTreeMap::new(),
             unsent_own: Vec::new(),
             bitmaps: BitmapStore::new(),
@@ -418,8 +542,9 @@ impl NodeCore {
     }
 
     /// Closes the current interval: builds its record (write notices from
-    /// the dirty set, read notices from the read set), stores its bitmaps,
-    /// flushes multi-writer diffs, and advances the closed clock.
+    /// the dirty pages, read notices from the read pages, both ascending),
+    /// stores its bitmaps, flushes multi-writer diffs, and advances the
+    /// closed clock.
     ///
     /// The caller opens the next interval (after any acquire-side merge).
     ///
@@ -436,17 +561,17 @@ impl NodeCore {
         }
 
         let id = IntervalId::new(self.proc, self.cur.index);
+        let write_notices = self.cur.dirty_pages();
 
         // Multi-writer: summarize writes as diffs and flush them home.
-        if self.cfg.protocol == Protocol::MultiWriter && !self.cur.dirty.is_empty() {
-            self.flush_diffs(sender, id)?;
+        if self.cfg.protocol == Protocol::MultiWriter && !write_notices.is_empty() {
+            self.flush_diffs(sender, id, &write_notices)?;
         }
 
-        let write_notices: Vec<PageId> = self.cur.dirty.iter().copied().collect();
         // Read notices ride on messages only for the online detector; a
         // pure tracing run leaves CVM's messages unmodified.
-        let read_notices: Vec<PageId> = if detect {
-            self.cur.read.iter().copied().collect()
+        let read_notices = if detect {
+            self.cur.read_pages()
         } else {
             Vec::new()
         };
@@ -454,18 +579,12 @@ impl NodeCore {
         let record = Interval::new(stamp, write_notices, read_notices);
 
         if self.cfg.trace && !self.cur.bitmaps.is_empty() {
-            let mut pages: Vec<(PageId, PageBitmaps)> = self
-                .cur
-                .bitmaps
-                .iter()
-                .map(|(p, bm)| (*p, bm.clone()))
-                .collect();
-            pages.sort_by_key(|(p, _)| *p);
+            let pages = self.cur.sorted_bitmaps();
             self.trace
                 .push(cvm_race::trace::TraceEvent::Computation { pages });
         }
-        if detect {
-            for (page, bm) in self.cur.bitmaps.drain() {
+        for (page, bm) in self.cur.forget() {
+            if detect {
                 self.bitmaps.insert(id, page, bm);
             }
         }
@@ -474,9 +593,6 @@ impl NodeCore {
         self.unsent_own.push(id);
         self.vc.set(self.proc, self.cur.index);
         self.stats.intervals += 1;
-        self.cur.dirty.clear();
-        self.cur.read.clear();
-        self.cur.bitmaps.clear();
         self.note_high_water();
         self.check_budget()
     }
@@ -596,18 +712,21 @@ impl NodeCore {
         stamp_vc.set(self.proc, index);
         self.cur.index = index;
         self.cur.stamp_vc = stamp_vc;
-        debug_assert!(self.cur.dirty.is_empty() && self.cur.read.is_empty());
+        debug_assert!(
+            self.cur.touched.is_empty(),
+            "interval opened over live slots"
+        );
     }
 
     fn flush_diffs(
         &mut self,
         sender: &NetSender,
         id: IntervalId,
+        dirty: &[PageId],
     ) -> Result<(), crate::error::DsmError> {
         let c = self.cfg.costs;
         let mut by_home: HashMap<ProcId, Vec<Diff>> = HashMap::new();
-        let dirty: Vec<PageId> = self.cur.dirty.iter().copied().collect();
-        for page in dirty {
+        for &page in dirty {
             let frame = self
                 .pages
                 .frame_mut(page)
@@ -622,11 +741,7 @@ impl NodeCore {
             // set of words whose value changed; same-value overwrites are
             // invisible, the documented weaker guarantee.
             if self.cfg.detect.enabled && self.cfg.detect.write_detection == WriteDetection::Diffs {
-                let bm = self
-                    .cur
-                    .bitmaps
-                    .entry(page)
-                    .or_insert_with(|| PageBitmaps::new(self.cfg.geometry.page_words));
+                let bm = self.cur.bitmap_mut(page, self.cfg.geometry.page_words);
                 for w in diff.words() {
                     bm.write.set(w);
                 }
@@ -707,15 +822,15 @@ impl NodeCore {
     /// Tracks a shared access in the detection structures: notices, the
     /// per-page bitmap bit, and the §6.1 watchpoint.
     pub fn track_access(&mut self, addr: GAddr, page: PageId, word: usize, write: bool, site: u32) {
-        let detect = self.cfg.detect;
         if !self.tracking() {
             return;
         }
+        let detect = &self.cfg.detect;
         let instrument_stores = detect.write_detection == WriteDetection::Instrumentation;
-        let c = self.cfg.costs;
         if write && !instrument_stores {
             // §6.5: stores are not instrumented; writes surface via diffs.
         } else {
+            let c = &self.cfg.costs;
             self.clock.add(OverheadCat::ProcCall, c.proc_call);
             self.clock.add(OverheadCat::AccessCheck, c.access_check);
             let shared = self.analysis.check(addr);
@@ -725,21 +840,14 @@ impl NodeCore {
                 // happens, but there is nowhere to record the bit.
                 return;
             }
-            let bm = self
-                .cur
-                .bitmaps
-                .entry(page)
-                .or_insert_with(|| PageBitmaps::new(self.cfg.geometry.page_words));
+            let bm = self.cur.bitmap_mut(page, self.cfg.geometry.page_words);
             if write {
+                // Notice-list upkeep: the dirty mark is maintained by the
+                // protocol itself.
                 bm.write.set(word);
             } else {
                 bm.read.set(word);
-            }
-            if write {
-                // Notice-list upkeep: the dirty set is maintained by the
-                // protocol itself below.
-            } else {
-                self.cur.read.insert(page);
+                self.cur.note_read(page);
             }
         }
         if let Some(watch) = detect.watch {
@@ -866,6 +974,8 @@ fn msg_kind(msg: &Msg) -> &'static str {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use cvm_net::{NetConfig, Network};
 
@@ -886,7 +996,7 @@ mod tests {
     #[test]
     fn close_and_open_advance_indices() {
         let (mut core, tx) = core_pair();
-        core.cur.dirty.insert(PageId(3));
+        core.cur.note_dirty(PageId(3));
         core.close_interval(&tx).unwrap();
         assert_eq!(core.vc.get(ProcId(0)), 1);
         assert_eq!(core.stats.intervals, 1);
@@ -895,7 +1005,7 @@ mod tests {
         core.open_interval();
         assert_eq!(core.cur.index, 2);
         assert_eq!(core.cur.stamp_vc.get(ProcId(0)), 2);
-        assert!(core.cur.dirty.is_empty());
+        assert!(core.cur.dirty_pages().is_empty());
     }
 
     #[test]
@@ -917,10 +1027,10 @@ mod tests {
     #[test]
     fn records_between_filters_by_both_clocks() {
         let (mut core, tx) = core_pair();
-        core.cur.dirty.insert(PageId(0));
+        core.cur.note_dirty(PageId(0));
         core.close_interval(&tx).unwrap();
         core.open_interval();
-        core.cur.dirty.insert(PageId(1));
+        core.cur.note_dirty(PageId(1));
         core.close_interval(&tx).unwrap();
         core.open_interval();
         // Requester has seen interval 1 of P0 but not 2; the release knew
@@ -954,10 +1064,10 @@ mod tests {
         let g = core.cfg.geometry;
         let addr = g.addr_of(PageId(2), 5);
         core.track_access(addr, PageId(2), 5, false, 0);
-        assert!(core.cur.read.contains(&PageId(2)));
-        assert!(core.cur.bitmaps[&PageId(2)].read.get(5));
+        assert_eq!(core.cur.read_pages(), vec![PageId(2)]);
+        assert!(core.cur.bitmap_mut(PageId(2), g.page_words).read.get(5));
         core.track_access(addr, PageId(2), 5, true, 0);
-        assert!(core.cur.bitmaps[&PageId(2)].write.get(5));
+        assert!(core.cur.bitmap_mut(PageId(2), g.page_words).write.get(5));
         assert_eq!(core.analysis.total_calls(), 2);
     }
 
@@ -979,7 +1089,7 @@ mod tests {
         cfg.budget = crate::config::MemBudget::exact(1);
         let (eps, _) = Network::new(2, NetConfig::default());
         let mut core = NodeCore::new(cfg, ProcId(0));
-        core.cur.dirty.insert(PageId(3));
+        core.cur.note_dirty(PageId(3));
         let err = core.close_interval(&eps[0].sender()).unwrap_err();
         assert!(matches!(
             err,
@@ -1009,7 +1119,7 @@ mod tests {
             &VClock::from(vec![0, 9]),
         );
         core.barrier_floor = VClock::from(vec![0, 5]);
-        core.cur.dirty.insert(PageId(0));
+        core.cur.note_dirty(PageId(0));
         core.close_interval(&eps[0].sender()).unwrap();
         assert_eq!(core.stats.soft_gcs, 1);
         assert!(!core.log.contains_key(&IntervalId::new(ProcId(1), 2)));
@@ -1021,7 +1131,7 @@ mod tests {
     #[test]
     fn unlimited_budget_takes_no_action() {
         let (mut core, tx) = core_pair();
-        core.cur.dirty.insert(PageId(1));
+        core.cur.note_dirty(PageId(1));
         core.close_interval(&tx).unwrap();
         assert_eq!(core.stats.soft_gcs, 0);
         assert!(core.stats.retained_bytes_high_water > 0);
@@ -1040,5 +1150,205 @@ mod tests {
         assert_eq!(core.watch_hits.len(), 1);
         assert_eq!(core.watch_hits[0].site, 42);
         assert!(core.watch_hits[0].write);
+    }
+
+    /// What the access path must have recorded, kept in ordered sets: the
+    /// containers `OpenInterval` used to be made of.
+    #[derive(Default)]
+    struct Model {
+        dirty: BTreeSet<PageId>,
+        read: BTreeSet<PageId>,
+        /// Per page: (read words, write words).
+        bits: BTreeMap<PageId, (BTreeSet<usize>, BTreeSet<usize>)>,
+        mem: BTreeMap<(PageId, usize), u64>,
+        /// `mem` as it stood when the open interval began (the twins).
+        mem_at_open: BTreeMap<(PageId, usize), u64>,
+        faulted: BTreeSet<PageId>,
+        reads: u64,
+        writes: u64,
+        calls: u64,
+        cats: [u64; crate::simtime::NCATS],
+    }
+
+    impl Model {
+        fn charge(&mut self, cat: OverheadCat, cycles: u64) {
+            self.cats[cat as usize] += cycles;
+        }
+
+        fn bitmaps(&self, page_words: usize) -> Vec<(PageId, PageBitmaps)> {
+            self.bits
+                .iter()
+                .map(|(page, (r, w))| {
+                    let mut bm = PageBitmaps::new(page_words);
+                    r.iter().for_each(|&i| bm.read.set(i));
+                    w.iter().for_each(|&i| bm.write.set(i));
+                    (*page, bm)
+                })
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        /// Drives `shared_access` → `close_interval` → `open_interval` on a
+        /// node whose pages are all homed locally and compares everything
+        /// the path leaves behind with the model: returned values, notices,
+        /// stored bitmaps, trace events, counters and every cycle category.
+        #[test]
+        fn access_path_matches_set_model(
+            multi_writer in proptest::prelude::any::<bool>(),
+            diffs in proptest::prelude::any::<bool>(),
+            mode in 0u8..3,
+            trace in proptest::prelude::any::<bool>(),
+            near_wrap in proptest::prelude::any::<bool>(),
+            intervals in proptest::collection::vec(
+                proptest::collection::vec(
+                    (proptest::prelude::any::<bool>(), 0usize..6, 0usize..8, 0u64..3),
+                    0..40,
+                ),
+                2..4,
+            ),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            // Even ids: homed at node 0 of 2, so every fault resolves locally.
+            const PAGES: [u32; 6] = [0, 2, 4, 10, 64, 300];
+            const WORDS: [usize; 8] = [0, 1, 63, 64, 65, 200, 510, 511];
+
+            let mut cfg = DsmConfig::new(2);
+            cfg.protocol = if multi_writer { Protocol::MultiWriter } else { Protocol::SingleWriter };
+            cfg.detect = match mode {
+                0 => crate::config::DetectConfig::off(),
+                1 => crate::config::DetectConfig::instrumentation_only(),
+                _ => crate::config::DetectConfig::on(),
+            };
+            if multi_writer && diffs {
+                cfg.detect.write_detection = WriteDetection::Diffs;
+            }
+            cfg.trace = trace;
+            let c = cfg.costs;
+            let g = cfg.geometry;
+            let detect = cfg.detect;
+            let stores_hidden = detect.write_detection == WriteDetection::Diffs;
+            let detecting = detect.enabled && !detect.instrumentation_only;
+
+            let (eps, _) = Network::new(2, NetConfig::default());
+            let node = crate::pages::Node {
+                state: parking_lot::Mutex::new(NodeCore::new(cfg, ProcId(0))),
+                sender: eps[0].sender(),
+                ctl: Arc::new(crate::fault::ClusterCtl::new()),
+            };
+            let mut intervals = intervals;
+            while near_wrap && intervals.len() < 4 {
+                intervals.push(intervals[0].clone());
+            }
+
+            let mut m = Model::default();
+            for (k, ops) in intervals.iter().enumerate() {
+                for &(write, page, word, value) in ops {
+                    let (page, word) = (PageId(PAGES[page]), WORDS[word]);
+                    let got = crate::pages::shared_access(
+                        &node, g.addr_of(page, word), write, value, 0);
+
+                    m.charge(OverheadCat::Base, c.access);
+                    if (detect.enabled || trace) && !(write && stores_hidden) {
+                        m.charge(OverheadCat::ProcCall, c.proc_call);
+                        m.charge(OverheadCat::AccessCheck, c.access_check);
+                        m.calls += 1;
+                        if !detect.instrumentation_only || trace {
+                            let (r, w) = m.bits.entry(page).or_default();
+                            if write {
+                                w.insert(word);
+                            } else {
+                                r.insert(word);
+                                m.read.insert(page);
+                            }
+                        }
+                    }
+                    if m.faulted.insert(page) {
+                        m.charge(OverheadCat::Base, c.fault);
+                    }
+                    if write {
+                        m.dirty.insert(page);
+                        m.writes += 1;
+                        m.mem.insert((page, word), value);
+                        prop_assert_eq!(got, value);
+                    } else {
+                        m.reads += 1;
+                        prop_assert_eq!(got, m.mem.get(&(page, word)).copied().unwrap_or(0));
+                    }
+                }
+
+                let mut st = node.state.lock();
+                let id = IntervalId::new(ProcId(0), st.cur.index);
+                let traced_before = st.trace.len();
+                st.close_interval(&node.sender).unwrap();
+
+                m.charge(OverheadCat::Base, c.interval_setup);
+                if detecting {
+                    m.charge(OverheadCat::CvmMods, c.interval_detect_extra);
+                }
+                if multi_writer {
+                    for &page in &m.dirty {
+                        let at = |mem: &BTreeMap<(PageId, usize), u64>, w| {
+                            mem.get(&(page, w)).copied().unwrap_or(0)
+                        };
+                        let changed: Vec<usize> = (0..g.page_words)
+                            .filter(|&w| at(&m.mem, w) != at(&m.mem_at_open, w))
+                            .collect();
+                        m.cats[OverheadCat::Base as usize] += changed.len() as u64 * c.diff_per_word;
+                        if detect.enabled && stores_hidden {
+                            m.bits.entry(page).or_default().1.extend(changed);
+                        }
+                    }
+                }
+
+                let rec = st.log.get(&id).expect("closed interval is logged");
+                prop_assert_eq!(&rec.write_notices, &m.dirty.iter().copied().collect::<Vec<_>>());
+                let reads: Vec<PageId> =
+                    if detecting { m.read.iter().copied().collect() } else { Vec::new() };
+                prop_assert_eq!(&rec.read_notices, &reads);
+
+                let expect = m.bitmaps(g.page_words);
+                let mut stored: Vec<(PageId, PageBitmaps)> = st
+                    .bitmaps
+                    .iter()
+                    .filter(|((i, _), _)| *i == id)
+                    .map(|((_, page), bm)| (*page, bm.clone()))
+                    .collect();
+                stored.sort_unstable_by_key(|(page, _)| *page);
+                prop_assert_eq!(&stored, if detecting { &expect[..] } else { &[][..] }, "interval {}", k);
+                if trace && !expect.is_empty() {
+                    prop_assert_eq!(st.trace.len(), traced_before + 1);
+                    prop_assert_eq!(
+                        st.trace.last(),
+                        Some(&cvm_race::trace::TraceEvent::Computation { pages: expect })
+                    );
+                } else {
+                    prop_assert_eq!(st.trace.len(), traced_before);
+                }
+
+                prop_assert_eq!(st.stats.shared_reads, m.reads);
+                prop_assert_eq!(st.stats.shared_writes, m.writes);
+                prop_assert_eq!(st.stats.read_faults + st.stats.write_faults, m.faulted.len() as u64);
+                prop_assert_eq!(st.analysis.shared_calls(), m.calls);
+                prop_assert_eq!(st.analysis.private_calls(), 0);
+                prop_assert_eq!(st.clock.cats(), m.cats);
+
+                // The next interval starts with nothing carried over.
+                prop_assert!(st.cur.touched.is_empty() && st.cur.bitmaps.is_empty());
+                for &page in &PAGES {
+                    prop_assert!(!st.cur.is_dirty(PageId(page)));
+                }
+                if near_wrap && k == 0 {
+                    // The next three closes cross the wrap — MAX, 1, 2 — so
+                    // the fourth interval reuses the first one's stamp.
+                    st.cur.stamp = u32::MAX - 1;
+                }
+                st.open_interval();
+                m.dirty.clear();
+                m.read.clear();
+                m.bits.clear();
+                m.mem_at_open = m.mem.clone();
+            }
+        }
     }
 }

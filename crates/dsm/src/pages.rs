@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use crossbeam::channel::bounded;
-use cvm_page::{Frame, GAddr, PageId, Protection};
+use cvm_page::{Frame, GAddr, PageId, Protection, SHARED_BASE};
 use cvm_vclock::ProcId;
 use parking_lot::{Mutex, MutexGuard};
 
@@ -43,53 +43,70 @@ pub(crate) struct Node {
 
 /// Application-thread shared access.  Returns the value read (or the value
 /// written, for writes).
+///
+/// # Panics
+///
+/// Panics if `addr` lies outside the shared segment: the page table is
+/// bounded by the segment, and an access past it is an application bug, not
+/// a fault to service.
 pub(crate) fn shared_access(node: &Node, addr: GAddr, write: bool, value: u64, site: u32) -> u64 {
     let mut st = node.state.lock();
-    let c = st.cfg.costs;
-    st.clock.add(OverheadCat::Base, c.access);
+    let access = st.cfg.costs.access;
+    st.clock.add(OverheadCat::Base, access);
     let (page, word) = st.cfg.geometry.locate(addr);
+    let capacity = st.cfg.shared_capacity;
+    assert!(
+        addr.0 - SHARED_BASE < capacity,
+        "shared access at {addr} outside the segment [{}, {})",
+        GAddr(SHARED_BASE),
+        GAddr(SHARED_BASE.saturating_add(capacity)),
+    );
     st.track_access(addr, page, word, write, site);
     loop {
-        let prot = st.pages.protection(page);
-        match (write, prot) {
-            (false, p) if p.readable() => {
-                st.stats.shared_reads += 1;
-                return st.pages.read_word(page, word);
-            }
-            (true, Protection::Write) => {
-                if !st.cur.dirty.contains(&page) {
-                    if st.cfg.protocol == Protocol::MultiWriter {
-                        st.pages
-                            .frame_mut(page)
-                            .expect("writable page must be resident")
-                            .ensure_twin();
+        let NodeCore {
+            cfg,
+            pages,
+            cur,
+            stats,
+            pending_local_write,
+            ..
+        } = &mut *st;
+        if let Some(frame) = pages.frame_mut(page) {
+            match (write, frame.prot) {
+                (false, Protection::Read | Protection::Write) => {
+                    stats.shared_reads += 1;
+                    return frame.data[word];
+                }
+                (true, Protection::Write) => {
+                    if !cur.is_dirty(page) {
+                        if cfg.protocol == Protocol::MultiWriter {
+                            frame.ensure_twin();
+                        }
+                        cur.note_dirty(page);
                     }
-                    st.cur.dirty.insert(page);
+                    stats.shared_writes += 1;
+                    frame.data[word] = value;
+                    if !pending_local_write.is_empty() && pending_local_write.remove(&page) {
+                        let me = st.proc;
+                        let r = drain_page_queue(&mut st, node, page);
+                        fault::check(node, me, r);
+                    }
+                    return value;
                 }
-                st.stats.shared_writes += 1;
-                st.pages.write_word(page, word, value);
-                if st.pending_local_write.remove(&page) {
-                    let me = st.proc;
-                    let r = drain_page_queue(&mut st, node, page);
-                    fault::check(node, me, r);
+                (true, Protection::Read) if cfg.protocol == Protocol::MultiWriter => {
+                    // Local upgrade: twin and write; no messages (the whole
+                    // point of multiple writers).
+                    frame.ensure_twin();
+                    frame.prot = Protection::Write;
+                    cur.note_dirty(page);
+                    stats.shared_writes += 1;
+                    frame.data[word] = value;
+                    return value;
                 }
-                return value;
-            }
-            (true, Protection::Read) if st.cfg.protocol == Protocol::MultiWriter => {
-                // Local upgrade: twin and write; no messages (the whole
-                // point of multiple writers).
-                let frame = st.pages.frame_mut(page).expect("readable frame");
-                frame.ensure_twin();
-                frame.prot = Protection::Write;
-                st.cur.dirty.insert(page);
-                st.stats.shared_writes += 1;
-                st.pages.write_word(page, word, value);
-                return value;
-            }
-            _ => {
-                st = fault(node, st, page, write);
+                _ => {}
             }
         }
+        st = fault(node, st, page, write);
     }
 }
 
@@ -358,26 +375,34 @@ pub(crate) fn on_page_own_fwd(
 }
 
 /// Faulting node: page contents arrive (read copy or ownership).
+///
+/// # Errors
+///
+/// [`DsmError::Protocol`] for a reply that is not one page long or that no
+/// local fault is waiting for; the node's state is untouched in both cases.
 pub(crate) fn on_page_reply(
     st: &mut NodeCore,
     page: PageId,
     data: Vec<u64>,
     own: bool,
 ) -> Result<(), DsmError> {
-    let prot = if own {
-        Protection::Write
-    } else {
-        Protection::Read
-    };
-    if own {
-        st.pending_local_write.insert(page);
+    if data.len() != st.cfg.geometry.page_words {
+        return Err(DsmError::Protocol {
+            context: "page reply of the wrong length",
+        });
     }
-    st.pages.install(page, Frame::from_data(data, prot));
     let Some(tx) = st.page_wait.remove(&page) else {
         return Err(DsmError::Protocol {
             context: "page reply without a waiting fault",
         });
     };
+    let prot = if own {
+        st.pending_local_write.insert(page);
+        Protection::Write
+    } else {
+        Protection::Read
+    };
+    st.pages.install(page, Frame::from_data(data, prot));
     let _ = tx.send(());
     Ok(())
 }
@@ -474,7 +499,7 @@ mod tests {
         let st = n0.state.lock();
         assert_eq!(st.pages.protection(PageId(0)), Protection::Write);
         assert_eq!(st.pages.read_word(PageId(0), 3), 99);
-        assert!(st.cur.dirty.contains(&PageId(0)));
+        assert!(st.cur.is_dirty(PageId(0)));
         assert_eq!(st.stats.write_faults, 1);
         assert_eq!(st.stats.shared_writes, 1);
     }
@@ -489,6 +514,55 @@ mod tests {
         assert_eq!(v, 7);
         // Second access takes no fault.
         assert_eq!(n0.state.lock().stats.read_faults, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the segment [0x100000000, 0x104000000)")]
+    fn access_past_the_segment_panics_with_the_limit() {
+        let (n0, _n1, _eps) = two_nodes();
+        let capacity = n0.state.lock().cfg.shared_capacity;
+        shared_access(&n0, GAddr(SHARED_BASE + capacity), false, 0, 0);
+    }
+
+    #[test]
+    fn stray_page_reply_leaves_the_node_untouched() {
+        let (n0, _n1, _eps) = two_nodes();
+        let mut st = n0.state.lock();
+        let words = st.cfg.geometry.page_words;
+        let err = on_page_reply(&mut st, PageId(1), vec![0; words], true).unwrap_err();
+        assert_eq!(
+            err,
+            DsmError::Protocol {
+                context: "page reply without a waiting fault"
+            }
+        );
+        assert_eq!(st.pages.resident(), 0);
+        assert!(st.pending_local_write.is_empty());
+    }
+
+    #[test]
+    fn misshapen_page_reply_is_an_error_and_keeps_the_fault_waiting() {
+        let (n0, _n1, _eps) = two_nodes();
+        let mut st = n0.state.lock();
+        let (tx, rx) = bounded(1);
+        st.page_wait.insert(PageId(1), tx);
+        let words = st.cfg.geometry.page_words;
+        let err = on_page_reply(&mut st, PageId(1), vec![0; words - 1], true).unwrap_err();
+        assert_eq!(
+            err,
+            DsmError::Protocol {
+                context: "page reply of the wrong length"
+            }
+        );
+        assert_eq!(st.pages.resident(), 0);
+        assert!(st.pending_local_write.is_empty());
+        assert!(st.page_wait.contains_key(&PageId(1)));
+        assert!(rx.try_recv().is_err(), "the faulting thread was not woken");
+        // The well-formed reply still lands.
+        on_page_reply(&mut st, PageId(1), vec![7; words], true).unwrap();
+        assert_eq!(st.pages.protection(PageId(1)), Protection::Write);
+        assert!(st.pending_local_write.contains(&PageId(1)));
+        assert!(rx.try_recv().is_ok());
     }
 
     #[test]

@@ -72,8 +72,16 @@ impl Bitmap {
     #[inline]
     pub fn set(&mut self, i: usize) {
         assert!(i < self.nbits, "bit {i} out of range ({})", self.nbits);
-        self.bits[i / 64] |= 1u64 << (i % 64);
-        self.summary |= 1u64 << ((i / 64) / self.block());
+        let wi = i / 64;
+        self.bits[wi] |= 1u64 << (i % 64);
+        // Up to 64 backing words a block is one word, so the block index is
+        // the word index: the per-access path never divides.
+        let block = if self.bits.len() <= 64 {
+            wi
+        } else {
+            wi / self.block()
+        };
+        self.summary |= 1u64 << block;
     }
 
     /// Tests bit `i`.

@@ -6,8 +6,6 @@
 //! behaviour (fault → fetch/upgrade) is identical; only the delivery
 //! mechanism differs.
 
-use std::collections::HashMap;
-
 use crate::{Geometry, PageId};
 
 /// Access rights a node currently holds on a page.
@@ -80,19 +78,28 @@ impl Frame {
     }
 }
 
-/// The set of page frames a node currently holds.
+/// The page frames a node currently holds: the software page table.
+///
+/// Page ids are dense from 0 (the allocator hands out the segment front to
+/// back), so the table is a vector indexed by [`PageId::index`] — one
+/// bounds check and one load where the MMU would walk its own table.  It
+/// grows on [`install`](Self::install) and never past the segment's page
+/// count, so neither a wild pointer nor an id off the wire can size it.
 #[derive(Debug)]
 pub struct PageStore {
     geometry: Geometry,
-    frames: HashMap<PageId, Frame>,
+    frames: Vec<Option<Frame>>,
+    /// Pages in the shared segment: ids at or above this are never resident.
+    segment_pages: usize,
 }
 
 impl PageStore {
-    /// Creates an empty store.
-    pub fn new(geometry: Geometry) -> Self {
+    /// Creates an empty store for a segment of `segment_pages` pages.
+    pub fn new(geometry: Geometry, segment_pages: usize) -> Self {
         PageStore {
             geometry,
-            frames: HashMap::new(),
+            frames: Vec::new(),
+            segment_pages,
         }
     }
 
@@ -101,37 +108,56 @@ impl PageStore {
         self.geometry
     }
 
+    /// Pages in the shared segment (one past the highest installable id).
+    pub fn segment_pages(&self) -> usize {
+        self.segment_pages
+    }
+
     /// Current protection of `page` ([`Protection::Invalid`] if absent).
+    #[inline]
     pub fn protection(&self, page: PageId) -> Protection {
-        self.frames
-            .get(&page)
-            .map_or(Protection::Invalid, |f| f.prot)
+        self.frame(page).map_or(Protection::Invalid, |f| f.prot)
     }
 
     /// Immutable access to a frame.
+    #[inline]
     pub fn frame(&self, page: PageId) -> Option<&Frame> {
-        self.frames.get(&page)
+        self.frames.get(page.index())?.as_ref()
     }
 
     /// Mutable access to a frame.
+    #[inline]
     pub fn frame_mut(&mut self, page: PageId) -> Option<&mut Frame> {
-        self.frames.get_mut(&page)
+        self.frames.get_mut(page.index())?.as_mut()
     }
 
     /// Installs (or replaces) a frame for `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is not one page long or `page` lies outside the
+    /// segment.
     pub fn install(&mut self, page: PageId, frame: Frame) {
         assert_eq!(
             frame.data.len(),
             self.geometry.page_words,
             "installing frame of wrong size"
         );
-        self.frames.insert(page, frame);
+        let i = page.index();
+        assert!(
+            i < self.segment_pages,
+            "installing {page:?} outside the {}-page segment",
+            self.segment_pages
+        );
+        if i >= self.frames.len() {
+            self.frames.resize_with(i + 1, || None);
+        }
+        self.frames[i] = Some(frame);
     }
 
     /// Installs a zero-filled frame (used by the page's home node).
     pub fn install_zeroed(&mut self, page: PageId, prot: Protection) {
-        let words = self.geometry.page_words;
-        self.frames.insert(page, Frame::new(words, prot));
+        self.install(page, Frame::new(self.geometry.page_words, prot));
     }
 
     /// Invalidates `page`: drops rights but keeps the (stale) data around.
@@ -139,7 +165,7 @@ impl PageStore {
     /// LRC invalidates lazily at acquires; keeping the stale data mirrors a
     /// real implementation where the page stays mapped but protected.
     pub fn invalidate(&mut self, page: PageId) {
-        if let Some(f) = self.frames.get_mut(&page) {
+        if let Some(f) = self.frame_mut(page) {
             f.prot = Protection::Invalid;
             f.twin = None;
         }
@@ -151,8 +177,7 @@ impl PageStore {
     ///
     /// Panics if the node holds no frame for `page`.
     pub fn protect(&mut self, page: PageId, prot: Protection) {
-        self.frames
-            .get_mut(&page)
+        self.frame_mut(page)
             .expect("protect() on absent frame")
             .prot = prot;
     }
@@ -165,7 +190,7 @@ impl PageStore {
     /// and fetch first.
     #[inline]
     pub fn read_word(&self, page: PageId, word: usize) -> u64 {
-        let f = self.frames.get(&page).expect("read of absent frame");
+        let f = self.frame(page).expect("read of absent frame");
         assert!(f.prot.readable(), "read of unreadable frame {page:?}");
         f.data[word]
     }
@@ -178,19 +203,22 @@ impl PageStore {
     /// and obtain write rights first.
     #[inline]
     pub fn write_word(&mut self, page: PageId, word: usize, value: u64) {
-        let f = self.frames.get_mut(&page).expect("write of absent frame");
+        let f = self.frame_mut(page).expect("write of absent frame");
         assert!(f.prot.writable(), "write of non-writable frame {page:?}");
         f.data[word] = value;
     }
 
-    /// Iterates over resident pages.
+    /// Iterates over resident pages in ascending id order.
     pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.frames.keys().copied()
+        self.frames
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| f.as_ref().map(|_| PageId(i as u32)))
     }
 
     /// Number of resident frames.
     pub fn resident(&self) -> usize {
-        self.frames.len()
+        self.frames.iter().flatten().count()
     }
 }
 
@@ -199,7 +227,7 @@ mod tests {
     use super::*;
 
     fn store() -> PageStore {
-        PageStore::new(Geometry::default())
+        PageStore::new(Geometry::default(), 16)
     }
 
     #[test]
@@ -243,6 +271,35 @@ mod tests {
         let mut s = store();
         s.install_zeroed(PageId(0), Protection::Invalid);
         let _ = s.read_word(PageId(0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 16-page segment")]
+    fn install_outside_the_segment_panics() {
+        store().install_zeroed(PageId(16), Protection::Read);
+    }
+
+    #[test]
+    fn ids_outside_the_segment_read_as_absent() {
+        let mut s = store();
+        s.install_zeroed(PageId(2), Protection::Read);
+        assert_eq!(s.protection(PageId(u32::MAX)), Protection::Invalid);
+        assert!(s.frame(PageId(u32::MAX)).is_none());
+        s.invalidate(PageId(u32::MAX));
+        assert_eq!(s.resident(), 1);
+    }
+
+    #[test]
+    fn pages_are_listed_in_ascending_order() {
+        let mut s = store();
+        for id in [9, 0, 4] {
+            s.install_zeroed(PageId(id), Protection::Read);
+        }
+        assert_eq!(
+            s.pages().collect::<Vec<_>>(),
+            vec![PageId(0), PageId(4), PageId(9)]
+        );
+        assert_eq!(s.resident(), 3);
     }
 
     #[test]

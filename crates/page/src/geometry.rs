@@ -126,10 +126,17 @@ impl Geometry {
         let off = addr.0 - SHARED_BASE;
         assert_eq!(off % WORD_BYTES, 0, "unaligned word access at {addr}");
         let word = off / WORD_BYTES;
-        let page = word / self.page_words as u64;
+        let page_words = self.page_words as u64;
+        // Every page size in use is a power of two: shift and mask then,
+        // the general division otherwise.
+        let (page, within) = if page_words.is_power_of_two() {
+            (word >> page_words.trailing_zeros(), word & (page_words - 1))
+        } else {
+            (word / page_words, word % page_words)
+        };
         (
             PageId(u32::try_from(page).expect("page id overflow")),
-            (word % self.page_words as u64) as usize,
+            within as usize,
         )
     }
 

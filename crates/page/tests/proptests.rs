@@ -1,6 +1,12 @@
-//! Property-based tests for bitmaps and diffs.
+//! Property-based tests for bitmaps, diffs, address arithmetic and the page
+//! table.
 
-use cvm_page::{Bitmap, Diff, GAddr, Geometry, PageId, SharedAlloc};
+use std::collections::HashMap;
+
+use cvm_page::{
+    Bitmap, Diff, Frame, GAddr, Geometry, PageId, PageStore, Protection, SharedAlloc, SHARED_BASE,
+    WORD_BYTES,
+};
 use proptest::prelude::*;
 
 fn arb_bits(n: usize) -> impl Strategy<Value = Vec<usize>> {
@@ -136,6 +142,118 @@ proptest! {
             let (seg, off) = map.resolve(base.offset(len - 1)).unwrap();
             prop_assert_eq!(&seg.name, &format!("s{i}"));
             prop_assert_eq!(off, len - 1);
+        }
+    }
+
+    /// `locate` is the plain `/`,`%` split for every page size — the
+    /// shift/mask path of a power-of-two page and the general one — and
+    /// `addr_of` inverts it.
+    #[test]
+    fn locate_equals_division_and_roundtrips(
+        page_words in prop_oneof![
+            Just(8usize), Just(24usize), Just(512usize), Just(1024usize), Just(1000usize)
+        ],
+        word in 0u64..(1 << 34),
+    ) {
+        let g = Geometry { page_words };
+        let addr = GAddr(SHARED_BASE + word * WORD_BYTES);
+        let (page, within) = g.locate(addr);
+        prop_assert_eq!(u64::from(page.0), word / page_words as u64);
+        prop_assert_eq!(within as u64, word % page_words as u64);
+        prop_assert_eq!(g.addr_of(page, within), addr);
+        prop_assert_eq!(g.page_of(addr), page);
+    }
+
+    /// The summary stays exact through `set`: bit `j` ⇔ block `j` holds a
+    /// non-zero word, on both sides of the one-word-per-block split
+    /// (`raw().len() <= 64`).
+    #[test]
+    fn bitmap_set_keeps_summary_exact(
+        nbits in prop_oneof![
+            Just(64usize), Just(512usize), Just(4096usize), Just(8192usize), Just(65536usize)
+        ],
+        picks in proptest::collection::vec(any::<u32>(), 0..48),
+    ) {
+        let mut b = Bitmap::new(nbits);
+        for &pick in &picks {
+            b.set(pick as usize % nbits);
+            let block = b.raw().len().div_ceil(64).max(1);
+            let mut expect = 0u64;
+            for (wi, w) in b.raw().iter().enumerate() {
+                if *w != 0 {
+                    expect |= 1 << (wi / block);
+                }
+            }
+            prop_assert_eq!(b.summary(), expect);
+        }
+        prop_assert_eq!(&Bitmap::from_raw(nbits, b.raw().to_vec()), &b);
+    }
+
+    /// The dense page table answers like a hash map from page id to frame
+    /// over random operation sequences on sparse ids, and lists its
+    /// resident pages in ascending order.
+    #[test]
+    fn page_store_matches_hash_map_model(
+        ops in proptest::collection::vec((0u8..6, 0usize..10, 0u8..3, 0usize..8, any::<u64>()), 0..80),
+    ) {
+        const IDS: [u32; 10] = [0, 1, 2, 5, 31, 32, 33, 200, 1022, 1023];
+        const PROTS: [Protection; 3] = [Protection::Invalid, Protection::Read, Protection::Write];
+        let g = Geometry { page_words: 8 };
+        let mut store = PageStore::new(g, 1024);
+        let mut model: HashMap<PageId, (Protection, Vec<u64>)> = HashMap::new();
+        for (op, id, prot, word, value) in ops {
+            let page = PageId(IDS[id]);
+            let prot = PROTS[prot as usize];
+            match op {
+                0 => {
+                    let mut data = vec![0u64; g.page_words];
+                    data[word] = value;
+                    store.install(page, Frame::from_data(data.clone(), prot));
+                    model.insert(page, (prot, data));
+                }
+                1 => {
+                    store.install_zeroed(page, prot);
+                    model.insert(page, (prot, vec![0; g.page_words]));
+                }
+                2 => {
+                    store.invalidate(page);
+                    if let Some(m) = model.get_mut(&page) {
+                        m.0 = Protection::Invalid;
+                    }
+                }
+                3 => {
+                    if let Some(m) = model.get_mut(&page) {
+                        store.protect(page, prot);
+                        m.0 = prot;
+                    }
+                }
+                4 => {
+                    if let Some(m) = model.get(&page).filter(|m| m.0.readable()) {
+                        prop_assert_eq!(store.read_word(page, word), m.1[word]);
+                    }
+                }
+                _ => {
+                    if let Some(m) = model.get_mut(&page).filter(|m| m.0.writable()) {
+                        store.write_word(page, word, value);
+                        m.1[word] = value;
+                    }
+                }
+            }
+            prop_assert_eq!(
+                store.protection(page),
+                model.get(&page).map_or(Protection::Invalid, |m| m.0)
+            );
+            prop_assert_eq!(
+                store.frame(page).map(|f| f.data.to_vec()),
+                model.get(&page).map(|m| m.1.clone())
+            );
+        }
+        let mut expect: Vec<PageId> = model.keys().copied().collect();
+        expect.sort_unstable();
+        prop_assert_eq!(store.pages().collect::<Vec<_>>(), expect);
+        prop_assert_eq!(store.resident(), model.len());
+        for &id in &IDS {
+            prop_assert_eq!(store.frame(PageId(id)).is_some(), model.contains_key(&PageId(id)));
         }
     }
 }
