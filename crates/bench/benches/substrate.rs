@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cvm_dsm::{Cluster, DsmConfig, Msg};
-use cvm_net::wire::Wire;
+use cvm_net::wire::{crc32c, Wire};
 use cvm_page::{Bitmap, Diff, PageId};
 use cvm_race::make_interval;
 use cvm_vclock::VClock;
@@ -71,6 +71,20 @@ fn bench_codec(c: &mut Criterion) {
     });
     c.bench_function("decode_lock_grant_32_records", |b| {
         b.iter(|| black_box(Msg::from_bytes(black_box(&bytes)).unwrap()))
+    });
+
+    // An 8 KB page reply: the bulk `u64` codec, and the checksum every
+    // frame and journal record is put through.
+    let page = Msg::PageReadReply {
+        page: PageId(7),
+        data: (0..1024u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect(),
+    };
+    let page_bytes = page.to_bytes();
+    c.bench_function("page_decode_8k", |b| {
+        b.iter(|| black_box(Msg::from_bytes(black_box(&page_bytes)).unwrap()))
+    });
+    c.bench_function("crc32c_8k", |b| {
+        b.iter(|| black_box(crc32c(black_box(&page_bytes))))
     });
 }
 

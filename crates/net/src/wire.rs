@@ -199,6 +199,29 @@ pub trait Wire: Sized {
     fn min_wire_size() -> u64 {
         1
     }
+
+    /// Appends the encodings of `items` back to back, with no count prefix
+    /// (`Vec<T>` writes it).  Fixed-width integers reserve once.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decodes `n` values back to back; `n` sizes an allocation, so a count
+    /// read from the wire goes through [`Reader::check_count`] first.
+    /// Fixed-width integers take the whole region with one bounds check.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] on truncated or malformed input.
+    fn decode_vec(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(Self::decode(r)?);
+        }
+        Ok(v)
+    }
 }
 
 macro_rules! wire_int {
@@ -215,6 +238,21 @@ macro_rules! wire_int {
             }
             fn min_wire_size() -> u64 {
                 core::mem::size_of::<$t>() as u64
+            }
+            // A page is a thousand words: one `reserve`, one bounds check.
+            fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+                buf.reserve(core::mem::size_of_val(items));
+                for item in items {
+                    buf.extend_from_slice(&item.to_le_bytes());
+                }
+            }
+            fn decode_vec(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+                const SIZE: usize = core::mem::size_of::<$t>();
+                let len = n.checked_mul(SIZE).ok_or(WireError::BadLength(n as u64))?;
+                Ok(r.take(len)?
+                    .chunks_exact(SIZE)
+                    .map(|c| <$t>::from_le_bytes(c.try_into().expect("chunks_exact(SIZE)")))
+                    .collect())
             }
         }
     )*};
@@ -256,9 +294,7 @@ impl Wire for bool {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         // A count can never need more bytes than remain in the frame;
@@ -266,11 +302,7 @@ impl<T: Wire> Wire for Vec<T> {
         // to bound preallocation by the real input length.
         let declared = u32::decode(r)?;
         let n = r.check_count(u64::from(declared), T::min_wire_size())?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(T::decode(r)?);
-        }
-        Ok(v)
+        T::decode_vec(r, n)
     }
     fn wire_size(&self) -> u64 {
         4 + self.iter().map(Wire::wire_size).sum::<u64>()
@@ -374,8 +406,10 @@ pub const FRAME_HEADER_BYTES: usize = 12;
 /// 32 bits.
 const CRC32C_POLY: u32 = 0x82F6_3B78;
 
-const fn crc32c_build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `[k][b]` is the state after byte `b` and `k` zero
+/// bytes (`[0]` is the classic table), so 8 bytes fold in with 8 lookups.
+const fn crc32c_build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -388,30 +422,55 @@ const fn crc32c_build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    while i < 8 * 256 {
+        let prev = tables[i / 256 - 1][i % 256];
+        tables[i / 256][i % 256] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+        i += 1;
+    }
+    tables
 }
 
-static CRC32C_TABLE: [u32; 256] = crc32c_build_table();
+static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_build_tables();
+
+/// Folds `bytes` into a running CRC-32C `state`, for data never resident in
+/// one piece: `crc32c(b) == !crc32c_update(!0, b)` over any split of `b`.
+pub fn crc32c_update(mut state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = (state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        state = 0;
+        for i in 0..4 {
+            state ^= t[7 - i][lo[i] as usize] ^ t[3 - i][w[4 + i] as usize];
+        }
+    }
+    for &b in words.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ u32::from(b)) & 0xFF) as usize];
+    }
+    state
+}
 
 /// CRC-32C (Castagnoli) checksum of `bytes`.
 pub fn crc32c(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
+    !crc32c_update(!0, bytes)
 }
 
 /// The header an integrity frame puts before `body`:
 /// `magic | body length | crc32c(body)`.
 pub fn frame_header(body: &[u8]) -> [u8; FRAME_HEADER_BYTES] {
+    frame_header_of(body.len() as u32, crc32c(body))
+}
+
+/// [`frame_header`] of a body known by its length and checksum alone: what
+/// a writer that streamed the body out patches in afterwards.
+pub fn frame_header_of(len: u32, crc: u32) -> [u8; FRAME_HEADER_BYTES] {
     let mut header = [0; FRAME_HEADER_BYTES];
     header[..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
-    header[4..8].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[8..].copy_from_slice(&crc32c(body).to_le_bytes());
+    header[4..8].copy_from_slice(&len.to_le_bytes());
+    header[8..].copy_from_slice(&crc.to_le_bytes());
     header
 }
 
@@ -503,9 +562,7 @@ impl Wire for GAddr {
 impl Wire for Bitmap {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
-        for w in self.raw() {
-            w.encode(buf);
-        }
+        u64::encode_slice(self.raw(), buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let nbits = u32::decode(r)? as usize;
@@ -515,12 +572,7 @@ impl Wire for Bitmap {
         // prefix, so the whole word region is taken with one bounds check
         // and bulk-converted — no per-word cursor arithmetic on the hot
         // bitmap-reply path.
-        let words = r.take(nwords * 8)?;
-        let raw: Vec<u64> = words
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect();
-        Ok(Bitmap::from_raw(nbits, raw))
+        Ok(Bitmap::from_raw(nbits, u64::decode_vec(r, nwords)?))
     }
     fn wire_size(&self) -> u64 {
         4 + self.wire_bytes()

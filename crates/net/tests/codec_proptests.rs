@@ -2,7 +2,8 @@
 //! frame layer.
 
 use cvm_net::wire::{
-    decode_frame, encode_frame, encode_framed, Wire, WireError, FRAME_HEADER_BYTES,
+    crc32c, crc32c_update, decode_frame, encode_frame, encode_framed, Reader, Wire, WireError,
+    FRAME_HEADER_BYTES,
 };
 use cvm_net::{ByteBreakdown, Packet, TrafficClass};
 use cvm_vclock::{IntervalId, IntervalStamp, ProcId, VClock};
@@ -16,7 +17,93 @@ fn check_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) -> Result<(), T
     Ok(())
 }
 
+/// Bit-at-a-time CRC-32C straight from the polynomial: the reference the
+/// table-driven kernel must equal.
+fn crc32c_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0x82F6_3B78 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+#[test]
+fn crc_known_vector() {
+    // The RFC 3720 check value.
+    assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    assert_eq!(crc32c_bytewise(b"123456789"), 0xE306_9283);
+}
+
 proptest! {
+    /// The slicing-by-8 kernel equals the reference at every length,
+    /// including sub-8 inputs and non-multiples of 8 (the bytewise tail).
+    #[test]
+    fn crc_slicing_matches_bytewise(bytes in proptest::collection::vec(any::<u8>(), 0..=4096)) {
+        prop_assert_eq!(crc32c(&bytes), crc32c_bytewise(&bytes));
+        let short = &bytes[..bytes.len().min(11)];
+        for cut in 0..=short.len() {
+            prop_assert_eq!(crc32c(&short[..cut]), crc32c_bytewise(&short[..cut]));
+        }
+    }
+
+    /// Folding any split of the input through the running form gives the
+    /// one-shot checksum.
+    #[test]
+    fn crc_update_over_any_split_matches_one_shot(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=4096),
+        cuts in proptest::collection::vec(any::<u16>(), 0..=4),
+    ) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| *c as usize % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(bytes.len());
+        let (mut state, mut from) = (!0u32, 0);
+        for cut in cuts {
+            state = crc32c_update(state, &bytes[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(!state, crc32c(&bytes));
+    }
+
+    /// The bulk `u64` slice codec writes the bytes of the per-element loop
+    /// and round-trips them.
+    #[test]
+    fn bulk_u64_matches_per_element(v: Vec<u64>) {
+        let mut per_element = (v.len() as u32).to_bytes();
+        for x in &v {
+            x.encode(&mut per_element);
+        }
+        prop_assert_eq!(&v.to_bytes(), &per_element);
+        let mut bulk = Vec::new();
+        u64::encode_slice(&v, &mut bulk);
+        prop_assert_eq!(&bulk[..], &per_element[4..]);
+        let mut r = Reader::new(&bulk);
+        prop_assert_eq!(u64::decode_vec(&mut r, v.len()), Ok(v.clone()));
+        prop_assert_eq!(r.remaining(), 0);
+        check_roundtrip(&v)?;
+    }
+
+    /// The bulk path keeps the trust boundary: a count that cannot fit is
+    /// `BadLength` before anything is allocated, and a word region cut
+    /// mid-word is `Truncated`.
+    #[test]
+    fn bulk_u64_rejects_short_bodies(v in proptest::collection::vec(any::<u64>(), 1..64), cut in 1usize..8) {
+        let bytes = v.to_bytes();
+        let mut inflated = bytes.clone();
+        inflated[..4].copy_from_slice(&(v.len() as u32 + 1).to_le_bytes());
+        prop_assert_eq!(
+            Vec::<u64>::from_bytes(&inflated),
+            Err(WireError::BadLength(v.len() as u64 + 1))
+        );
+        let body = &bytes[4..bytes.len() - cut];
+        prop_assert_eq!(
+            u64::decode_vec(&mut Reader::new(body), v.len()),
+            Err(WireError::Truncated { needed: v.len() * 8, remaining: body.len() })
+        );
+    }
+
     #[test]
     fn u64_roundtrip(v: u64) { check_roundtrip(&v)?; }
 

@@ -15,6 +15,11 @@
 //!
 //! `--data-dir` turns on the write-ahead journal: job state survives a
 //! crash and is recovered on the next start from the same directory.
+//! `--compact-every N` (default 256) is the fewest journal records between
+//! two snapshots; a snapshot also waits until the journal has grown as
+//! large as the last one, so the journal holds at most
+//! `max(N records, snapshot bytes)` and snapshot work per record does not
+//! grow with the number of jobs the daemon has seen.
 //! `--crash` (recovery tests only) aborts the process at the Nth hit of
 //! a named persistence crash point, e.g. `--crash mid-record:3`.
 

@@ -8,18 +8,23 @@
 //! * **Journal** — every job lifecycle event ([`JournalRecord`]:
 //!   `Submitted`, `SeedDone`, `Sealed`, `Cancelled`, `Evicted`) is
 //!   appended to `journal.bin` as one CRC-32C frame
-//!   ([`cvm_net::wire::encode_frame`]), *before* the in-memory effect the
-//!   caller depends on.  Fsync frequency is a policy knob
+//!   ([`cvm_net::wire::frame_header`] + body), *before* the in-memory
+//!   effect the caller depends on.  Fsync frequency is a policy knob
 //!   ([`FsyncPolicy`]): per record, every N records, or never.
 //! * **Shadow** — each record is also applied to an in-memory
 //!   [`ShadowState`], a compact image of everything recovery needs: specs,
 //!   per-seed outcome images (fingerprints and rendered text included, so
 //!   completed seeds are never recomputed), seal order, and evictions.
-//! * **Snapshot** — every `compact_every` records the shadow is serialized
-//!   into `snapshot.bin` behind a versioned header (the
-//!   `checkpoint::NodeImage` discipline: magic, version, CRC-framed body),
-//!   written tmp-then-rename so a torn snapshot can never shadow a good
-//!   one, and the journal is trimmed.  The journal stays bounded.
+//! * **Snapshot** — once the journal holds at least `compact_every`
+//!   records *and* as many bytes as the live snapshot, the shadow is
+//!   streamed into `snapshot.bin` behind a versioned header (the
+//!   `checkpoint::NodeImage` discipline: magic, version, CRC-framed body)
+//!   — job by job through one small buffer, so no image of the state is
+//!   ever resident — tmp-then-rename so a torn snapshot can never shadow a
+//!   good one, and the journal is trimmed.  A snapshot costs O(state) and
+//!   is taken every O(state) journal bytes: snapshot work is linear in the
+//!   records served, and the journal stays bounded by
+//!   `max(compact_every records, snapshot bytes)`.
 //! * **Recovery** — [`Persist::open`] loads snapshot-then-journal.  Torn
 //!   or corrupt journal tails are *truncated to the last valid frame* and
 //!   counted, never panicked on (PR 4's trust-boundary discipline: decode
@@ -34,7 +39,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{BufWriter, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,8 +47,8 @@ use std::time::Duration;
 
 use cvm_dsm::{DsmError, Protocol, RecoveryPolicy, RunReport};
 use cvm_net::wire::{
-    decode_frame, encode_frame, frame_header, Reader, Wire, WireError, FRAME_HEADER_BYTES,
-    FRAME_MAGIC,
+    crc32c_update, decode_frame, frame_header, frame_header_of, Reader, Wire, WireError,
+    FRAME_HEADER_BYTES, FRAME_MAGIC,
 };
 use parking_lot::Mutex;
 
@@ -63,6 +68,9 @@ pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
 const SNAPSHOT_MAGIC: u32 = 0x534D_5643;
 /// Snapshot format version.
 const SNAPSHOT_VERSION: u32 = 1;
+/// Write buffer of the snapshot stream: with one job's encoding, all a
+/// compaction holds in memory whatever the size of the state.
+const SNAPSHOT_WRITE_BUF: usize = 64 << 10;
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -120,7 +128,10 @@ pub struct PersistConfig {
     pub data_dir: Option<PathBuf>,
     /// Journal fsync policy.
     pub fsync: FsyncPolicy,
-    /// Compact (snapshot + trim the journal) every this many records.
+    /// The fewest journal records between two compactions (snapshot +
+    /// trim the journal).  A compaction also waits until the journal holds
+    /// as many bytes as the live snapshot, so the journal is bounded by
+    /// `max(compact_every records, snapshot bytes)`.
     pub compact_every: u64,
     /// Deterministic crash injection, for recovery tests.
     pub crash: Option<CrashSpec>,
@@ -142,7 +153,7 @@ impl PersistConfig {
         }
     }
 
-    /// Effective compaction interval (the zero default means 256).
+    /// Effective compaction floor (the zero default means 256).
     fn compact_every(&self) -> u64 {
         if self.compact_every == 0 {
             256
@@ -851,16 +862,32 @@ impl Wire for ShadowJob {
     }
 }
 
-impl Wire for ShadowState {
-    fn encode(&self, buf: &mut Vec<u8>) {
+impl ShadowState {
+    /// Appends the encoding to `buf` one bounded piece at a time (a job,
+    /// then the trailer), calling `piece_done` after each: a `piece_done`
+    /// that drains `buf` sees the whole encoding without it being resident.
+    fn encode_pieces(
+        &self,
+        buf: &mut Vec<u8>,
+        piece_done: &mut dyn FnMut(&mut Vec<u8>) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         self.next_job.encode(buf);
         (self.jobs.len() as u32).encode(buf);
         for (id, job) in &self.jobs {
             id.encode(buf);
             job.encode(buf);
+            piece_done(buf)?;
         }
         self.sealed_order.encode(buf);
         self.jobs_evicted.encode(buf);
+        piece_done(buf)
+    }
+}
+
+impl Wire for ShadowState {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.encode_pieces(buf, &mut |_| Ok(()))
+            .expect("a sink that keeps every piece cannot fail");
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let next_job = u64::decode(r)?;
@@ -900,7 +927,7 @@ struct PersistCounters {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PersistStatsSnapshot {
     /// Records currently live in the journal file (drops to zero at each
-    /// compaction — the bounded-journal invariant is observable).
+    /// compaction; bounded by `max(compact_every records, snapshot bytes)`).
     pub journal_records: u64,
     /// Snapshots written by this process.
     pub snapshots_written: u64,
@@ -924,7 +951,11 @@ struct PersistInner {
     journal: File,
     fsync: FsyncPolicy,
     compact_every: u64,
+    /// Records and bytes in the journal since its last trim and the live
+    /// snapshot's size, all restored by `open`: when a compaction is due.
     since_compact: u64,
+    journal_bytes: u64,
+    snapshot_bytes: u64,
     unsynced: u64,
     shadow: ShadowState,
     crash: Option<CrashSpec>,
@@ -985,11 +1016,11 @@ impl Persist {
             Err(e) => return Err(persist_err("remove stale snapshot tmp", &tmp, &e)),
         }
 
-        let mut shadow = ShadowState::default();
+        let (mut shadow, mut snapshot_bytes) = (ShadowState::default(), 0u64);
         let snap_path = dir.join(SNAPSHOT_FILE);
         match std::fs::read(&snap_path) {
             Ok(bytes) => match decode_snapshot(&bytes) {
-                Ok(decoded) => shadow = decoded,
+                Ok(decoded) => (shadow, snapshot_bytes) = (decoded, bytes.len() as u64),
                 Err(_) => {
                     // The atomic rename protocol never leaves a torn live
                     // snapshot, so this is disk rot: fall back to an empty
@@ -1003,11 +1034,11 @@ impl Persist {
         }
 
         let journal_path = dir.join(JOURNAL_FILE);
-        let mut records = 0u64;
+        let (mut records, mut journal_bytes) = (0u64, 0u64);
         match std::fs::read(&journal_path) {
             Ok(bytes) => {
                 let (valid_len, replayed, torn) = replay_journal(&bytes, &mut shadow);
-                records = replayed;
+                (records, journal_bytes) = (replayed, valid_len as u64);
                 if torn {
                     stats.torn_tail_truncations.fetch_add(1, Ordering::Relaxed);
                     let f = OpenOptions::new()
@@ -1035,7 +1066,9 @@ impl Persist {
                 journal,
                 fsync: cfg.fsync,
                 compact_every: cfg.compact_every(),
-                since_compact: 0,
+                since_compact: records,
+                journal_bytes,
+                snapshot_bytes,
                 unsynced: 0,
                 shadow: shadow.clone(),
                 crash: cfg.crash,
@@ -1059,7 +1092,7 @@ impl Persist {
             return;
         }
         inner.shadow.apply(rec);
-        let frame = encode_frame(&rec.to_bytes());
+        let frame = journal_frame(rec);
 
         if self.hits_crash_point(&mut inner, CrashPoint::MidRecord) {
             // Tear the frame: half the bytes reach the file, then die.
@@ -1075,6 +1108,7 @@ impl Persist {
             return;
         }
         self.stats.journal_records.fetch_add(1, Ordering::Relaxed);
+        inner.journal_bytes += frame.len() as u64;
         inner.unsynced += 1;
 
         if self.hits_crash_point(&mut inner, CrashPoint::PostRecordPreFsync) {
@@ -1097,14 +1131,16 @@ impl Persist {
             }
         }
 
+        // A snapshot costs O(state): due when the journal grew by as much.
         inner.since_compact += 1;
-        if inner.since_compact >= inner.compact_every {
+        if inner.since_compact >= inner.compact_every && inner.journal_bytes >= inner.snapshot_bytes
+        {
             self.compact_locked(&mut inner);
         }
     }
 
-    /// Forces a compaction now (the drain path calls this so a restart
-    /// after clean shutdown replays a snapshot, not a long journal).
+    /// Forces a compaction now, of any size (the drain path calls this so a
+    /// restart after clean shutdown replays a snapshot, not a long journal).
     pub fn compact_now(&self) {
         let Some(m) = &self.inner else { return };
         let mut inner = m.lock();
@@ -1134,7 +1170,6 @@ impl Persist {
     fn compact_locked(&self, inner: &mut PersistInner) {
         let tmp_path = inner.dir.join(SNAPSHOT_TMP);
         let snap_path = inner.dir.join(SNAPSHOT_FILE);
-        let bytes = encode_snapshot(&inner.shadow);
 
         let mut tmp = match File::create(&tmp_path) {
             Ok(f) => f,
@@ -1144,24 +1179,29 @@ impl Persist {
                 return;
             }
         };
-        if self.hits_crash_point(inner, CrashPoint::MidCompaction) {
-            // Tear the tmp: the live snapshot and journal are untouched.
-            let _ = tmp.write_all(&bytes[..bytes.len() / 2]);
+        let tear = self.hits_crash_point(inner, CrashPoint::MidCompaction);
+        let streamed = write_snapshot(&inner.shadow, &mut tmp);
+        if tear {
+            // Tear the tmp (the first half of the snapshot's bytes reach
+            // the disk): the live snapshot and journal are untouched.
+            let _ = streamed.and_then(|len| tmp.set_len(len / 2));
             let _ = tmp.sync_all();
             self.die(inner);
             return;
         }
-        let written = tmp
-            .write_all(&bytes)
-            .and_then(|()| tmp.sync_all())
-            .and_then(|()| {
-                drop(tmp);
-                std::fs::rename(&tmp_path, &snap_path)
-            });
-        if let Err(e) = written {
-            self.note_io_error("write snapshot", &e);
-            inner.since_compact = 0;
-            return;
+        let written = streamed.and_then(|len| {
+            tmp.sync_all()?;
+            drop(tmp);
+            std::fs::rename(&tmp_path, &snap_path)?;
+            Ok(len)
+        });
+        match written {
+            Ok(len) => inner.snapshot_bytes = len,
+            Err(e) => {
+                self.note_io_error("write snapshot", &e);
+                inner.since_compact = 0; // Back off; retry next interval.
+                return;
+            }
         }
         // Make the rename itself durable (best effort off Linux).
         if let Ok(d) = File::open(&inner.dir) {
@@ -1179,6 +1219,7 @@ impl Persist {
         match inner.journal.set_len(0) {
             Ok(()) => {
                 self.stats.journal_records.store(0, Ordering::Relaxed);
+                inner.journal_bytes = 0;
                 inner.unsynced = 0;
             }
             Err(e) => self.note_io_error("trim journal", &e),
@@ -1214,20 +1255,47 @@ impl Persist {
     }
 }
 
-/// The snapshot file's bytes: magic, version, then the shadow in one
-/// integrity frame.  The shadow is encoded once, in place behind its frame
-/// header: a snapshot holds every job the daemon has seen, so each further
-/// copy made on the way is resident memory that grows with the job count.
-fn encode_snapshot(shadow: &ShadowState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    SNAPSHOT_MAGIC.encode(&mut buf);
-    SNAPSHOT_VERSION.encode(&mut buf);
-    let body_at = buf.len() + FRAME_HEADER_BYTES;
-    buf.resize(body_at, 0);
-    shadow.encode(&mut buf);
-    let header = frame_header(&buf[body_at..]);
-    buf[body_at - FRAME_HEADER_BYTES..body_at].copy_from_slice(&header);
-    buf
+/// One journal frame: the record encoded once, behind a header filled in last.
+fn journal_frame(rec: &JournalRecord) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(256); // most records, in one allocation
+    frame.resize(FRAME_HEADER_BYTES, 0);
+    rec.encode(&mut frame);
+    let header = frame_header(&frame[FRAME_HEADER_BYTES..]);
+    frame[..FRAME_HEADER_BYTES].copy_from_slice(&header);
+    frame
+}
+
+/// Streams the snapshot file into `file` — magic, version, then the shadow
+/// in one integrity frame — and returns its length; the caller syncs and
+/// renames.  No image of the state is built: each job is encoded into one
+/// reused buffer, folded into the running checksum and handed to a fixed
+/// write buffer.  The frame header is therefore known last and patched in
+/// over zeroes, and until then no prefix of the file passes for a snapshot.
+fn write_snapshot(shadow: &ShadowState, file: &mut File) -> std::io::Result<u64> {
+    let mut out = BufWriter::with_capacity(SNAPSHOT_WRITE_BUF, &mut *file);
+    let mut head = [0; 8 + FRAME_HEADER_BYTES];
+    head[..4].copy_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+    head[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out.write_all(&head)?;
+    let (mut crc, mut len) = (!0u32, 0u64);
+    shadow.encode_pieces(&mut Vec::new(), &mut |piece| {
+        crc = crc32c_update(crc, piece);
+        len += piece.len() as u64;
+        out.write_all(piece)?;
+        piece.clear();
+        Ok(())
+    })?;
+    out.flush()?;
+    drop(out);
+
+    // The frame's length field is 32 bits: past it the compaction fails
+    // (and backs off) and the journal, which holds everything, stays.
+    let body_len = u32::try_from(len).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "snapshot body over 4 GiB")
+    })?;
+    file.seek(SeekFrom::Start(8))?; // past the magic and the version
+    file.write_all(&frame_header_of(body_len, !crc))?;
+    Ok(head.len() as u64 + len)
 }
 
 fn decode_snapshot(bytes: &[u8]) -> Result<ShadowState, WireError> {
@@ -1287,6 +1355,21 @@ fn replay_journal(bytes: &[u8], shadow: &mut ShadowState) -> (usize, u64, bool) 
 mod tests {
     use super::*;
     use crate::workload::Workload;
+    use cvm_net::wire::encode_frame;
+
+    /// The snapshot file's bytes built in memory: the reference
+    /// [`write_snapshot`] must equal byte for byte.
+    fn encode_snapshot(shadow: &ShadowState) -> Vec<u8> {
+        let mut buf = Vec::new();
+        SNAPSHOT_MAGIC.encode(&mut buf);
+        SNAPSHOT_VERSION.encode(&mut buf);
+        let body_at = buf.len() + FRAME_HEADER_BYTES;
+        buf.resize(body_at, 0);
+        shadow.encode(&mut buf);
+        let header = frame_header(&buf[body_at..]);
+        buf[body_at - FRAME_HEADER_BYTES..body_at].copy_from_slice(&header);
+        buf
+    }
 
     fn spec() -> JobSpec {
         let mut s = JobSpec::new(Workload::RacyCounter { epochs: 2 }, 3, 7, 2);
@@ -1339,6 +1422,8 @@ mod tests {
         for rec in &records {
             let bytes = rec.to_bytes();
             assert_eq!(&JournalRecord::from_bytes(&bytes).unwrap(), rec);
+            // Encoding in place behind the header changes no byte.
+            assert_eq!(journal_frame(rec), encode_frame(&bytes));
         }
     }
 
@@ -1391,6 +1476,170 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x40;
         assert!(decode_snapshot(&bad).is_err());
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        static SERIAL: AtomicU64 = AtomicU64::new(0);
+        let serial = SERIAL.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "cvm-persist-unit-{tag}-{}-{serial}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    /// One job's life as the daemon journals it: admitted, two seeds
+    /// done, sealed.
+    fn job_records(job: u64) -> [JournalRecord; 4] {
+        let job = JobId(job);
+        [
+            JournalRecord::Submitted { job, spec: spec() },
+            JournalRecord::SeedDone {
+                job,
+                seed: 7,
+                outcome: done_image(),
+            },
+            JournalRecord::SeedDone {
+                job,
+                seed: 8,
+                outcome: OutcomeImage::Failed {
+                    error: format!("seed 8 of job {} failed", job.0),
+                    transient: false,
+                    retries: 2,
+                },
+            },
+            JournalRecord::Sealed { job },
+        ]
+    }
+
+    fn shadow_of(records: &[JournalRecord]) -> ShadowState {
+        let mut shadow = ShadowState::default();
+        records.iter().for_each(|rec| shadow.apply(rec));
+        shadow
+    }
+
+    #[test]
+    fn streamed_snapshot_is_byte_identical() {
+        let dir = scratch_dir("streamed");
+        std::fs::create_dir_all(&dir).unwrap();
+        // 600 jobs are several write buffers' worth, so the stream is
+        // flushed mid-body, and one eviction takes a job out of the trailer.
+        for jobs in [0u64, 1, 600] {
+            let mut records: Vec<_> = (1..=jobs).flat_map(job_records).collect();
+            if jobs > 1 {
+                records.push(JournalRecord::Evicted { job: JobId(2) });
+            }
+            let shadow = shadow_of(&records);
+            let path = dir.join(format!("snapshot-{jobs}"));
+            let mut file = File::create(&path).unwrap();
+            let len = write_snapshot(&shadow, &mut file).unwrap();
+            drop(file);
+
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(
+                bytes == encode_snapshot(&shadow),
+                "{jobs} jobs: bytes differ"
+            );
+            assert_eq!(len, bytes.len() as u64, "{jobs} jobs: returned length");
+            assert_eq!(decode_snapshot(&bytes).unwrap(), shadow);
+            if jobs == 600 {
+                assert!(bytes.len() > 2 * SNAPSHOT_WRITE_BUF, "{}", bytes.len());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compactions_track_state_size() {
+        const FLOOR: u64 = 8;
+        let dir = scratch_dir("tracks");
+        let cfg = PersistConfig {
+            fsync: FsyncPolicy::Never,
+            compact_every: FLOOR,
+            ..PersistConfig::at(&dir)
+        };
+        let (persist, _) = Persist::open(&cfg).unwrap();
+        let file_len = |name: &str| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+
+        let records: Vec<_> = (1..=1000).flat_map(job_records).collect();
+        for (i, rec) in records.iter().enumerate() {
+            persist.record(rec);
+            // The bound, as it stands whenever the mutex is free: the
+            // journal is under the floor or under the snapshot.  (It
+            // passes the larger of the two by the one record that makes
+            // the compaction due, and is trimmed before `record` returns.)
+            let (live, journal, snapshot) = (
+                persist.stats().journal_records,
+                file_len(JOURNAL_FILE),
+                file_len(SNAPSHOT_FILE),
+            );
+            assert!(
+                live < FLOOR || journal < snapshot,
+                "record {i}: {live} records, {journal} journal bytes, {snapshot} snapshot bytes"
+            );
+        }
+        let stats = persist.stats();
+        assert_eq!(stats.io_errors, 0);
+        // One snapshot per doubling of the state, not one per floor (500).
+        assert!(
+            (4..=16).contains(&stats.snapshots_written),
+            "{} snapshots for {} records",
+            stats.snapshots_written,
+            records.len()
+        );
+        drop(persist);
+
+        let (_, reopened) = Persist::open(&cfg).unwrap();
+        assert_eq!(reopened, shadow_of(&records));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The indices of the records that triggered a compaction, with the
+    /// persister dropped and reopened after each record in `reopen_after`.
+    fn compaction_points(
+        tag: &str,
+        records: &[JournalRecord],
+        reopen_after: &[usize],
+    ) -> Vec<usize> {
+        let dir = scratch_dir(tag);
+        let cfg = PersistConfig {
+            fsync: FsyncPolicy::Never,
+            compact_every: 4,
+            ..PersistConfig::at(&dir)
+        };
+        let (mut persist, _) = Persist::open(&cfg).unwrap();
+        let mut points = Vec::new();
+        for (i, rec) in records.iter().enumerate() {
+            let before = persist.stats().snapshots_written;
+            persist.record(rec);
+            if persist.stats().snapshots_written > before {
+                points.push(i);
+            }
+            if reopen_after.contains(&i) {
+                drop(persist);
+                persist = Persist::open(&cfg).unwrap().0;
+            }
+        }
+        assert_eq!(persist.stats().io_errors, 0);
+        std::fs::remove_dir_all(&dir).ok();
+        points
+    }
+
+    #[test]
+    fn reopen_restores_the_sizes() {
+        let records: Vec<_> = (1..=120).flat_map(job_records).collect();
+        let uninterrupted = compaction_points("steady", &records, &[]);
+        assert!(uninterrupted.len() >= 4, "{uninterrupted:?}");
+        // Restart right after each compaction, one record before each
+        // comes due, and in between: forgetting the snapshot's size would
+        // compact at the floor, forgetting the journal's would compact late.
+        let reopen_after: Vec<usize> = uninterrupted
+            .iter()
+            .flat_map(|&at| [at.saturating_sub(1), at, at + 3])
+            .collect();
+        let restarted = compaction_points("restarted", &records, &reopen_after);
+        assert_eq!(restarted, uninterrupted);
     }
 
     #[test]
