@@ -20,7 +20,7 @@
 //! paper's size (Table 1's 3,088 KB).
 
 use cvm_dsm::{Cluster, DsmConfig, RunReport};
-use cvm_page::GAddr;
+use cvm_page::{GAddr, SharedAlloc};
 use parking_lot::Mutex;
 
 /// One complex number, stored as two shared words (re, im).
@@ -201,7 +201,43 @@ pub fn run(cfg: DsmConfig, params: FftParams) -> (RunReport, FftResult) {
     run_on(cfg, params, &input_signal(params.n()))
 }
 
+/// Allocates the source, destination and twiddle matrices of an
+/// `n`-point transform.
+fn alloc_matrices(alloc: &mut SharedAlloc, n: usize) -> (GAddr, GAddr, GAddr) {
+    // A small globals block first, then the matrices allocated
+    // back-to-back without page alignment — exactly how the
+    // original malloc'd them.  Row blocks therefore straddle page
+    // boundaries, which is where FFT's transpose-phase false
+    // sharing comes from on large-page machines.
+    let _globals = alloc.alloc("fft_globals", 24).unwrap();
+    let words = (n * 2 * 8) as u64;
+    let src = alloc.alloc("fft_src", words).unwrap();
+    let dst = alloc.alloc("fft_dst", words).unwrap();
+    let tw = alloc.alloc("fft_twiddle", words).unwrap();
+    (src, dst, tw)
+}
+
+/// Packs `row` into the `(re, im)` word pairs shared memory holds.
+fn pack(row: &[Complex], words: &mut [u64]) {
+    for (pair, c) in words.chunks_exact_mut(2).zip(row) {
+        pair[0] = c.re.to_bits();
+        pair[1] = c.im.to_bits();
+    }
+}
+
+/// The complex numbers held in `words` as `(re, im)` pairs.
+fn unpack(words: &[u64]) -> impl Iterator<Item = Complex> + '_ {
+    words.chunks_exact(2).map(|pair| Complex {
+        re: f64::from_bits(pair[0]),
+        im: f64::from_bits(pair[1]),
+    })
+}
+
 /// Runs the six-step FFT on the DSM over a caller-supplied input.
+///
+/// A matrix row is `2m` contiguous shared words, so initialization, the
+/// row FFTs and the gather move whole rows as runs; a transpose reads down a
+/// column, one `(re, im)` pair a row, and stays word at a time.
 pub fn run_on(cfg: DsmConfig, params: FftParams, input: &[Complex]) -> (RunReport, FftResult) {
     let m = params.m;
     assert!(m.is_power_of_two(), "matrix side must be a power of two");
@@ -212,19 +248,7 @@ pub fn run_on(cfg: DsmConfig, params: FftParams, input: &[Complex]) -> (RunRepor
 
     let report = Cluster::run(
         cfg,
-        |alloc| {
-            // A small globals block first, then the matrices allocated
-            // back-to-back without page alignment — exactly how the
-            // original malloc'd them.  Row blocks therefore straddle page
-            // boundaries, which is where FFT's transpose-phase false
-            // sharing comes from on large-page machines.
-            let _globals = alloc.alloc("fft_globals", 24).unwrap();
-            let words = (n * 2 * 8) as u64;
-            let src = alloc.alloc("fft_src", words).unwrap();
-            let dst = alloc.alloc("fft_dst", words).unwrap();
-            let tw = alloc.alloc("fft_twiddle", words).unwrap();
-            (src, dst, tw)
-        },
+        |alloc| alloc_matrices(alloc, n),
         |h, &(src, dst, tw)| {
             let at = |base: GAddr, row: usize, col: usize| -> GAddr {
                 base.word(((row * m + col) * 2) as u64)
@@ -245,15 +269,22 @@ pub fn run_on(cfg: DsmConfig, params: FftParams, input: &[Complex]) -> (RunRepor
             // Seven barrier phases, each an epoch step so a restored node
             // skips already-checkpointed work and rejoins the barrier loop.
             let mut ep = h.epochs();
+            // One row, as complex numbers and as the words of its run;
+            // both outlive the steps.
+            let mut buf = vec![Complex::ZERO; m];
+            let mut words = vec![0u64; 2 * m];
 
             // Initialization: input rows and twiddles for owned rows.
             ep.step(|| {
                 for i in lo..hi {
-                    for j in 0..m {
-                        write_c(src, i, j, input[i * m + j]);
+                    pack(&input[i * m..(i + 1) * m], &mut words);
+                    h.write_run(at(src, i, 0), &words);
+                    for (j, w) in buf.iter_mut().enumerate() {
                         let theta = sign * 2.0 * std::f64::consts::PI * (i * j) as f64 / n as f64;
-                        write_c(tw, i, j, Complex::cis(theta));
+                        *w = Complex::cis(theta);
                     }
+                    pack(&buf, &mut words);
+                    h.write_run(at(tw, i, 0), &words);
                 }
             });
 
@@ -267,19 +298,21 @@ pub fn run_on(cfg: DsmConfig, params: FftParams, input: &[Complex]) -> (RunRepor
                     h.private_traffic(12 * m as u64);
                 }
             };
-            let fft_rows = |grid: GAddr, twiddle: bool| {
-                let mut buf = vec![Complex::ZERO; m];
+            let mut fft_rows = |grid: GAddr, twiddle: bool| {
                 for i in lo..hi {
-                    for (j, slot) in buf.iter_mut().enumerate() {
-                        *slot = read_c(grid, i, j);
-                    }
+                    h.read_run(at(grid, i, 0), &mut words);
+                    buf.iter_mut().zip(unpack(&words)).for_each(|(b, v)| *b = v);
                     fft_local(&mut buf, sign);
                     h.compute((m as u64 / 2) * (m.trailing_zeros() as u64) * BUTTERFLY_CYCLES);
                     h.private_traffic(12 * m as u64);
-                    for (j, &v) in buf.iter().enumerate() {
-                        let v = if twiddle { v * read_c(tw, i, j) } else { v };
-                        write_c(grid, i, j, v);
+                    if twiddle {
+                        h.read_run(at(tw, i, 0), &mut words);
+                        buf.iter_mut()
+                            .zip(unpack(&words))
+                            .for_each(|(b, w)| *b = *b * w);
                     }
+                    pack(&buf, &mut words);
+                    h.write_run(at(grid, i, 0), &words);
                 }
             };
 
@@ -293,10 +326,10 @@ pub fn run_on(cfg: DsmConfig, params: FftParams, input: &[Complex]) -> (RunRepor
                 if h.proc() == 0 {
                     let scale = if params.inverse { 1.0 / n as f64 } else { 1.0 };
                     let mut out = vec![Complex::ZERO; n];
-                    for i in 0..m {
-                        for j in 0..m {
-                            let v = read_c(dst, i, j);
-                            out[i * m + j] = Complex {
+                    for (i, row) in out.chunks_exact_mut(m).enumerate() {
+                        h.read_run(at(dst, i, 0), &mut words);
+                        for (o, v) in row.iter_mut().zip(unpack(&words)) {
+                            *o = Complex {
                                 re: v.re * scale,
                                 im: v.im * scale,
                             };
@@ -383,6 +416,123 @@ mod tests {
             &fwd.data,
         );
         close(&back.data, &input, 1e-9);
+    }
+
+    /// The same program one word at a time: the reference the shipped
+    /// `run_on`, which moves rows as runs, must leave the same report as.
+    fn run_on_by_words(
+        cfg: DsmConfig,
+        params: FftParams,
+        input: &[Complex],
+    ) -> (RunReport, FftResult) {
+        let (m, n) = (params.m, params.n());
+        let sign = if params.inverse { 1.0 } else { -1.0 };
+        let result = Mutex::new(None);
+        let report = Cluster::run(
+            cfg,
+            |alloc| alloc_matrices(alloc, n),
+            |h, &(src, dst, tw)| {
+                let at =
+                    |base: GAddr, row: usize, col: usize| base.word(((row * m + col) * 2) as u64);
+                let read_c = |base: GAddr, row: usize, col: usize| Complex {
+                    re: h.read_f64(at(base, row, col)),
+                    im: h.read_f64(at(base, row, col).offset(8)),
+                };
+                let write_c = |base: GAddr, row: usize, col: usize, v: Complex| {
+                    h.write_f64(at(base, row, col), v.re);
+                    h.write_f64(at(base, row, col).offset(8), v.im);
+                };
+                let (lo, hi) = crate::sor::row_block(m, h.nprocs(), h.proc());
+                let mut ep = h.epochs();
+                ep.step(|| {
+                    for (i, j) in (lo..hi).flat_map(|i| (0..m).map(move |j| (i, j))) {
+                        write_c(src, i, j, input[i * m + j]);
+                        let theta = sign * 2.0 * std::f64::consts::PI * (i * j) as f64 / n as f64;
+                        write_c(tw, i, j, Complex::cis(theta));
+                    }
+                });
+                let transpose = |from: GAddr, to: GAddr| {
+                    for i in lo..hi {
+                        for j in 0..m {
+                            write_c(to, i, j, read_c(from, j, i));
+                        }
+                        h.private_traffic(12 * m as u64);
+                    }
+                };
+                let fft_rows = |grid: GAddr, twiddle: bool| {
+                    for i in lo..hi {
+                        let mut buf: Vec<Complex> = (0..m).map(|j| read_c(grid, i, j)).collect();
+                        fft_local(&mut buf, sign);
+                        h.compute((m as u64 / 2) * (m.trailing_zeros() as u64) * BUTTERFLY_CYCLES);
+                        h.private_traffic(12 * m as u64);
+                        for (j, &v) in buf.iter().enumerate() {
+                            let v = if twiddle { v * read_c(tw, i, j) } else { v };
+                            write_c(grid, i, j, v);
+                        }
+                    }
+                };
+                ep.step(|| transpose(src, dst));
+                ep.step(|| fft_rows(dst, true));
+                ep.step(|| transpose(dst, src));
+                ep.step(|| fft_rows(src, false));
+                ep.step(|| transpose(src, dst));
+                ep.step(|| {
+                    if h.proc() == 0 {
+                        let scale = if params.inverse { 1.0 / n as f64 } else { 1.0 };
+                        let out = (0..n).map(|at| {
+                            let v = read_c(dst, at / m, at % m);
+                            Complex {
+                                re: v.re * scale,
+                                im: v.im * scale,
+                            }
+                        });
+                        *result.lock() = Some(out.collect());
+                    }
+                });
+            },
+        )
+        .expect("cluster run");
+        let data = result.into_inner().expect("process 0 gathered the output");
+        (report, FftResult { data })
+    }
+
+    #[test]
+    fn rows_as_runs_leave_what_word_pairs_leave() {
+        // 16-point rows are 32 words: on 128-byte pages every row run
+        // crosses page boundaries, on 4 KB pages most are one segment, and
+        // on both the row blocks of adjacent processes share boundary pages.
+        let params = FftParams {
+            m: 16,
+            inverse: false,
+        };
+        let input = input_signal(params.n());
+        for page_bytes in [128, 4096] {
+            for (what, cfg) in crate::run_equivalence::configs(3, page_bytes) {
+                if cfg.detect.write_detection == cvm_dsm::WriteDetection::Diffs {
+                    // Where two processes write one page in an epoch, the
+                    // home's own diff picks up whatever remote diffs reached
+                    // its master copy first: the write bits, and the reports
+                    // made from them, differ between two runs of one program.
+                    continue;
+                }
+                let (runs, by_runs) = run_on(cfg.clone(), params, &input);
+                let (words, by_words) = run_on_by_words(cfg, params, &input);
+                let bits = |data: &[Complex]| {
+                    data.iter()
+                        .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(&by_runs.data),
+                    bits(&by_words.data),
+                    "{what}: spectrum"
+                );
+                // Writers of a shared boundary page race each other to it:
+                // how often it bounces (single-writer) and what a fetched
+                // copy already holds (multi-writer) vary run to run.
+                crate::run_equivalence::assert_same_report(&what, &runs, &words, false);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! page-padded rows are exactly the ~8 MB shared segment of Table 1.
 
 use cvm_dsm::{Cluster, DsmConfig, RunReport};
-use cvm_page::GAddr;
+use cvm_page::{GAddr, SharedAlloc};
 use parking_lot::Mutex;
 
 /// SOR parameters.
@@ -64,43 +64,59 @@ pub fn row_block(n: usize, nprocs: usize, proc: usize) -> (usize, usize) {
     (lo, hi)
 }
 
+/// Byte stride between grid rows: one row per page (rows padded to page
+/// boundaries, like the original).
+fn row_stride(cfg: &DsmConfig, n: usize) -> u64 {
+    let page_bytes = cfg.geometry.page_bytes();
+    (n as u64 * 8).div_ceil(page_bytes) * page_bytes
+}
+
+/// Allocates the two grids.
+fn alloc_grids(alloc: &mut SharedAlloc, n: usize, row_stride: u64) -> (GAddr, GAddr) {
+    let a = alloc
+        .alloc_page_aligned("sor_grid_a", n as u64 * row_stride)
+        .unwrap();
+    let b = alloc
+        .alloc_page_aligned("sor_grid_b", n as u64 * row_stride)
+        .unwrap();
+    (a, b)
+}
+
 /// Runs Jacobi SOR on the DSM.
+///
+/// A grid row is contiguous in shared memory, so every phase moves rows as
+/// runs.  A sweep reads, per owned row `i`, the interior of rows `i − 1` and
+/// `i + 1` and row `i` twice — shifted left and shifted right — which is
+/// the four neighbour loads of every cell, and stores the row's interior:
+/// the same accesses as a cell-at-a-time loop, batched by row.
 pub fn run(cfg: DsmConfig, params: SorParams) -> (RunReport, SorResult) {
     let n = params.n;
     assert!(n >= 4, "grid too small");
-    // One row per page (rows padded to page boundaries, like the original).
-    let page_bytes = cfg.geometry.page_bytes();
-    let row_stride = (n as u64 * 8).div_ceil(page_bytes) * page_bytes;
+    let row_stride = row_stride(&cfg, n);
     let result = Mutex::new(None);
     let report = Cluster::run(
         cfg,
-        |alloc| {
-            let a = alloc
-                .alloc_page_aligned("sor_grid_a", n as u64 * row_stride)
-                .unwrap();
-            let b = alloc
-                .alloc_page_aligned("sor_grid_b", n as u64 * row_stride)
-                .unwrap();
-            (a, b)
-        },
+        |alloc| alloc_grids(alloc, n, row_stride),
         |h, &(a, b)| {
-            let cell = |g: GAddr, i: usize, j: usize| -> GAddr {
-                g.offset(i as u64 * row_stride).word(j as u64)
-            };
+            let row = |g: GAddr, i: usize| g.offset(i as u64 * row_stride);
             let (lo, hi) = row_block(n, h.nprocs(), h.proc());
             // Each barrier phase is an epoch step so a checkpoint-restored
             // node can rejoin mid-run; grid roles derive from sweep parity
             // rather than mutable state, keeping skipped phases pure.
             let mut ep = h.epochs();
+            // Row buffers outlive the steps: allocated once a run.
+            let mut whole = vec![0u64; n];
+            let [mut up, mut down, mut left, mut right, mut out] =
+                [(); 5].map(|()| vec![0u64; n - 2]);
             // Initialize own rows in both grids (boundaries must be valid
             // in whichever grid is being read).
             ep.step(|| {
                 for i in lo..hi {
-                    for j in 0..n {
-                        let v = initial(i, j, n);
-                        h.write_f64(cell(a, i, j), v);
-                        h.write_f64(cell(b, i, j), v);
+                    for (j, w) in whole.iter_mut().enumerate() {
+                        *w = initial(i, j, n).to_bits();
                     }
+                    h.write_run(row(a, i), &whole);
+                    h.write_run(row(b, i), &whole);
                 }
             });
             for sweep in 0..params.iters {
@@ -108,15 +124,17 @@ pub fn run(cfg: DsmConfig, params: SorParams) -> (RunReport, SorResult) {
                 let (src, dst) = if sweep % 2 == 0 { (a, b) } else { (b, a) };
                 ep.step(|| {
                     for i in lo.max(1)..hi.min(n - 1) {
-                        for j in 1..n - 1 {
-                            let v = 0.25
-                                * (h.read_f64(cell(src, i - 1, j))
-                                    + h.read_f64(cell(src, i + 1, j))
-                                    + h.read_f64(cell(src, i, j - 1))
-                                    + h.read_f64(cell(src, i, j + 1)));
-                            h.write_f64(cell(dst, i, j), v);
-                            h.compute(CELL_FLOPS_CYCLES);
+                        h.read_run(row(src, i - 1).word(1), &mut up);
+                        h.read_run(row(src, i + 1).word(1), &mut down);
+                        h.read_run(row(src, i), &mut left);
+                        h.read_run(row(src, i).word(2), &mut right);
+                        for (j, v) in out.iter_mut().enumerate() {
+                            let [u, d, l, r] =
+                                [&up, &down, &left, &right].map(|w| f64::from_bits(w[j]));
+                            *v = (0.25 * (u + d + l + r)).to_bits();
                         }
+                        h.write_run(row(dst, i).word(1), &out);
+                        h.compute(CELL_FLOPS_CYCLES * (n as u64 - 2));
                         // Loop-control scratch the static analysis could not
                         // prove private (pointer-based row walks).
                         h.private_traffic(5 * n as u64 / 2);
@@ -128,13 +146,14 @@ pub fn run(cfg: DsmConfig, params: SorParams) -> (RunReport, SorResult) {
             let last = if params.iters.is_multiple_of(2) { a } else { b };
             ep.step(|| {
                 if h.proc() == 0 {
-                    let mut out = vec![0.0; n * n];
-                    for (i, row) in out.chunks_mut(n).enumerate() {
-                        for (j, v) in row.iter_mut().enumerate() {
-                            *v = h.read_f64(cell(last, i, j));
+                    let mut grid = vec![0.0; n * n];
+                    for (i, cells) in grid.chunks_mut(n).enumerate() {
+                        h.read_run(row(last, i), &mut whole);
+                        for (v, w) in cells.iter_mut().zip(&whole) {
+                            *v = f64::from_bits(*w);
                         }
                     }
-                    *result.lock() = Some(out);
+                    *result.lock() = Some(grid);
                 }
             });
         },
@@ -217,6 +236,74 @@ mod tests {
         let (_, one) = run(DsmConfig::new(1), params);
         let (_, four) = run(DsmConfig::new(3), params);
         assert_eq!(one.grid, four.grid);
+    }
+
+    /// The same program one cell at a time: the reference the shipped,
+    /// row-at-a-time `run` must leave the same report as.
+    fn run_by_words(cfg: DsmConfig, params: SorParams) -> (RunReport, SorResult) {
+        let n = params.n;
+        let row_stride = row_stride(&cfg, n);
+        let result = Mutex::new(None);
+        let report = Cluster::run(
+            cfg,
+            |alloc| alloc_grids(alloc, n, row_stride),
+            |h, &(a, b)| {
+                let cell =
+                    |g: GAddr, i: usize, j: usize| g.offset(i as u64 * row_stride).word(j as u64);
+                let (lo, hi) = row_block(n, h.nprocs(), h.proc());
+                let mut ep = h.epochs();
+                ep.step(|| {
+                    for (i, j) in (lo..hi).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                        h.write_f64(cell(a, i, j), initial(i, j, n));
+                        h.write_f64(cell(b, i, j), initial(i, j, n));
+                    }
+                });
+                for sweep in 0..params.iters {
+                    let (src, dst) = if sweep % 2 == 0 { (a, b) } else { (b, a) };
+                    ep.step(|| {
+                        for i in lo.max(1)..hi.min(n - 1) {
+                            for j in 1..n - 1 {
+                                let v = 0.25
+                                    * (h.read_f64(cell(src, i - 1, j))
+                                        + h.read_f64(cell(src, i + 1, j))
+                                        + h.read_f64(cell(src, i, j - 1))
+                                        + h.read_f64(cell(src, i, j + 1)));
+                                h.write_f64(cell(dst, i, j), v);
+                                h.compute(CELL_FLOPS_CYCLES);
+                            }
+                            h.private_traffic(5 * n as u64 / 2);
+                        }
+                    });
+                }
+                let last = if params.iters.is_multiple_of(2) { a } else { b };
+                ep.step(|| {
+                    if h.proc() == 0 {
+                        let grid = (0..n * n).map(|at| h.read_f64(cell(last, at / n, at % n)));
+                        *result.lock() = Some(grid.collect());
+                    }
+                });
+            },
+        )
+        .expect("cluster run");
+        let grid = result.into_inner().expect("process 0 gathered the grid");
+        (report, SorResult { grid, n })
+    }
+
+    #[test]
+    fn rows_as_runs_leave_what_cells_as_words_leave() {
+        // 40-cell rows on 256-byte pages span two pages, so every run has a
+        // page boundary inside it; on 4 KB pages a row is one segment.
+        let params = SorParams { n: 40, iters: 3 };
+        for page_bytes in [256, 4096] {
+            for (what, cfg) in crate::run_equivalence::configs(3, page_bytes) {
+                let (runs, by_runs) = run(cfg.clone(), params);
+                let (words, by_words) = run_by_words(cfg, params);
+                let bits = |grid: &[f64]| grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&by_runs.grid), bits(&by_words.grid), "{what}: grid");
+                assert_eq!(bits(&by_runs.grid), bits(&reference(params)), "{what}");
+                crate::run_equivalence::assert_same_report(&what, &runs, &words, true);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks of the substrates: bitmaps, diffs, the wire
-//! codec, and a whole small cluster run (lock hand-off latency).
+//! codec, the shared access path (words and runs), and a whole small cluster
+//! run (lock hand-off latency).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cvm_dsm::{Cluster, DsmConfig, Msg};
@@ -8,6 +9,7 @@ use cvm_page::{Bitmap, Diff, PageId};
 use cvm_race::make_interval;
 use cvm_vclock::VClock;
 use std::hint::black_box;
+use std::sync::Mutex;
 
 fn bench_bitmap_ops(c: &mut Criterion) {
     let mut a = Bitmap::new(1024);
@@ -23,6 +25,18 @@ fn bench_bitmap_ops(c: &mut Criterion) {
     });
     c.bench_function("bitmap_overlap_words_1024", |bch| {
         bch.iter(|| black_box(a.overlap_words(&b).count()))
+    });
+    // Marking a whole 1024-word page accessed: bit by bit, and as one range.
+    c.bench_function("bitmap_set_x1024", |bch| {
+        bch.iter(|| {
+            let bm = black_box(&mut a);
+            for i in 0..1024 {
+                bm.set(i);
+            }
+        })
+    });
+    c.bench_function("bitmap_set_range_1024", |bch| {
+        bch.iter(|| black_box(&mut a).set_range(black_box(0), black_box(1024)))
     });
 }
 
@@ -110,6 +124,47 @@ fn bench_lock_handoff(c: &mut Criterion) {
     });
 }
 
+/// One resident 512-word page read and written with detection on: a word at
+/// a time (512 trips through the access path) and as one run.
+fn bench_shared_access(c: &mut Criterion) {
+    let c = Mutex::new(c);
+    Cluster::run(
+        DsmConfig::new(1),
+        |alloc| alloc.alloc_page_aligned("page", 4096).unwrap(),
+        |h, &page| {
+            let mut c = c.lock().expect("bench thread panicked");
+            let mut buf = [0u64; 512];
+            h.write_run(page, &buf);
+            c.bench_function("dsm_read_word_x512", |b| {
+                b.iter(|| {
+                    for (i, w) in buf.iter_mut().enumerate() {
+                        *w = h.read(page.word(i as u64));
+                    }
+                    black_box(&buf);
+                })
+            });
+            c.bench_function("dsm_read_run_512", |b| {
+                b.iter(|| {
+                    h.read_run(page, &mut buf);
+                    black_box(&buf);
+                })
+            });
+            c.bench_function("dsm_write_word_x512", |b| {
+                b.iter(|| {
+                    for (i, w) in black_box(&buf).iter().enumerate() {
+                        h.write(page.word(i as u64), *w);
+                    }
+                })
+            });
+            c.bench_function("dsm_write_run_512", |b| {
+                b.iter(|| h.write_run(page, black_box(&buf)))
+            });
+            h.barrier();
+        },
+    )
+    .expect("cluster run");
+}
+
 fn config() -> Criterion {
     Criterion::default().sample_size(10)
 }
@@ -117,6 +172,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_bitmap_ops, bench_diff, bench_codec, bench_lock_handoff
+    targets = bench_bitmap_ops, bench_diff, bench_codec, bench_shared_access, bench_lock_handoff
 }
 criterion_main!(benches);

@@ -981,7 +981,14 @@ mod tests {
         let mut st = hydrated_core();
         let g = st.cfg.geometry;
         for (page, word, write) in [(9, 5, false), (2, 7, true), (9, 64, true), (4, 0, false)] {
-            st.track_access(g.addr_of(PageId(page), word), PageId(page), word, write, 0);
+            st.track_run(
+                g.addr_of(PageId(page), word),
+                PageId(page),
+                word,
+                1,
+                write,
+                0,
+            );
         }
         let img = snapshot(&st);
         assert_eq!(img.cur_read, vec![PageId(4), PageId(9)]);

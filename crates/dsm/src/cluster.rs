@@ -257,32 +257,11 @@ impl Cluster {
                     // next attempt, so a persistent fault cannot spin the
                     // loop into a recovery storm.
                     backoff_waits += 1;
-                    std::thread::sleep(backoff_delay(recoveries, backoff_seed));
+                    std::thread::sleep(cvm_net::backoff_delay(recoveries, backoff_seed));
                 }
             }
         }
     }
-}
-
-/// Deterministic pause before recovery attempt `attempt` (1-based):
-/// exponential from 1 ms, capped at 64 ms, minus up to half a step of
-/// seeded jitter so co-failing runs do not retry in lockstep.
-fn backoff_delay(attempt: u64, seed: u64) -> std::time::Duration {
-    const CAP_MS: u64 = 64;
-    let step_ms = 1u64 << attempt.saturating_sub(1).min(6);
-    let step_ms = step_ms.min(CAP_MS);
-    let jitter_us =
-        splitmix64(seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % (step_ms * 500);
-    std::time::Duration::from_micros(step_ms * 1000 - jitter_us)
-}
-
-/// SplitMix64 finalizer (same keyed-dice construction as the transport's
-/// fault injection): one u64 in, one well-mixed u64 out.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One execution attempt: build the network and nodes (restoring from the
@@ -698,12 +677,13 @@ where
 /// [`DsmError::Timeout`] instead of hanging until some blocked operation's
 /// own deadline fires anonymously.
 fn service_loop(node: &Node, ep: Endpoint, rstats: Option<Arc<ReliabilityStats>>) {
-    let (op_deadline, cancel, segment_pages) = {
+    let (op_deadline, cancel, segment_pages, page_words) = {
         let st = node.state.lock();
         (
             st.cfg.op_deadline,
             st.cfg.cancel.clone(),
             st.pages.segment_pages(),
+            st.cfg.geometry.page_words,
         )
     };
     let mut watchdog = Watchdog::default();
@@ -772,6 +752,13 @@ fn service_loop(node: &Node, ep: Endpoint, rstats: Option<Arc<ReliabilityStats>>
         {
             node.ctl.fail(DsmError::Protocol {
                 context: "page id outside the shared segment",
+            });
+            continue;
+        }
+        // Likewise the word indices of a diff, which index the page itself.
+        if msg.max_diff_word().is_some_and(|word| word >= page_words) {
+            node.ctl.fail(DsmError::Protocol {
+                context: "diff word outside the page",
             });
             continue;
         }
@@ -1069,6 +1056,27 @@ mod tests {
         assert_eq!(st.stale_msgs_fenced, 2, "adoption is not a fence event");
     }
 
+    /// Node 0 of two, after its real `service_loop` was handed `msg` (as
+    /// sent by node 1) and then told to shut down.
+    fn node_served(cfg: DsmConfig, msg: &Msg) -> Node {
+        let (mut eps, _) = Network::new(2, NetConfig::default());
+        let ep1 = eps.pop().expect("two endpoints");
+        let ep0 = eps.pop().expect("two endpoints");
+        let node = Node {
+            state: Mutex::new(NodeCore::new(cfg.clone(), ProcId(0))),
+            sender: ep0.sender(),
+            ctl: Arc::new(ClusterCtl::new()),
+        };
+        let mut peer = NodeCore::new(cfg, ProcId(1));
+        std::thread::scope(|s| {
+            s.spawn(|| service_loop(&node, ep0, None));
+            peer.send_msg(&ep1.sender(), ProcId(0), msg).unwrap();
+            peer.send_msg(&ep1.sender(), ProcId(0), &Msg::Shutdown)
+                .unwrap();
+        });
+        node
+    }
+
     #[test]
     fn page_ids_outside_the_segment_are_refused_at_dispatch() {
         // A forged request naming the last page id there is must not reach
@@ -1091,21 +1099,7 @@ mod tests {
             },
         ];
         for msg in forged {
-            let (mut eps, _) = Network::new(2, NetConfig::default());
-            let ep1 = eps.pop().expect("two endpoints");
-            let ep0 = eps.pop().expect("two endpoints");
-            let node = Node {
-                state: Mutex::new(NodeCore::new(DsmConfig::new(2), ProcId(0))),
-                sender: ep0.sender(),
-                ctl: Arc::new(ClusterCtl::new()),
-            };
-            let mut peer = NodeCore::new(DsmConfig::new(2), ProcId(1));
-            std::thread::scope(|s| {
-                s.spawn(|| service_loop(&node, ep0, None));
-                peer.send_msg(&ep1.sender(), ProcId(0), &msg).unwrap();
-                peer.send_msg(&ep1.sender(), ProcId(0), &Msg::Shutdown)
-                    .unwrap();
-            });
+            let node = node_served(DsmConfig::new(2), &msg);
             assert_eq!(
                 node.ctl.failure(),
                 Some(DsmError::Protocol {
@@ -1117,5 +1111,31 @@ mod tests {
             assert_eq!(st.pages.resident(), 0, "nothing faulted into existence");
             assert!(st.home_owner.is_empty() && st.log.is_empty());
         }
+    }
+
+    #[test]
+    fn diff_words_outside_the_page_are_refused_at_dispatch() {
+        // A forged flush naming the word one past the page must not reach
+        // `Diff::apply`, which indexes the master copy with it.
+        let mut cfg = DsmConfig::new(2);
+        cfg.protocol = crate::config::Protocol::MultiWriter;
+        let forged = Msg::DiffFlush {
+            writer: ProcId(1),
+            interval: 1,
+            diffs: vec![cvm_page::Diff {
+                page: cvm_page::PageId(0),
+                entries: vec![(0, 7), (cfg.geometry.page_words as u32, 9)],
+            }],
+        };
+        let node = node_served(cfg, &forged);
+        assert_eq!(
+            node.ctl.failure(),
+            Some(DsmError::Protocol {
+                context: "diff word outside the page"
+            })
+        );
+        let st = node.state.lock();
+        assert_eq!(st.pages.resident(), 0, "no master copy was created");
+        assert!(st.mw_home.is_empty(), "no watermark moved");
     }
 }

@@ -4,15 +4,25 @@ use std::sync::Arc;
 
 use cvm_page::GAddr;
 
-use crate::pages::{shared_access, Node};
+use crate::pages::{shared_access, shared_run, Node, Words};
 use crate::simtime::OverheadCat;
 
 /// A process's handle onto the DSM: shared accesses, synchronization, and
 /// the cost-model hooks applications use to model their private work.
 ///
 /// One handle exists per simulated process, owned by its application
-/// thread.  All shared accesses are word-granularity, as tracked by the
-/// instrumentation.
+/// thread.  Shared memory is accessed a word at a time
+/// ([`read`](Self::read), [`write`](Self::write)) or a contiguous run of
+/// words at a time ([`read_run`](Self::read_run),
+/// [`write_run`](Self::write_run)).  A run is the per-access routine
+/// executed once per word, not a coarser granularity: `k` words charge `k`
+/// base accesses and, under detection, `k` analysis calls, count `k` shared
+/// reads or writes and set `k` bits in the page's word bitmap — exactly
+/// what `k` word accesses leave.  What is batched is the bookkeeping: the
+/// node lock is taken once per page segment of the run, the bits are set
+/// with one mask per bitmap word, the data moves as a slice.  A fault in
+/// the middle of a run is taken by the segment that raised it, which
+/// retries once the page arrives; earlier segments are not repeated.
 pub struct ProcHandle {
     pub(crate) node: Arc<Node>,
     pub(crate) proc: usize,
@@ -49,6 +59,18 @@ impl ProcHandle {
     /// Writes one shared word, tagged with an access-site id.
     pub fn write_at(&self, addr: GAddr, value: u64, site: u32) {
         shared_access(&self.node, addr, true, value, site);
+    }
+
+    /// Reads `out.len()` consecutive shared words starting at `addr`.  Runs
+    /// carry no access-site id: a §6.1 watchpoint hit inside one reports
+    /// site 0.
+    pub fn read_run(&self, addr: GAddr, out: &mut [u64]) {
+        shared_run(&self.node, addr, Words::Read(out));
+    }
+
+    /// Writes `words` to consecutive shared words starting at `addr`.
+    pub fn write_run(&self, addr: GAddr, words: &[u64]) {
+        shared_run(&self.node, addr, Words::Write(words));
     }
 
     /// Reads a shared `f64`.

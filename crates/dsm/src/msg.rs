@@ -756,6 +756,16 @@ impl Msg {
         }
     }
 
+    /// The highest word index any diff in this message names, or `None` if
+    /// it carries none.  A diff is applied by indexing the page's words, so
+    /// receivers compare this against the page size before dispatch.
+    pub(crate) fn max_diff_word(&self) -> Option<usize> {
+        match self {
+            Msg::DiffFlush { diffs, .. } => diffs.iter().flat_map(Diff::words).max(),
+            _ => None,
+        }
+    }
+
     /// Byte breakdown of this message's encoding for traffic accounting.
     ///
     /// Read notices riding inside interval records are split out as

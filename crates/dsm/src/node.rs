@@ -7,7 +7,7 @@ use crossbeam::channel::Sender;
 use cvm_instrument::AnalysisRuntime;
 use cvm_net::wire::Wire;
 use cvm_net::{NetSender, Packet, ProtocolPhase, TrafficClass};
-use cvm_page::{Diff, GAddr, PageBitmaps, PageId, PageStore, Protection};
+use cvm_page::{Diff, GAddr, PageBitmaps, PageId, PageStore, Protection, WORD_BYTES};
 use cvm_race::{BitmapStore, Interval, RaceLog};
 use cvm_vclock::{IntervalId, IntervalStamp, ProcId, VClock};
 
@@ -216,7 +216,7 @@ pub(crate) struct MwHome {
 }
 
 /// Plain counters of protocol activity.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Intervals closed.
     pub intervals: u64,
@@ -819,9 +819,21 @@ impl NodeCore {
             .collect()
     }
 
-    /// Tracks a shared access in the detection structures: notices, the
-    /// per-page bitmap bit, and the §6.1 watchpoint.
-    pub fn track_access(&mut self, addr: GAddr, page: PageId, word: usize, write: bool, site: u32) {
+    /// Tracks `k` consecutive shared accesses starting at `addr` — word
+    /// `word` of `page`, all inside that page — in the detection structures:
+    /// the analysis calls and their cycles, the notices, the per-page bitmap
+    /// bits, and the §6.1 watchpoint.  Everything is counted per word; only
+    /// the bookkeeping is done once.
+    #[inline]
+    pub fn track_run(
+        &mut self,
+        addr: GAddr,
+        page: PageId,
+        word: usize,
+        k: usize,
+        write: bool,
+        site: u32,
+    ) {
         if !self.tracking() {
             return;
         }
@@ -831,10 +843,12 @@ impl NodeCore {
             // §6.5: stores are not instrumented; writes surface via diffs.
         } else {
             let c = &self.cfg.costs;
-            self.clock.add(OverheadCat::ProcCall, c.proc_call);
-            self.clock.add(OverheadCat::AccessCheck, c.access_check);
-            let shared = self.analysis.check(addr);
-            debug_assert!(shared);
+            let calls = k as u64;
+            self.clock.add(OverheadCat::ProcCall, calls * c.proc_call);
+            self.clock
+                .add(OverheadCat::AccessCheck, calls * c.access_check);
+            debug_assert!(addr.is_shared());
+            self.analysis.count_shared(calls);
             if detect.instrumentation_only && !self.cfg.trace {
                 // Instrumented binary on unmodified CVM: the analysis call
                 // happens, but there is nowhere to record the bit.
@@ -844,14 +858,17 @@ impl NodeCore {
             if write {
                 // Notice-list upkeep: the dirty mark is maintained by the
                 // protocol itself.
-                bm.write.set(word);
+                bm.write.set_range(word, k);
             } else {
-                bm.read.set(word);
+                bm.read.set_range(word, k);
                 self.cur.note_read(page);
             }
         }
         if let Some(watch) = detect.watch {
-            if watch.addr == addr && watch.epoch == self.epoch {
+            // Word addresses are aligned, so the watched one is among them
+            // iff it sits a whole number of words into the run.
+            let into = watch.addr.0.wrapping_sub(addr.0);
+            if into < k as u64 * WORD_BYTES && into % WORD_BYTES == 0 && watch.epoch == self.epoch {
                 self.watch_hits.push(WatchHit {
                     proc: self.proc,
                     site,
@@ -1063,10 +1080,10 @@ mod tests {
         let (mut core, _) = core_pair();
         let g = core.cfg.geometry;
         let addr = g.addr_of(PageId(2), 5);
-        core.track_access(addr, PageId(2), 5, false, 0);
+        core.track_run(addr, PageId(2), 5, 1, false, 0);
         assert_eq!(core.cur.read_pages(), vec![PageId(2)]);
         assert!(core.cur.bitmap_mut(PageId(2), g.page_words).read.get(5));
-        core.track_access(addr, PageId(2), 5, true, 0);
+        core.track_run(addr, PageId(2), 5, 1, true, 0);
         assert!(core.cur.bitmap_mut(PageId(2), g.page_words).write.get(5));
         assert_eq!(core.analysis.total_calls(), 2);
     }
@@ -1077,7 +1094,7 @@ mod tests {
         cfg.detect = crate::config::DetectConfig::off();
         let mut core = NodeCore::new(cfg, ProcId(0));
         let g = core.cfg.geometry;
-        core.track_access(g.addr_of(PageId(0), 0), PageId(0), 0, false, 0);
+        core.track_run(g.addr_of(PageId(0), 0), PageId(0), 0, 1, false, 0);
         assert!(core.cur.bitmaps.is_empty());
         assert_eq!(core.analysis.total_calls(), 0);
         assert_eq!(core.clock.now(), 0);
@@ -1144,9 +1161,9 @@ mod tests {
         let addr = g.addr_of(PageId(0), 3);
         cfg.detect.watch = Some(crate::config::Watch { addr, epoch: 0 });
         let mut core = NodeCore::new(cfg, ProcId(0));
-        core.track_access(addr, PageId(0), 3, true, 42);
+        core.track_run(addr, PageId(0), 3, 1, true, 42);
         core.epoch = 1;
-        core.track_access(addr, PageId(0), 3, true, 43);
+        core.track_run(addr, PageId(0), 3, 1, true, 43);
         assert_eq!(core.watch_hits.len(), 1);
         assert_eq!(core.watch_hits[0].site, 42);
         assert!(core.watch_hits[0].write);
@@ -1189,10 +1206,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Drives `shared_access` → `close_interval` → `open_interval` on a
-        /// node whose pages are all homed locally and compares everything
-        /// the path leaves behind with the model: returned values, notices,
-        /// stored bitmaps, trace events, counters and every cycle category.
+        /// Drives `shared_access` and `shared_run` → `close_interval` →
+        /// `open_interval` on a one-node cluster (every page homed locally)
+        /// and compares everything the path leaves behind with the model:
+        /// returned values, notices, stored bitmaps, trace events, counters
+        /// and every cycle category.  The model knows no runs: it takes each
+        /// op one word at a time.
         #[test]
         fn access_path_matches_set_model(
             multi_writer in proptest::prelude::any::<bool>(),
@@ -1202,18 +1221,26 @@ mod tests {
             near_wrap in proptest::prelude::any::<bool>(),
             intervals in proptest::collection::vec(
                 proptest::collection::vec(
-                    (proptest::prelude::any::<bool>(), 0usize..6, 0usize..8, 0u64..3),
+                    (proptest::prelude::any::<bool>(), 0usize..6, 0usize..8, 0u64..3, 0usize..10),
                     0..40,
                 ),
                 2..4,
             ),
         ) {
             use proptest::{prop_assert, prop_assert_eq};
-            // Even ids: homed at node 0 of 2, so every fault resolves locally.
-            const PAGES: [u32; 6] = [0, 2, 4, 10, 64, 300];
+            use crate::pages::{shared_access, shared_run, Words};
+            // Neighbours included, so a run that leaves its page lands on
+            // one that is resident, or not yet.
+            const PAGES: [u32; 6] = [0, 1, 4, 10, 64, 300];
             const WORDS: [usize; 8] = [0, 1, 63, 64, 65, 200, 510, 511];
+            // `None` is a word access; the longest run is two pages and a
+            // word, so from word 511 it crosses two page boundaries.
+            const RUNS: [Option<usize>; 10] = [
+                None, None, None, None, None,
+                Some(0), Some(1), Some(7), Some(513), Some(1025),
+            ];
 
-            let mut cfg = DsmConfig::new(2);
+            let mut cfg = DsmConfig::new(1);
             cfg.protocol = if multi_writer { Protocol::MultiWriter } else { Protocol::SingleWriter };
             cfg.detect = match mode {
                 0 => crate::config::DetectConfig::off(),
@@ -1230,7 +1257,7 @@ mod tests {
             let stores_hidden = detect.write_detection == WriteDetection::Diffs;
             let detecting = detect.enabled && !detect.instrumentation_only;
 
-            let (eps, _) = Network::new(2, NetConfig::default());
+            let (eps, _) = Network::new(1, NetConfig::default());
             let node = crate::pages::Node {
                 state: parking_lot::Mutex::new(NodeCore::new(cfg, ProcId(0))),
                 sender: eps[0].sender(),
@@ -1243,37 +1270,50 @@ mod tests {
 
             let mut m = Model::default();
             for (k, ops) in intervals.iter().enumerate() {
-                for &(write, page, word, value) in ops {
-                    let (page, word) = (PageId(PAGES[page]), WORDS[word]);
-                    let got = crate::pages::shared_access(
-                        &node, g.addr_of(page, word), write, value, 0);
+                for &(write, page, word, value, run) in ops {
+                    let addr = g.addr_of(PageId(PAGES[page]), WORDS[word]);
+                    let value_at = |i: usize| (value + i as u64) % 3;
+                    let got = match RUNS[run] {
+                        None => vec![shared_access(&node, addr, write, value, 0)],
+                        Some(n) => {
+                            let mut buf: Vec<u64> = (0..n).map(value_at).collect();
+                            let words =
+                                if write { Words::Write(&buf) } else { Words::Read(&mut buf) };
+                            shared_run(&node, addr, words);
+                            buf
+                        }
+                    };
 
-                    m.charge(OverheadCat::Base, c.access);
-                    if (detect.enabled || trace) && !(write && stores_hidden) {
-                        m.charge(OverheadCat::ProcCall, c.proc_call);
-                        m.charge(OverheadCat::AccessCheck, c.access_check);
-                        m.calls += 1;
-                        if !detect.instrumentation_only || trace {
-                            let (r, w) = m.bits.entry(page).or_default();
-                            if write {
-                                w.insert(word);
-                            } else {
-                                r.insert(word);
-                                m.read.insert(page);
+                    for (i, got) in got.into_iter().enumerate() {
+                        let (page, word) = g.locate(addr.word(i as u64));
+                        let value = value_at(i);
+                        m.charge(OverheadCat::Base, c.access);
+                        if (detect.enabled || trace) && !(write && stores_hidden) {
+                            m.charge(OverheadCat::ProcCall, c.proc_call);
+                            m.charge(OverheadCat::AccessCheck, c.access_check);
+                            m.calls += 1;
+                            if !detect.instrumentation_only || trace {
+                                let (r, w) = m.bits.entry(page).or_default();
+                                if write {
+                                    w.insert(word);
+                                } else {
+                                    r.insert(word);
+                                    m.read.insert(page);
+                                }
                             }
                         }
-                    }
-                    if m.faulted.insert(page) {
-                        m.charge(OverheadCat::Base, c.fault);
-                    }
-                    if write {
-                        m.dirty.insert(page);
-                        m.writes += 1;
-                        m.mem.insert((page, word), value);
-                        prop_assert_eq!(got, value);
-                    } else {
-                        m.reads += 1;
-                        prop_assert_eq!(got, m.mem.get(&(page, word)).copied().unwrap_or(0));
+                        if m.faulted.insert(page) {
+                            m.charge(OverheadCat::Base, c.fault);
+                        }
+                        if write {
+                            m.dirty.insert(page);
+                            m.writes += 1;
+                            m.mem.insert((page, word), value);
+                            prop_assert_eq!(got, value);
+                        } else {
+                            m.reads += 1;
+                            prop_assert_eq!(got, m.mem.get(&(page, word)).copied().unwrap_or(0));
+                        }
                     }
                 }
 
@@ -1335,8 +1375,9 @@ mod tests {
 
                 // The next interval starts with nothing carried over.
                 prop_assert!(st.cur.touched.is_empty() && st.cur.bitmaps.is_empty());
-                for &page in &PAGES {
-                    prop_assert!(!st.cur.is_dirty(PageId(page)));
+                // ... on the drawn pages and on those runs spilled into.
+                for page in PAGES.iter().map(|&p| PageId(p)).chain(m.faulted.iter().copied()) {
+                    prop_assert!(!st.cur.is_dirty(page));
                 }
                 if near_wrap && k == 0 {
                     // The next three closes cross the wrap — MAX, 1, 2 — so

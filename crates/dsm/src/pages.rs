@@ -1,7 +1,8 @@
 //! The shared-memory access path and page coherence protocols.
 //!
-//! Applications access shared memory one word at a time through
-//! [`shared_access`]; the software page table stands in for `mprotect`:
+//! Applications access shared memory a word at a time through
+//! [`shared_access`] or a contiguous run of words at a time through
+//! [`shared_run`]; the software page table stands in for `mprotect`:
 //! an access without sufficient rights raises a *software fault* handled
 //! exactly as CVM's SIGSEGV handler would — by fetching data or rights
 //! from the page's home/owner and retrying.
@@ -22,7 +23,7 @@
 use std::sync::Arc;
 
 use crossbeam::channel::bounded;
-use cvm_page::{Frame, GAddr, PageId, Protection, SHARED_BASE};
+use cvm_page::{Frame, GAddr, PageId, Protection, SHARED_BASE, WORD_BYTES};
 use cvm_vclock::ProcId;
 use parking_lot::{Mutex, MutexGuard};
 
@@ -41,6 +42,30 @@ pub(crate) struct Node {
     pub ctl: Arc<ClusterCtl>,
 }
 
+/// The words of one access: a read fills them, a write stores them.
+pub(crate) enum Words<'a> {
+    Read(&'a mut [u64]),
+    Write(&'a [u64]),
+}
+
+impl Words<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            Words::Read(out) => out.len(),
+            Words::Write(src) => src.len(),
+        }
+    }
+
+    /// Words `from .. from + k` of the run.
+    fn part(&mut self, from: usize, k: usize) -> Words<'_> {
+        match self {
+            Words::Read(out) => Words::Read(&mut out[from..from + k]),
+            Words::Write(src) => Words::Write(&src[from..from + k]),
+        }
+    }
+}
+
 /// Application-thread shared access.  Returns the value read (or the value
 /// written, for writes).
 ///
@@ -50,18 +75,78 @@ pub(crate) struct Node {
 /// bounded by the segment, and an access past it is an application bug, not
 /// a fault to service.
 pub(crate) fn shared_access(node: &Node, addr: GAddr, write: bool, value: u64, site: u32) -> u64 {
-    let mut st = node.state.lock();
-    let access = st.cfg.costs.access;
-    st.clock.add(OverheadCat::Base, access);
-    let (page, word) = st.cfg.geometry.locate(addr);
+    let mut word = [value];
+    let words = if write {
+        Words::Write(&word)
+    } else {
+        Words::Read(&mut word)
+    };
+    let st = node.state.lock();
+    let (page, at) = locate_run(&st, addr, 1);
+    access_segment(node, st, addr, page, at, words, site);
+    word[0]
+}
+
+/// Application-thread access to `words.len()` consecutive shared words
+/// starting at `addr`: the per-access routine executed once per word, with
+/// the bookkeeping batched.  The run is walked page segment by page segment;
+/// each segment takes the node lock once and leaves exactly what its words
+/// accessed one at a time would — counters, cycles, notices, bitmap bits,
+/// twins, faults — so the service thread gets in between segments, and a
+/// fault mid-run re-enters at the segment that raised it.  Runs carry no
+/// access-site id: a §6.1 watchpoint hit inside one reports site 0.
+///
+/// # Panics
+///
+/// Panics if any word of the run lies outside the shared segment.
+pub(crate) fn shared_run(node: &Node, addr: GAddr, mut words: Words<'_>) {
+    let n = words.len();
+    let mut done = 0;
+    while done < n {
+        let st = node.state.lock();
+        let from = addr.word(done as u64);
+        let (page, at) = locate_run(&st, from, n - done);
+        let k = (st.cfg.geometry.page_words - at).min(n - done);
+        access_segment(node, st, from, page, at, words.part(done, k), 0);
+        done += k;
+    }
+}
+
+/// Splits `addr` into page and word, vouching that `n` words from there lie
+/// inside the segment.
+#[inline]
+fn locate_run(st: &NodeCore, addr: GAddr, n: usize) -> (PageId, usize) {
+    let at = st.cfg.geometry.locate(addr);
     let capacity = st.cfg.shared_capacity;
     assert!(
-        addr.0 - SHARED_BASE < capacity,
-        "shared access at {addr} outside the segment [{}, {})",
+        (addr.0 - SHARED_BASE).saturating_add(n as u64 * WORD_BYTES) <= capacity,
+        "shared access of {n} word(s) at {addr} outside the segment [{}, {})",
         GAddr(SHARED_BASE),
         GAddr(SHARED_BASE.saturating_add(capacity)),
     );
-    st.track_access(addr, page, word, write, site);
+    at
+}
+
+/// One page segment of a run (`words` start at word `word` of `page`, which
+/// holds them all): charge, track, then perform the access under the page's
+/// protection, faulting and retrying until it allows it.  Always inlined: in
+/// the one-word caller the length is then a constant and the slice copy a
+/// single move.
+#[inline(always)]
+fn access_segment<'a>(
+    node: &'a Node,
+    mut st: MutexGuard<'a, NodeCore>,
+    addr: GAddr,
+    page: PageId,
+    word: usize,
+    mut words: Words<'_>,
+    site: u32,
+) {
+    let k = words.len();
+    let write = matches!(words, Words::Write(_));
+    let access = st.cfg.costs.access;
+    st.clock.add(OverheadCat::Base, k as u64 * access);
+    st.track_run(addr, page, word, k, write, site);
     loop {
         let NodeCore {
             cfg,
@@ -72,36 +157,37 @@ pub(crate) fn shared_access(node: &Node, addr: GAddr, write: bool, value: u64, s
             ..
         } = &mut *st;
         if let Some(frame) = pages.frame_mut(page) {
-            match (write, frame.prot) {
-                (false, Protection::Read | Protection::Write) => {
-                    stats.shared_reads += 1;
-                    return frame.data[word];
+            match (&mut words, frame.prot) {
+                (Words::Read(out), Protection::Read | Protection::Write) => {
+                    stats.shared_reads += k as u64;
+                    out.copy_from_slice(&frame.data[word..word + k]);
+                    return;
                 }
-                (true, Protection::Write) => {
+                (Words::Write(src), Protection::Write) => {
                     if !cur.is_dirty(page) {
                         if cfg.protocol == Protocol::MultiWriter {
                             frame.ensure_twin();
                         }
                         cur.note_dirty(page);
                     }
-                    stats.shared_writes += 1;
-                    frame.data[word] = value;
+                    stats.shared_writes += k as u64;
+                    frame.data[word..word + k].copy_from_slice(src);
                     if !pending_local_write.is_empty() && pending_local_write.remove(&page) {
                         let me = st.proc;
                         let r = drain_page_queue(&mut st, node, page);
                         fault::check(node, me, r);
                     }
-                    return value;
+                    return;
                 }
-                (true, Protection::Read) if cfg.protocol == Protocol::MultiWriter => {
+                (Words::Write(src), Protection::Read) if cfg.protocol == Protocol::MultiWriter => {
                     // Local upgrade: twin and write; no messages (the whole
                     // point of multiple writers).
                     frame.ensure_twin();
                     frame.prot = Protection::Write;
                     cur.note_dirty(page);
-                    stats.shared_writes += 1;
-                    frame.data[word] = value;
-                    return value;
+                    stats.shared_writes += k as u64;
+                    frame.data[word..word + k].copy_from_slice(src);
+                    return;
                 }
                 _ => {}
             }
@@ -522,6 +608,52 @@ mod tests {
         let (n0, _n1, _eps) = two_nodes();
         let capacity = n0.state.lock().cfg.shared_capacity;
         shared_access(&n0, GAddr(SHARED_BASE + capacity), false, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "shared access of 2 word(s) at 0x103fffff8 outside the segment [0x100000000, 0x104000000)"
+    )]
+    fn run_past_the_segment_panics_with_the_limit() {
+        let (n0, _n1, _eps) = two_nodes();
+        let capacity = n0.state.lock().cfg.shared_capacity;
+        // The first word is the segment's last; the second is past it.
+        let last = GAddr(SHARED_BASE + capacity - WORD_BYTES);
+        shared_run(&n0, last, Words::Write(&[1, 2]));
+    }
+
+    #[test]
+    fn empty_run_touches_nothing_and_charges_nothing() {
+        let (n0, _n1, _eps) = two_nodes();
+        let capacity = n0.state.lock().cfg.shared_capacity;
+        for addr in [GAddr(SHARED_BASE), GAddr(SHARED_BASE + capacity)] {
+            shared_run(&n0, addr, Words::Read(&mut []));
+            shared_run(&n0, addr, Words::Write(&[]));
+        }
+        let st = n0.state.lock();
+        assert_eq!(st.clock.now(), 0);
+        assert_eq!(st.analysis.total_calls(), 0);
+        assert_eq!(st.pages.resident(), 0);
+        assert_eq!(st.stats.read_faults + st.stats.write_faults, 0);
+        assert!(st.cur.dirty_pages().is_empty() && st.cur.read_pages().is_empty());
+    }
+
+    #[test]
+    fn watched_word_inside_a_run_is_one_hit() {
+        let (n0, _n1, _eps) = two_nodes();
+        let g = n0.state.lock().cfg.geometry;
+        n0.state.lock().cfg.detect.watch = Some(crate::config::Watch {
+            addr: g.addr_of(PageId(0), 9),
+            epoch: 0,
+        });
+        let mut buf = [0; 8];
+        // Words 4..12 hold the watched one; 10..18 and 1..9 do not.
+        shared_run(&n0, g.addr_of(PageId(0), 4), Words::Read(&mut buf));
+        shared_run(&n0, g.addr_of(PageId(0), 10), Words::Read(&mut buf));
+        shared_run(&n0, g.addr_of(PageId(0), 1), Words::Write(&buf));
+        let st = n0.state.lock();
+        assert_eq!(st.watch_hits.len(), 1);
+        assert!(!st.watch_hits[0].write);
     }
 
     #[test]

@@ -43,6 +43,14 @@ impl AnalysisRuntime {
         shared
     }
 
+    /// Records `calls` checks of addresses the caller has already placed in
+    /// the shared segment: what `calls` invocations of [`check`](Self::check)
+    /// on the words of one contiguous shared run count.
+    #[inline]
+    pub fn count_shared(&mut self, calls: u64) {
+        self.shared_calls += calls;
+    }
+
     /// Records a call for an address known private without a check
     /// (used when the application models scratch-data traffic explicitly).
     #[inline]
@@ -94,6 +102,18 @@ mod tests {
         rt.count_private(100);
         assert_eq!(rt.private_calls(), 100);
         assert_eq!(rt.shared_calls(), 0);
+    }
+
+    #[test]
+    fn count_shared_equals_checking_each_word() {
+        let mut run = AnalysisRuntime::new();
+        run.count_shared(3);
+        let mut words = AnalysisRuntime::new();
+        for i in 0..3 {
+            words.check(GAddr(SHARED_BASE).word(i));
+        }
+        assert_eq!(run.shared_calls(), words.shared_calls());
+        assert_eq!(run.private_calls(), 0);
     }
 
     #[test]

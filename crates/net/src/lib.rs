@@ -42,6 +42,7 @@ pub use network::{
     Endpoint, NetConfig, NetError, NetEvent, NetSender, Network, Packet, HEADER_BYTES,
 };
 pub use reliable::{
-    CorruptKind, FaultEvent, FaultPlan, ProtocolPhase, ReliabilitySnapshot, ReliabilityStats,
+    backoff_delay, splitmix64, CorruptKind, FaultEvent, FaultPlan, ProtocolPhase,
+    ReliabilitySnapshot, ReliabilityStats,
 };
 pub use stats::{ByteBreakdown, NetStats, StatsSnapshot, TrafficClass};

@@ -24,8 +24,8 @@ pub struct Bitmap {
     nbits: usize,
     /// Coarse summary: bit `j` set iff some word of block `j` is non-zero.
     ///
-    /// The invariant is *exact* (no stale bits): bits are only ever set
-    /// individually and cleared wholesale, so the summary never
+    /// The invariant is *exact* (no stale bits): bits are only ever set (one
+    /// or a range at a time) and cleared wholesale, so the summary never
     /// over-approximates.
     summary: u64,
 }
@@ -82,6 +82,44 @@ impl Bitmap {
             wi / self.block()
         };
         self.summary |= 1u64 << block;
+    }
+
+    /// Sets bits `i .. i + n`: what `n` calls of [`set`](Self::set) on
+    /// consecutive indices leave behind, with one mask per backing word and
+    /// one for the summary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range does not lie inside the bitmap.
+    #[inline]
+    pub fn set_range(&mut self, i: usize, n: usize) {
+        assert!(
+            i <= self.nbits && n <= self.nbits - i,
+            "bits {i}+{n} out of range ({})",
+            self.nbits
+        );
+        if n == 0 {
+            return;
+        }
+        // Inclusive ends, so a range reaching the last bit needs no 64-bit
+        // shift.
+        let last = i + n - 1;
+        let (w0, w1) = (i / 64, last / 64);
+        let head = !0u64 << (i % 64);
+        let tail = !0u64 >> (63 - last % 64);
+        if w0 == w1 {
+            self.bits[w0] |= head & tail;
+        } else {
+            self.bits[w0] |= head;
+            self.bits[w0 + 1..w1].fill(!0);
+            self.bits[w1] |= tail;
+        }
+        let (b0, b1) = if self.bits.len() <= 64 {
+            (w0, w1)
+        } else {
+            (w0 / self.block(), w1 / self.block())
+        };
+        self.summary |= (!0u64 << b0) & (!0u64 >> (63 - b1));
     }
 
     /// Tests bit `i`.
@@ -665,6 +703,28 @@ mod tests {
     fn set_out_of_range_panics() {
         let mut b = Bitmap::new(10);
         b.set(10);
+    }
+
+    #[test]
+    fn set_range_masks_ends_and_fills_the_middle() {
+        let mut b = Bitmap::new(512);
+        b.set_range(60, 0);
+        assert!(!b.any());
+        b.set_range(60, 70); // 60..130: three backing words.
+        assert_eq!(b.raw()[..3], [!0 << 60, !0, 0b11]);
+        assert_eq!(b.count(), 70);
+        assert_eq!(b.summary(), 0b111);
+        b.set_range(448, 64); // Ends on the last bit.
+        assert_eq!(b.raw()[7], !0);
+        assert_eq!(b.summary(), expected_summary(&b));
+        b.set_range(512, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bits 500+13 out of range (512)")]
+    fn set_range_past_the_end_panics() {
+        let mut b = Bitmap::new(512);
+        b.set_range(500, 13);
     }
 
     #[test]

@@ -189,6 +189,30 @@ proptest! {
         prop_assert_eq!(&Bitmap::from_raw(nbits, b.raw().to_vec()), &b);
     }
 
+    /// `set_range` leaves exactly what a loop of `set` leaves — bit vector,
+    /// summary and count — for runs that start and end anywhere, on both
+    /// sides of the one-word-per-block split (8192 bits: two words a block).
+    #[test]
+    fn bitmap_set_range_equals_set_loop(
+        nbits in prop_oneof![Just(512usize), Just(1024usize), Just(8192usize)],
+        runs in proptest::collection::vec((any::<u32>(), 0usize..200), 0..12),
+    ) {
+        let mut ranged = Bitmap::new(nbits);
+        let mut looped = Bitmap::new(nbits);
+        for &(start, len) in &runs {
+            let start = start as usize % (nbits + 1);
+            let len = len.min(nbits - start);
+            ranged.set_range(start, len);
+            for i in start..start + len {
+                looped.set(i);
+            }
+            prop_assert_eq!(ranged.raw(), looped.raw());
+            prop_assert_eq!(ranged.summary(), looped.summary());
+            prop_assert_eq!(ranged.count(), looped.count());
+        }
+        prop_assert_eq!(&ranged, &looped);
+    }
+
     /// The dense page table answers like a hash map from page id to frame
     /// over random operation sequences on sparse ids, and lists its
     /// resident pages in ascending order.

@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use cvm_dsm::{CancelToken, DsmError};
+use cvm_net::{backoff_delay, splitmix64};
 use parking_lot::Mutex;
 
 use crate::job::{JobState, SeedOutcome};
@@ -443,24 +444,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Capped exponential backoff with seeded jitter (mirrors the cluster's
-/// node-restart backoff construction).
-fn backoff_delay(attempt: u64, seed: u64) -> Duration {
-    const CAP_MS: u64 = 64;
-    let step_ms = (1u64 << attempt.saturating_sub(1).min(6)).min(CAP_MS);
-    let jitter_us =
-        splitmix64(seed ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % (step_ms * 500);
-    Duration::from_micros(step_ms * 1000 - jitter_us)
-}
-
-/// SplitMix64 finalizer: one u64 in, one well-mixed u64 out.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,15 +683,5 @@ mod tests {
             stats.active_helpers, 0,
             "a detached helper must still release the active gauge"
         );
-    }
-
-    #[test]
-    fn backoff_is_capped_and_deterministic() {
-        for attempt in 1..12u64 {
-            let d = backoff_delay(attempt, 42);
-            assert!(d <= Duration::from_millis(64));
-            assert_eq!(d, backoff_delay(attempt, 42));
-        }
-        assert_ne!(backoff_delay(3, 1), backoff_delay(3, 2), "jitter is keyed");
     }
 }
