@@ -27,8 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod fft;
-#[cfg(test)]
-mod run_equivalence;
 pub mod sor;
 pub mod tsp;
 pub mod water;

@@ -295,13 +295,14 @@ mod tests {
         // page boundary inside it; on 4 KB pages a row is one segment.
         let params = SorParams { n: 40, iters: 3 };
         for page_bytes in [256, 4096] {
-            for (what, cfg) in crate::run_equivalence::configs(3, page_bytes) {
-                let (runs, by_runs) = run(cfg.clone(), params);
-                let (words, by_words) = run_by_words(cfg, params);
+            for cell in cvm_testkit::Scenario::detection_axis(3, page_bytes) {
+                let what = format!("{cell:?}");
+                let (runs, by_runs) = run(cell.config(), params);
+                let (words, by_words) = run_by_words(cell.config(), params);
                 let bits = |grid: &[f64]| grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&by_runs.grid), bits(&by_words.grid), "{what}: grid");
                 assert_eq!(bits(&by_runs.grid), bits(&reference(params)), "{what}");
-                crate::run_equivalence::assert_same_report(&what, &runs, &words, true);
+                cvm_testkit::assert_same_report(&what, &runs, &words, true);
             }
         }
     }

@@ -140,17 +140,6 @@ fn kernel_rows() {
     );
 }
 
-fn race_fingerprint(report: &RunReport) -> Vec<String> {
-    let mut lines: Vec<String> = report
-        .races
-        .reports()
-        .iter()
-        .map(|r| format!("{:?}@{} {}", r.kind, r.epoch, r.render(&report.segments)))
-        .collect();
-    lines.sort();
-    lines
-}
-
 /// One 8-node lock-heavy run; returns the report and the mean barrier
 /// wait of the last-arriving process (minimum across processes).
 fn overlap_run(detect: DetectConfig) -> (RunReport, f64) {
@@ -211,9 +200,14 @@ fn overlap_rows() {
     let (sync_report, sync_us) = overlap_run(DetectConfig::on());
     let (piped_report, piped_us) = overlap_run(DetectConfig::pipelined());
 
+    let sorted_fingerprints = |report: &RunReport| {
+        let mut prints = report.races.fingerprints();
+        prints.sort_unstable();
+        prints
+    };
     assert_eq!(
-        race_fingerprint(&sync_report),
-        race_fingerprint(&piped_report),
+        sorted_fingerprints(&sync_report),
+        sorted_fingerprints(&piped_report),
         "pipelined reports must be byte-identical to synchronous"
     );
     assert_eq!(sync_report.det_stats, piped_report.det_stats);

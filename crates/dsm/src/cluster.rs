@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 
 use crate::barrier::BarrierMaster;
 use crate::checkpoint::CheckpointStore;
-use crate::config::{DsmConfig, FailoverPolicy, RecoveryPolicy};
+use crate::config::{DsmConfig, RecoveryPolicy};
 use crate::error::{DsmError, RunError};
 use crate::fault::{ClusterCtl, DsmUnwind, SERVICE_POLL};
 use crate::handle::ProcHandle;
@@ -202,10 +202,7 @@ impl Cluster {
                                     if *node == master)
                             })
                         });
-                        if (ProcId(proc) == master || master_cut)
-                            && nprocs > 1
-                            && cfg.failover == FailoverPolicy::Succession
-                        {
+                        if (ProcId(proc) == master || master_cut) && nprocs > 1 {
                             // Deterministic succession: the seat moves to
                             // the lowest-numbered node that is not the
                             // deposed master (it is still resurrected from

@@ -63,27 +63,6 @@ pub enum RecoveryPolicy {
     },
 }
 
-/// Where the barrier-master role lands when the master itself dies under
-/// [`RecoveryPolicy::Recover`].
-///
-/// Race reports are byte-identical under either policy: detection sorts
-/// interval records canonically before planning, so its output does not
-/// depend on which node hosts the master.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FailoverPolicy {
-    /// The lowest-numbered survivor deterministically assumes the master
-    /// role on the next recovery attempt (a `MasterHandoff` round
-    /// announces the seat and the resume epoch before the epoch loop
-    /// restarts).  The dead node is still resurrected from its checkpoint
-    /// image, but as a worker — the seat stays off the node that just
-    /// proved flaky.
-    #[default]
-    Succession,
-    /// Keep the master pinned to proc 0 across recoveries (the
-    /// pre-failover behavior): the resurrected node 0 resumes the role.
-    Pinned,
-}
-
 /// Per-node memory budget over *retained* detection and consistency state:
 /// interval records, access bitmaps, multi-writer twins, and this node's
 /// live checkpoint images.
@@ -292,10 +271,6 @@ pub struct DsmConfig {
     /// the newest retained complete cut, so any value ≥ 1 is safe; the
     /// default keeps one cut of slack for a node that dies mid-commit.
     pub ckpt_retain: usize,
-    /// Where the barrier-master role lands when the master dies under
-    /// [`RecoveryPolicy::Recover`]: deterministic succession to the
-    /// lowest-numbered survivor (default), or pinned to proc 0.
-    pub failover: FailoverPolicy,
     /// External cancellation: when the token fires, every service loop
     /// routes [`DsmError::Cancelled`](crate::DsmError::Cancelled) through
     /// the first-error path and the run drains with a partial report.
@@ -323,7 +298,6 @@ impl DsmConfig {
             recovery: RecoveryPolicy::default(),
             budget: MemBudget::default(),
             ckpt_retain: 2,
-            failover: FailoverPolicy::default(),
             cancel: None,
         }
     }
@@ -441,9 +415,8 @@ mod tests {
     }
 
     #[test]
-    fn failover_defaults_to_succession_and_no_injection() {
+    fn stage_panic_defaults_to_no_injection() {
         let c = DsmConfig::new(3);
-        assert_eq!(c.failover, FailoverPolicy::Succession);
         assert_eq!(c.detect.stage_panic_epoch, None);
         assert_eq!(DetectConfig::pipelined().stage_panic_epoch, None);
     }

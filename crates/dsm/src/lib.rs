@@ -73,8 +73,7 @@ mod simtime;
 pub use checkpoint::{CheckpointStore, NodeImage};
 pub use cluster::Cluster;
 pub use config::{
-    DetectConfig, DsmConfig, FailoverPolicy, MemBudget, Protocol, RecoveryPolicy, Watch,
-    WriteDetection,
+    DetectConfig, DsmConfig, MemBudget, Protocol, RecoveryPolicy, Watch, WriteDetection,
 };
 pub use cvm_net::{CorruptKind, FaultEvent, FaultPlan, ProtocolPhase, ReliabilitySnapshot};
 pub use error::{DsmError, ResourceKind, RunError};

@@ -301,8 +301,7 @@ pub(crate) struct NodeCore {
     pub barrier: Option<crate::barrier::BarrierMaster>,
     /// The barrier master's seat: every arrival, checkpoint ack, and
     /// bitmap reply is addressed here.  `ProcId(0)` on a fresh start;
-    /// re-seated by failover (see
-    /// [`FailoverPolicy`](crate::FailoverPolicy)).
+    /// re-seated on the lowest-numbered survivor when the master dies.
     pub master: ProcId,
     /// Monotone master-seat term this node has adopted: 0 for the initial
     /// seating, bumped by every accepted `MasterHandoff`.  Master-originated

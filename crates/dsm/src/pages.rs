@@ -540,6 +540,19 @@ pub(crate) fn on_diff_flush(
         st.clock
             .add(OverheadCat::Base, diff.len() as u64 * c.diff_per_word);
         let frame = st.pages.frame_mut(page).expect("just ensured");
+        // The master copy is also the home's working copy.  While the home
+        // holds a twin, its own diff at interval close must be its own
+        // stores only, so the twin follows every word the home has not
+        // changed this interval; a word it has changed keeps its twin
+        // value, and with it the home's write bit.
+        if let Some(twin) = frame.twin.as_mut() {
+            for &(w, v) in &diff.entries {
+                let w = w as usize;
+                if twin[w] == frame.data[w] {
+                    twin[w] = v;
+                }
+            }
+        }
         diff.apply(&mut frame.data);
         let h = st.mw_home.entry(page).or_default();
         let e = h.applied.entry(writer).or_insert(0);
@@ -797,5 +810,36 @@ mod mw_tests {
                 .is_none_or(|h| h.waiting.is_empty()));
         }
         assert!(eps[1].try_recv().is_ok(), "immediate reply expected");
+    }
+
+    /// The home stores to `home_word` of its page 0, then a peer's diff
+    /// writes `remote_word`; returns the write bits of the home's closed
+    /// interval under diff-derived write detection (§6.5).
+    fn home_write_bits(home_word: usize, remote_word: u32) -> Vec<usize> {
+        let (home, _eps) = mw_node(0);
+        home.state.lock().cfg.detect.write_detection = crate::config::WriteDetection::Diffs;
+        let g = home.state.lock().cfg.geometry;
+        shared_access(&home, g.addr_of(PageId(0), home_word), true, 9, 0);
+        let mut st = home.state.lock();
+        let diff = cvm_page::Diff {
+            page: PageId(0),
+            entries: vec![(remote_word, 5)],
+        };
+        on_diff_flush(&mut st, &home, ProcId(1), 1, vec![diff]).unwrap();
+        let id = cvm_vclock::IntervalId::new(ProcId(0), st.cur.index);
+        st.close_interval(&home.sender).unwrap();
+        st.bitmaps
+            .get(id, PageId(0))
+            .map_or(Vec::new(), |bm| bm.write.iter_set().collect())
+    }
+
+    #[test]
+    fn home_does_not_claim_a_remote_diff_as_its_write() {
+        assert_eq!(home_write_bits(3, 5), vec![3]);
+    }
+
+    #[test]
+    fn remote_diff_over_a_home_store_keeps_the_home_write_bit() {
+        assert_eq!(home_write_bits(3, 3), vec![3]);
     }
 }

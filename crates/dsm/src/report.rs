@@ -54,9 +54,8 @@ pub struct RecoveryStats {
     pub recoveries: u64,
     /// Barrier epochs re-entered after rollbacks (work lost to failures).
     pub epochs_replayed: u64,
-    /// Times the barrier-master role moved to a survivor because the
-    /// master itself died (see
-    /// [`FailoverPolicy`](crate::FailoverPolicy)).
+    /// Times the barrier-master role moved to the lowest-numbered survivor
+    /// because the master itself died.
     pub failovers: u64,
     /// Backoff sleeps taken between recovery attempts (exponential with
     /// seeded jitter, so persistent faults cannot spin the attempt loop).

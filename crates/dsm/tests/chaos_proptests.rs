@@ -8,142 +8,36 @@
 
 use std::time::Duration;
 
-use cvm_dsm::{Cluster, DsmConfig, FaultPlan, Protocol, RecoveryPolicy};
-use cvm_net::ReliabilitySnapshot;
+use cvm_dsm::{DsmConfig, FaultPlan, Protocol, RecoveryPolicy, RunReport};
+use cvm_testkit::{
+    assert_equivalent, assert_matches, race_lines, run_epochs, Detection, Fault, Op, Reference,
+    Scenario, Wire,
+};
 use cvm_vclock::ProcId;
 use proptest::prelude::*;
 
-/// One access in one barrier epoch: `(proc, word, is_write)`.
-type Op = (usize, usize, bool);
+const RECOVER: RecoveryPolicy = RecoveryPolicy::Recover { max_attempts: 3 };
 
-/// Runs `epochs` (each a list of ops, barrier-terminated) and returns the
-/// completed run's full report.
-fn run_program_report(
-    nprocs: usize,
-    protocol: Protocol,
-    words: usize,
-    epochs: &[Vec<Op>],
-    plan: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-) -> cvm_dsm::RunReport {
-    let mut cfg = DsmConfig::new(nprocs);
-    cfg.protocol = protocol;
-    cfg.net_loss = plan;
-    cfg.recovery = recovery;
-    cfg.op_deadline = Duration::from_secs(5);
-    let report = Cluster::run(
-        cfg,
-        |alloc| alloc.alloc("words", (words * 8) as u64).unwrap(),
-        |h, &base| {
-            let me = h.proc();
-            let mut ep = h.epochs();
-            for (e, ops) in epochs.iter().enumerate() {
-                ep.step(|| {
-                    for &(p, w, is_write) in ops {
-                        if p % nprocs != me {
-                            continue;
-                        }
-                        let addr = base.word(w as u64);
-                        if is_write {
-                            h.write(addr, (e * 1000 + w) as u64);
-                        } else {
-                            let _ = h.read(addr);
-                        }
-                    }
-                });
-            }
-        },
-    )
-    .expect("survivable chaos must not fail the run");
-    report
-}
-
-/// Race reports rendered and sorted for schedule-independent comparison.
-fn rendered(report: &cvm_dsm::RunReport) -> Vec<String> {
-    let mut v: Vec<String> = report
-        .races
-        .reports()
-        .iter()
-        .map(|r| r.render(&report.segments))
-        .collect();
-    v.sort();
-    v
-}
-
-/// [`run_program_report`] with the detection mode as a knob (pipelined
-/// moves comparison off the barrier's critical path; reports must not
-/// care), reduced to the rendered race reports.
-fn run_detect_program(
-    nprocs: usize,
-    protocol: Protocol,
-    pipelined: bool,
-    words: usize,
-    epochs: &[Vec<Op>],
-    plan: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-) -> Vec<String> {
-    let mut cfg = DsmConfig::new(nprocs);
-    cfg.protocol = protocol;
-    cfg.net_loss = plan;
-    cfg.recovery = recovery;
-    cfg.op_deadline = Duration::from_secs(5);
-    cfg.detect = if pipelined {
-        cvm_dsm::DetectConfig::pipelined()
+fn protocol(multi_writer: bool) -> Protocol {
+    if multi_writer {
+        Protocol::MultiWriter
     } else {
-        cvm_dsm::DetectConfig::on()
-    };
-    let report = Cluster::run(
-        cfg,
-        |alloc| alloc.alloc("words", (words * 8) as u64).unwrap(),
-        |h, &base| {
-            let me = h.proc();
-            let mut ep = h.epochs();
-            for (e, ops) in epochs.iter().enumerate() {
-                ep.step(|| {
-                    for &(p, w, is_write) in ops {
-                        if p % nprocs != me {
-                            continue;
-                        }
-                        let addr = base.word(w as u64);
-                        if is_write {
-                            h.write(addr, (e * 1000 + w) as u64);
-                        } else {
-                            let _ = h.read(addr);
-                        }
-                    }
-                });
-            }
-        },
-    )
-    .expect("a healing partition under Recover must not fail the run");
-    rendered(&report)
+        Protocol::SingleWriter
+    }
 }
 
-/// [`run_program_report`] reduced to the rendered race reports plus the
-/// wire-level counters, when the run had a wire.
-fn run_program_full(
-    nprocs: usize,
-    protocol: Protocol,
-    words: usize,
-    epochs: &[Vec<Op>],
-    plan: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-) -> (Vec<String>, Option<ReliabilitySnapshot>) {
-    let report = run_program_report(nprocs, protocol, words, epochs, plan, recovery);
-    let races = rendered(&report);
-    (races, report.reliability)
-}
-
-/// [`run_program_full`] when only the race reports matter.
-fn run_program(
-    nprocs: usize,
-    protocol: Protocol,
-    words: usize,
-    epochs: &[Vec<Op>],
-    plan: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-) -> Vec<String> {
-    run_program_full(nprocs, protocol, words, epochs, plan, recovery).0
+/// Asserts `cell` equivalent to its reference, then that a rerun of the
+/// identical plan reproduces its reports; returns the cell's report.
+fn assert_reproducible(cell: &Scenario, words: usize, epochs: &[Vec<Op>]) -> RunReport {
+    let run = |cfg: DsmConfig| run_epochs(cfg, words, epochs);
+    let (report, _) = assert_equivalent(cell, run);
+    let again = run(cell.config()).expect("the rerun must complete");
+    assert_eq!(
+        race_lines(&report),
+        race_lines(&again),
+        "{cell:?}: same (plan, seed) must reproduce"
+    );
+    report
 }
 
 proptest! {
@@ -167,26 +61,14 @@ proptest! {
         seed in any::<u64>(),
         multi_writer in any::<bool>(),
     ) {
-        let protocol = if multi_writer { Protocol::MultiWriter } else { Protocol::SingleWriter };
-        let epochs: Vec<Vec<Op>> = epochs
-            .iter()
-            .map(|ops| ops.iter().map(|&(p, w, is_w)| (p, w % words, is_w)).collect())
-            .collect();
-        let plan = FaultPlan::new(drop_rate, seed)
-            .with_duplication(dup_rate)
-            .with_reordering(reorder_rate);
-        let clean = run_program(nprocs, protocol, words, &epochs, None, RecoveryPolicy::Abort);
-        let faulty = run_program(
-            nprocs, protocol, words, &epochs, Some(plan.clone()), RecoveryPolicy::Abort,
-        );
-        prop_assert_eq!(
-            &clean, &faulty,
-            "chaotic wire changed the race reports ({:?})", protocol
-        );
-        let again = run_program(
-            nprocs, protocol, words, &epochs, Some(plan), RecoveryPolicy::Abort,
-        );
-        prop_assert_eq!(&faulty, &again, "same (plan, seed) must reproduce");
+        let chaos = Fault::Chaos { drop: drop_rate, dup: dup_rate, reorder: reorder_rate };
+        let cell = Scenario {
+            protocol: protocol(multi_writer),
+            wire: Wire::Reliable(seed),
+            faults: vec![chaos],
+            ..Scenario::new(nprocs)
+        };
+        assert_reproducible(&cell, words, &epochs);
     }
 
     /// A corrupting wire is invisible above the frame gate: every damaged
@@ -206,22 +88,15 @@ proptest! {
         seed in any::<u64>(),
         multi_writer in any::<bool>(),
     ) {
-        let protocol = if multi_writer { Protocol::MultiWriter } else { Protocol::SingleWriter };
-        let epochs: Vec<Vec<Op>> = epochs
-            .iter()
-            .map(|ops| ops.iter().map(|&(p, w, is_w)| (p, w % words, is_w)).collect())
-            .collect();
-        let recover = RecoveryPolicy::Recover { max_attempts: 3 };
-        let plan = FaultPlan::clean(seed).with_corruption(corrupt_rate);
-        let clean = run_program(nprocs, protocol, words, &epochs, None, recover);
-        let (corrupted, snap) = run_program_full(
-            nprocs, protocol, words, &epochs, Some(plan.clone()), recover,
-        );
-        prop_assert_eq!(
-            &clean, &corrupted,
-            "corrupting wire changed the race reports ({:?})", protocol
-        );
-        let snap = snap.expect("faulty wire keeps reliability stats");
+        let cell = Scenario {
+            protocol: protocol(multi_writer),
+            recovery: RECOVER,
+            wire: Wire::Reliable(seed),
+            faults: vec![Fault::Corrupt(corrupt_rate)],
+            ..Scenario::new(nprocs)
+        };
+        let report = assert_reproducible(&cell, words, &epochs);
+        let snap = report.reliability.expect("faulty wire keeps reliability stats");
         // Whatever the plan injected, the frame gate caught: corruption
         // must never be delivered, only dropped and retransmitted.
         prop_assert!(
@@ -229,14 +104,14 @@ proptest! {
             "injected {} corruptions but dropped none", snap.corrupt_injected
         );
         prop_assert_eq!(snap.decode_errors, 0, "corruption leaked past the checksum");
-        let again = run_program(nprocs, protocol, words, &epochs, Some(plan), recover);
-        prop_assert_eq!(&corrupted, &again, "same (plan, seed) must reproduce");
     }
 
     /// A scripted node kill under [`RecoveryPolicy::Recover`] is survivable
     /// for *any* barrier-structured program: the cluster rolls back to the
     /// last complete epoch, restores the victim from its image, and the
     /// completed run's race reports are byte-identical to a fault-free run.
+    /// Short programs may finish before event `kill_at`, in which case the
+    /// kill never fires and the run is trivially identical.
     #[test]
     fn scripted_kill_recovers_with_identical_races(
         nprocs in 2usize..4,
@@ -250,36 +125,15 @@ proptest! {
         seed in any::<u64>(),
         multi_writer in any::<bool>(),
     ) {
-        let protocol = if multi_writer { Protocol::MultiWriter } else { Protocol::SingleWriter };
-        let victim = (victim_raw % nprocs) as u16;
-        let epochs: Vec<Vec<Op>> = epochs
-            .iter()
-            .map(|ops| ops.iter().map(|&(p, w, is_w)| (p, w % words, is_w)).collect())
-            .collect();
-        // Checkpointing on for both runs so the only difference is the kill.
-        let recover = RecoveryPolicy::Recover { max_attempts: 3 };
-        let wire = |seed: u64| {
-            FaultPlan::clean(seed)
-                .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-                .with_max_retransmits(8)
+        let kill = Fault::Kill { victim: (victim_raw % nprocs) as u16, at_event: kill_at };
+        let cell = Scenario {
+            protocol: protocol(multi_writer),
+            recovery: RECOVER,
+            wire: Wire::Fast(seed),
+            faults: vec![kill],
+            ..Scenario::new(nprocs)
         };
-        let clean = run_program(nprocs, protocol, words, &epochs, Some(wire(seed)), recover);
-        let killed = run_program(
-            nprocs,
-            protocol,
-            words,
-            &epochs,
-            Some(wire(seed).with_kill(ProcId(victim), kill_at)),
-            recover,
-        );
-        // Short programs may finish before event `kill_at`, in which case
-        // the kill never fires and the run is trivially identical — the
-        // property holds either way, so assert only report identity.
-        prop_assert_eq!(
-            &clean, &killed,
-            "{:?} victim {} killed at {}: recovered race reports must match",
-            protocol, victim, kill_at
-        );
+        assert_equivalent(&cell, |cfg| run_epochs(cfg, words, &epochs));
     }
 
     /// A transient partition — any victim, any start, healing either fast
@@ -288,6 +142,7 @@ proptest! {
     /// succession when the master is the victim, and rejoin from the cut)
     /// — never changes the race reports: byte-identical to the fault-free
     /// run across both protocols, synchronous and pipelined detection.
+    /// Short programs may finish before the window arms.
     #[test]
     fn transient_partition_keeps_reports_identical(
         nprocs in 2usize..4,
@@ -301,48 +156,27 @@ proptest! {
         heal_gap in prop_oneof![8u64..60, Just(100_000u64)],
         seed in any::<u64>(),
         // Protocol and detection mode packed to fit the strategy-tuple
-        // arity, as in the slow-consumer property above.
+        // arity, as in the slow-consumer property below.
         knobs in any::<u64>(),
     ) {
-        let protocol = if knobs & 1 == 1 { Protocol::MultiWriter } else { Protocol::SingleWriter };
-        let pipelined = knobs & 2 == 2;
         let victim = (victim_raw % nprocs) as u16;
-        let epochs: Vec<Vec<Op>> = epochs
-            .iter()
-            .map(|ops| ops.iter().map(|&(p, w, is_w)| (p, w % words, is_w)).collect())
-            .collect();
-        let recover = RecoveryPolicy::Recover { max_attempts: 3 };
-        let wire = |seed: u64| {
-            FaultPlan::clean(seed)
-                .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-                .with_max_retransmits(8)
+        let cut = Fault::Partition { victim, at: cut_at, heal: cut_at + heal_gap };
+        let cell = Scenario {
+            protocol: protocol(knobs & 1 == 1),
+            detection: if knobs & 2 == 2 { Detection::Pipelined } else { Detection::Sync },
+            recovery: RECOVER,
+            wire: Wire::Fast(seed),
+            faults: vec![cut],
+            ..Scenario::new(nprocs)
         };
-        let clean = run_detect_program(
-            nprocs, protocol, pipelined, words, &epochs, Some(wire(seed)), recover,
-        );
-        let cut = run_detect_program(
-            nprocs,
-            protocol,
-            pipelined,
-            words,
-            &epochs,
-            Some(wire(seed).with_partition_healed(ProcId(victim), cut_at, cut_at + heal_gap)),
-            recover,
-        );
-        // Short programs may finish before the window arms; bridged and
-        // failed-over outages must all converge on the same bytes.
-        prop_assert_eq!(
-            &clean, &cut,
-            "{:?} pipelined={} victim {} cut at {}+{}: partitioned race reports must match",
-            protocol, pipelined, victim, cut_at, heal_gap
-        );
+        assert_equivalent(&cell, |cfg| run_epochs(cfg, words, &epochs));
     }
 
     /// Resource governance composes with recovery: a slow consumer behind a
     /// finite-capacity link *and* a scripted kill under
     /// [`RecoveryPolicy::Recover`] still completes with race reports
-    /// byte-identical to the same wire without either fault, and the credit
-    /// window keeps the sender queues bounded throughout rollback/replay.
+    /// byte-identical to a run without either fault, and the credit window
+    /// keeps the sender queues bounded throughout rollback/replay.
     #[test]
     fn slow_consumer_with_recovery_keeps_reports_identical(
         nprocs in 2usize..4,
@@ -358,33 +192,20 @@ proptest! {
         // the strategy-tuple arity.
         knobs in any::<u64>(),
     ) {
-        let protocol = if knobs & 1 == 1 { Protocol::MultiWriter } else { Protocol::SingleWriter };
-        let slow = ((knobs >> 1) as usize % nprocs) as u16;
-        let slow_at = (knobs >> 8) % 60;
-        let victim = ((knobs >> 16) as usize % nprocs) as u16;
-        let epochs: Vec<Vec<Op>> = epochs
-            .iter()
-            .map(|ops| ops.iter().map(|&(p, w, is_w)| (p, w % words, is_w)).collect())
-            .collect();
-        let recover = RecoveryPolicy::Recover { max_attempts: 3 };
-        let wire = |seed: u64| {
-            FaultPlan::clean(seed)
-                .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-                .with_max_retransmits(8)
+        let slow = Fault::SlowConsumer {
+            node: ((knobs >> 1) as usize % nprocs) as u16,
+            at: (knobs >> 8) % 60,
+            dwell: Duration::from_millis(1),
         };
-        let clean = run_program(nprocs, protocol, words, &epochs, Some(wire(seed)), recover);
-        let faulted = wire(seed)
-            .with_link_capacity(capacity)
-            .with_slow_consumer(ProcId(slow), slow_at, Duration::from_millis(1))
-            .with_kill(ProcId(victim), kill_at);
-        let report = run_program_report(
-            nprocs, protocol, words, &epochs, Some(faulted), recover,
-        );
-        prop_assert_eq!(
-            &clean, &rendered(&report),
-            "{:?} slow P{} cap {} victim {}: race reports must match",
-            protocol, slow, capacity, victim
-        );
+        let kill = Fault::Kill { victim: ((knobs >> 16) as usize % nprocs) as u16, at_event: kill_at };
+        let cell = Scenario {
+            protocol: protocol(knobs & 1 == 1),
+            recovery: RECOVER,
+            wire: Wire::Fast(seed),
+            faults: vec![Fault::Capacity(capacity), slow, kill],
+            ..Scenario::new(nprocs)
+        };
+        let (report, _) = assert_equivalent(&cell, |cfg| run_epochs(cfg, words, &epochs));
         prop_assert!(
             report.resources.queue_high_water <= u64::from(capacity),
             "queue high water {} over capacity {}",
@@ -395,38 +216,40 @@ proptest! {
 
 /// The acceptance bar stated plainly: a corruption-injection run actually
 /// exercises the integrity path (`corrupt_dropped > 0`) and still produces
-/// race reports byte-identical to the clean run, under both protocols.
-///
-/// CI's corruption axis sets `CHAOS_CORRUPT_RATE` (default 0.25 here); at
-/// an explicit `0`, the faulty wire still frames and checks every
-/// datagram but must count nothing.
+/// race reports byte-identical to the clean run, under both protocols.  At
+/// rate `0` the faulty wire still frames and checks every datagram but must
+/// count nothing.
 #[test]
 fn corruption_run_drops_frames_and_keeps_reports_identical() {
-    let rate: f64 = std::env::var("CHAOS_CORRUPT_RATE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
     // Two epochs of racy unsynchronized accesses: proc 0 writes word 0,
     // proc 1 reads it — a guaranteed report to compare.
     let epochs: Vec<Vec<Op>> = vec![
         vec![(0, 0, true), (1, 0, false), (1, 1, true)],
         vec![(0, 1, false), (1, 1, true)],
     ];
+    let run = |cfg: DsmConfig| run_epochs(cfg, 2, &epochs);
     for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
-        let clean = run_program(2, protocol, 2, &epochs, None, RecoveryPolicy::Abort);
-        let plan = FaultPlan::clean(0xC0DE).with_corruption(rate);
-        let (corrupted, snap) =
-            run_program_full(2, protocol, 2, &epochs, Some(plan), RecoveryPolicy::Abort);
-        assert_eq!(clean, corrupted, "{protocol:?} at rate {rate}");
-        let snap = snap.expect("faulty wire keeps reliability stats");
-        if rate > 0.0 {
-            assert!(snap.corrupt_injected > 0, "{protocol:?}: {snap:?}");
-            assert!(snap.corrupt_dropped > 0, "{protocol:?}: {snap:?}");
-        } else {
-            assert_eq!(snap.corrupt_injected, 0, "{protocol:?}: {snap:?}");
-            assert_eq!(snap.corrupt_dropped, 0, "{protocol:?}: {snap:?}");
+        let cell = |rate| Scenario {
+            protocol,
+            wire: Wire::Reliable(0xC0DE),
+            faults: vec![Fault::Corrupt(rate)],
+            ..Scenario::new(2)
+        };
+        let reference = Reference::run(&cell(0.0), run);
+        for rate in [0.0, 0.1, 0.25] {
+            let cell = cell(rate);
+            let snap = assert_matches(&cell, &reference, run)
+                .reliability
+                .expect("faulty wire keeps reliability stats");
+            if rate > 0.0 {
+                assert!(snap.corrupt_injected > 0, "{cell:?}: {snap:?}");
+                assert!(snap.corrupt_dropped > 0, "{cell:?}: {snap:?}");
+            } else {
+                assert_eq!(snap.corrupt_injected, 0, "{cell:?}: {snap:?}");
+                assert_eq!(snap.corrupt_dropped, 0, "{cell:?}: {snap:?}");
+            }
+            assert_eq!(snap.decode_errors, 0, "{cell:?}: {snap:?}");
         }
-        assert_eq!(snap.decode_errors, 0, "{protocol:?}: {snap:?}");
     }
 }
 
@@ -438,31 +261,21 @@ fn corruption_run_drops_frames_and_keeps_reports_identical() {
 fn scripted_corruption_is_exactly_reproducible() {
     use cvm_dsm::CorruptKind;
     let epochs: Vec<Vec<Op>> = vec![vec![(0, 0, true), (1, 0, false)]];
-    let plan = || {
-        FaultPlan::clean(7)
-            .with_rto(Duration::from_millis(100), Duration::from_millis(400))
-            .with_corrupt_at(ProcId(0), 1, CorruptKind::BitFlip)
-            .with_corrupt_at(ProcId(1), 2, CorruptKind::Truncate)
-            .with_corrupt_at(ProcId(1), 3, CorruptKind::GarbageTail)
+    let run = || {
+        let mut cfg = DsmConfig::new(2);
+        cfg.op_deadline = Duration::from_secs(5);
+        cfg.net_loss = Some(
+            FaultPlan::clean(7)
+                .with_rto(Duration::from_millis(100), Duration::from_millis(400))
+                .with_corrupt_at(ProcId(0), 1, CorruptKind::BitFlip)
+                .with_corrupt_at(ProcId(1), 2, CorruptKind::Truncate)
+                .with_corrupt_at(ProcId(1), 3, CorruptKind::GarbageTail),
+        );
+        run_epochs(cfg, 1, &epochs).expect("survivable corruption must not fail the run")
     };
-    let (a, snap_a) = run_program_full(
-        2,
-        Protocol::SingleWriter,
-        1,
-        &epochs,
-        Some(plan()),
-        RecoveryPolicy::Abort,
-    );
-    let (b, snap_b) = run_program_full(
-        2,
-        Protocol::SingleWriter,
-        1,
-        &epochs,
-        Some(plan()),
-        RecoveryPolicy::Abort,
-    );
-    assert_eq!(a, b);
-    let (snap_a, snap_b) = (snap_a.unwrap(), snap_b.unwrap());
+    let (a, b) = (run(), run());
+    assert_eq!(race_lines(&a), race_lines(&b));
+    let (snap_a, snap_b) = (a.reliability.unwrap(), b.reliability.unwrap());
     assert_eq!(snap_a.corrupt_injected, 3, "{snap_a:?}");
     assert_eq!(snap_a.corrupt_injected, snap_b.corrupt_injected);
     assert_eq!(snap_a.corrupt_dropped, snap_b.corrupt_dropped);

@@ -6,6 +6,7 @@
 use std::time::{Duration, Instant};
 
 use cvm_dsm::{Cluster, DsmConfig, DsmError, FaultPlan, Protocol, RunError};
+use cvm_testkit::fast_wire;
 use cvm_vclock::ProcId;
 
 /// A cluster whose node 1 is scripted to die mid-run.  The reliability
@@ -15,12 +16,7 @@ fn killed_node_config(protocol: Protocol, seed: u64) -> DsmConfig {
     let mut cfg = DsmConfig::new(3);
     cfg.protocol = protocol;
     cfg.op_deadline = Duration::from_secs(2);
-    cfg.net_loss = Some(
-        FaultPlan::clean(seed)
-            .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-            .with_max_retransmits(8)
-            .with_kill(ProcId(1), 40),
-    );
+    cfg.net_loss = Some(fast_wire(seed).with_kill(ProcId(1), 40));
     cfg
 }
 
@@ -102,12 +98,7 @@ fn assert_lock_manager_death_diagnosed(protocol: Protocol) {
     let mut cfg = DsmConfig::new(3);
     cfg.protocol = protocol;
     cfg.op_deadline = Duration::from_secs(2);
-    cfg.net_loss = Some(
-        FaultPlan::clean(31)
-            .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-            .with_max_retransmits(8)
-            .with_kill(ProcId(1), 50),
-    );
+    cfg.net_loss = Some(fast_wire(31).with_kill(ProcId(1), 50));
     let started = Instant::now();
     let result = Cluster::run(
         cfg,
@@ -156,12 +147,7 @@ fn partitioned_node_fails_the_run_within_the_deadline() {
     // prompt structured failure, not a hang.
     let mut cfg = DsmConfig::new(3);
     cfg.op_deadline = Duration::from_secs(2);
-    cfg.net_loss = Some(
-        FaultPlan::clean(13)
-            .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-            .with_max_retransmits(8)
-            .with_partition(ProcId(1), 20),
-    );
+    cfg.net_loss = Some(fast_wire(13).with_partition(ProcId(1), 20));
     let (result, elapsed) = run_barrier_loop(cfg);
     let err = result.expect_err("a partitioned node must fail the run");
     assert!(

@@ -5,7 +5,8 @@
 
 use std::time::Duration;
 
-use cvm_dsm::{Cluster, DsmConfig, FaultPlan, Protocol, RecoveryPolicy, RunReport};
+use cvm_dsm::{Cluster, DsmConfig, Protocol, RecoveryPolicy, RunError, RunReport};
+use cvm_testkit::{assert_matches, fast_wire, Fault, Reference, Scenario, Wire};
 use cvm_vclock::ProcId;
 
 const NPROCS: usize = 3;
@@ -14,17 +15,27 @@ const NPROCS: usize = 3;
 /// processes 0 and 1 both write the `Racy` word in every epoch, so every
 /// epoch's detection finds the same race and the full report sequence
 /// fingerprints the whole run.
-fn epoch_loop(h: &cvm_dsm::ProcHandle, base: cvm_page::GAddr, racy: cvm_page::GAddr) {
-    let me = h.proc();
-    let mut ep = h.epochs();
-    for i in 0..12u64 {
-        ep.step(|| {
-            h.write(base.word(me as u64), i * 100 + me as u64);
-            if me < 2 {
-                h.write(racy, i);
+fn run_epoch_loop(cfg: DsmConfig) -> Result<RunReport, RunError> {
+    Cluster::run(
+        cfg,
+        |alloc| {
+            let base = alloc.alloc("words", NPROCS as u64 * 8).unwrap();
+            let racy = alloc.alloc("Racy", 8).unwrap();
+            (base, racy)
+        },
+        |h, &(base, racy)| {
+            let me = h.proc();
+            let mut ep = h.epochs();
+            for i in 0..12u64 {
+                ep.step(|| {
+                    h.write(base.word(me as u64), i * 100 + me as u64);
+                    if me < 2 {
+                        h.write(racy, i);
+                    }
+                });
             }
-        });
-    }
+        },
+    )
 }
 
 fn base_config(protocol: Protocol) -> DsmConfig {
@@ -34,144 +45,73 @@ fn base_config(protocol: Protocol) -> DsmConfig {
     cfg
 }
 
-/// The reliability-layer wire every faulty run uses; the fault-free
-/// baseline runs over the same wire so virtual-time totals compare.
-fn reliable_wire(seed: u64) -> FaultPlan {
-    FaultPlan::clean(seed)
-        .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-        .with_max_retransmits(8)
-}
-
 /// Scripts `victim`'s death mid-run and asks for recovery.
-fn faulty_config(protocol: Protocol, victim: u16, seed: u64) -> DsmConfig {
-    let mut cfg = base_config(protocol);
-    cfg.net_loss = Some(reliable_wire(seed).with_kill(ProcId(victim), 60));
-    cfg.recovery = RecoveryPolicy::Recover { max_attempts: 3 };
-    cfg
-}
-
-fn run_epoch_loop(cfg: DsmConfig) -> RunReport {
-    Cluster::run(
-        cfg,
-        |alloc| {
-            let base = alloc.alloc("words", NPROCS as u64 * 8).unwrap();
-            let racy = alloc.alloc("Racy", 8).unwrap();
-            (base, racy)
-        },
-        |h, &(base, racy)| epoch_loop(h, base, racy),
-    )
-    .expect("run must complete")
-}
-
-/// Renders every race report against the segment map, sorted — the
-/// byte-identity fingerprint the acceptance criteria ask for.
-fn race_fingerprint(report: &RunReport) -> Vec<String> {
-    let mut rendered: Vec<String> = report
-        .races
-        .reports()
-        .iter()
-        .map(|r| format!("{:?}@{} {}", r.kind, r.epoch, r.render(&report.segments)))
-        .collect();
-    rendered.sort();
-    rendered
-}
-
-fn assert_recovers(protocol: Protocol, victim: u16) {
-    // Fault-free baseline over the same reliability-layer wire, with
-    // checkpointing on, so virtual-time totals are comparable.
-    let mut clean_cfg = base_config(protocol);
-    clean_cfg.net_loss = Some(reliable_wire(23));
-    clean_cfg.recovery = RecoveryPolicy::Recover { max_attempts: 3 };
-    let clean = run_epoch_loop(clean_cfg);
-    assert_eq!(clean.recovery.recoveries, 0, "no faults, no recoveries");
-    let recovered = run_epoch_loop(faulty_config(protocol, victim, 23));
-    assert!(
-        recovered.recovery.recoveries >= 1,
-        "{protocol:?} victim {victim}: the kill must actually trigger recovery"
-    );
-    assert!(
-        recovered.recovery.backoff_waits >= 1,
-        "{protocol:?} victim {victim}: retry attempts must back off"
-    );
-    if victim == 0 {
-        // Killing the barrier master re-seats it on the lowest survivor.
-        assert!(
-            recovered.recovery.failovers >= 1,
-            "{protocol:?} victim {victim}: master death must move the seat"
-        );
-    } else {
-        assert_eq!(
-            recovered.recovery.failovers, 0,
-            "{protocol:?} victim {victim}: a worker death must not move the seat"
-        );
+fn killed(protocol: Protocol, victim: u16) -> Scenario {
+    Scenario {
+        protocol,
+        recovery: RecoveryPolicy::Recover { max_attempts: 3 },
+        wire: Wire::Fast(23),
+        faults: vec![Fault::Kill {
+            victim,
+            at_event: 60,
+        }],
+        ..Scenario::new(NPROCS)
     }
-    assert!(
-        recovered.recovery.checkpoints_taken > 0,
-        "checkpoints must be taken under Recover"
-    );
-    assert!(
-        recovered.recovery.bytes_snapshotted > 0,
-        "snapshots must be accounted"
-    );
-    assert_eq!(
-        race_fingerprint(&clean),
-        race_fingerprint(&recovered),
-        "{protocol:?} victim {victim}: recovered race reports must be byte-identical"
-    );
-    // Restored NodeStats plus replayed epochs must add up to the full run:
-    // the recovered cluster executed every barrier exactly once from the
-    // report's point of view.
-    assert_eq!(
-        recovered.barriers(),
-        clean.barriers(),
-        "{protocol:?} victim {victim}: barrier accounting must survive recovery"
-    );
 }
 
+/// Every victim — the master, a worker, the last node — on both protocols:
+/// the recovered run's reports equal the fault-free run's, and restored
+/// statistics plus replayed epochs add up to the full run.
 #[test]
-fn worker_kill_recovers_single_writer() {
-    assert_recovers(Protocol::SingleWriter, 1);
-}
-
-#[test]
-fn worker_kill_recovers_multi_writer() {
-    assert_recovers(Protocol::MultiWriter, 1);
-}
-
-#[test]
-fn last_node_kill_recovers_single_writer() {
-    assert_recovers(Protocol::SingleWriter, 2);
-}
-
-#[test]
-fn last_node_kill_recovers_multi_writer() {
-    assert_recovers(Protocol::MultiWriter, 2);
-}
-
-#[test]
-fn master_kill_recovers_single_writer() {
-    assert_recovers(Protocol::SingleWriter, 0);
-}
-
-#[test]
-fn master_kill_recovers_multi_writer() {
-    assert_recovers(Protocol::MultiWriter, 0);
+fn kill_recovers_every_victim() {
+    for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
+        let clean = Reference::run(&killed(protocol, 0), run_epoch_loop);
+        for victim in [0u16, 1, 2] {
+            let cell = killed(protocol, victim);
+            let recovered = assert_matches(&cell, &clean, run_epoch_loop);
+            let r = recovered.recovery;
+            assert!(
+                r.recoveries >= 1,
+                "{cell:?}: the kill must trigger recovery"
+            );
+            assert!(
+                r.backoff_waits >= 1,
+                "{cell:?}: retry attempts must back off"
+            );
+            if victim == 0 {
+                // Killing the barrier master re-seats it on the lowest survivor.
+                assert!(
+                    r.failovers >= 1,
+                    "{cell:?}: master death must move the seat"
+                );
+            } else {
+                assert_eq!(
+                    r.failovers, 0,
+                    "{cell:?}: a worker death must not move the seat"
+                );
+            }
+            assert!(
+                r.checkpoints_taken > 0,
+                "{cell:?}: checkpoints under Recover"
+            );
+            assert!(
+                r.bytes_snapshotted > 0,
+                "{cell:?}: snapshots must be accounted"
+            );
+            assert_eq!(
+                recovered.barriers(),
+                clean.report.barriers(),
+                "{cell:?}: barrier accounting must survive recovery"
+            );
+        }
+    }
 }
 
 #[test]
 fn abort_policy_still_surfaces_the_failure() {
-    let mut cfg = faulty_config(Protocol::SingleWriter, 1, 23);
+    let mut cfg = killed(Protocol::SingleWriter, 1).config();
     cfg.recovery = RecoveryPolicy::Abort;
-    let err = Cluster::run(
-        cfg,
-        |alloc| {
-            let base = alloc.alloc("words", NPROCS as u64 * 8).unwrap();
-            let racy = alloc.alloc("Racy", 8).unwrap();
-            (base, racy)
-        },
-        |h, &(base, racy)| epoch_loop(h, base, racy),
-    )
-    .expect_err("Abort must not mask the kill");
+    let err = run_epoch_loop(cfg).expect_err("Abort must not mask the kill");
     assert_eq!(err.error, cvm_dsm::DsmError::NodeFailed { proc: 1 });
     assert_eq!(err.partial.recovery, cvm_dsm::RecoveryStats::default());
 }
@@ -182,23 +122,10 @@ fn exhausted_attempts_surface_the_failure() {
     // is replaced on recovery, not the broken wire), so every attempt
     // fails and the budget runs out.
     let mut cfg = base_config(Protocol::SingleWriter);
-    cfg.net_loss = Some(
-        FaultPlan::clean(5)
-            .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-            .with_max_retransmits(8)
-            .with_partition(ProcId(1), 40),
-    );
+    cfg.net_loss = Some(fast_wire(5).with_partition(ProcId(1), 40));
     cfg.recovery = RecoveryPolicy::Recover { max_attempts: 2 };
-    let err = Cluster::run(
-        cfg,
-        |alloc| {
-            let base = alloc.alloc("words", NPROCS as u64 * 8).unwrap();
-            let racy = alloc.alloc("Racy", 8).unwrap();
-            (base, racy)
-        },
-        |h, &(base, racy)| epoch_loop(h, base, racy),
-    )
-    .expect_err("a permanent partition must exhaust the attempt budget");
+    let err =
+        run_epoch_loop(cfg).expect_err("a permanent partition must exhaust the attempt budget");
     assert_eq!(err.partial.recovery.recoveries, 2, "both attempts spent");
 }
 
@@ -214,21 +141,12 @@ fn minority_master_surfaces_quorum_lost_by_name() {
     // (a minority cannot vote itself into a majority by trying again).
     let mut cfg = base_config(Protocol::SingleWriter);
     cfg.net_loss = Some(
-        reliable_wire(23)
+        fast_wire(23)
             .with_kill(ProcId(0), 60)
             .with_partition(ProcId(1), 0),
     );
     cfg.recovery = RecoveryPolicy::Recover { max_attempts: 3 };
-    let err = Cluster::run(
-        cfg,
-        |alloc| {
-            let base = alloc.alloc("words", NPROCS as u64 * 8).unwrap();
-            let racy = alloc.alloc("Racy", 8).unwrap();
-            (base, racy)
-        },
-        |h, &(base, racy)| epoch_loop(h, base, racy),
-    )
-    .expect_err("a minority-side master must not complete the run");
+    let err = run_epoch_loop(cfg).expect_err("a minority-side master must not complete the run");
     match err.error {
         cvm_dsm::DsmError::QuorumLost { got, needed } => {
             assert_eq!(needed, 2, "3-node majority is 2");
@@ -257,9 +175,9 @@ fn lock_heavy_program_recovers_with_exact_state() {
     let run = |faulty: bool| -> (RunReport, u64) {
         let mut cfg = base_config(Protocol::MultiWriter);
         cfg.net_loss = Some(if faulty {
-            reliable_wire(17).with_kill(ProcId(1), 80)
+            fast_wire(17).with_kill(ProcId(1), 80)
         } else {
-            reliable_wire(17)
+            fast_wire(17)
         });
         cfg.recovery = RecoveryPolicy::Recover { max_attempts: 3 };
         let total = std::sync::Mutex::new(0u64);

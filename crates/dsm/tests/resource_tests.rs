@@ -14,11 +14,9 @@ use cvm_dsm::{
     Cluster, DsmConfig, DsmError, FaultPlan, MemBudget, Protocol, RecoveryPolicy, RunError,
     RunReport,
 };
+use cvm_testkit::{fast_wire, race_lines, run_epochs, Op};
 use cvm_vclock::ProcId;
 use proptest::prelude::*;
-
-/// One access in one barrier epoch: `(proc, word, is_write)`.
-type Op = (usize, usize, bool);
 
 /// Runs a barrier-structured litmus program and returns the full report.
 fn run_program(
@@ -34,41 +32,7 @@ fn run_program(
     cfg.net_loss = plan;
     cfg.op_deadline = Duration::from_secs(5);
     tweak(&mut cfg);
-    Cluster::run(
-        cfg,
-        |alloc| alloc.alloc("words", (words * 8) as u64).unwrap(),
-        |h, &base| {
-            let me = h.proc();
-            let mut ep = h.epochs();
-            for (e, ops) in epochs.iter().enumerate() {
-                ep.step(|| {
-                    for &(p, w, is_write) in ops {
-                        if p % nprocs != me {
-                            continue;
-                        }
-                        let addr = base.word(w as u64);
-                        if is_write {
-                            h.write(addr, (e * 1000 + w) as u64);
-                        } else {
-                            let _ = h.read(addr);
-                        }
-                    }
-                });
-            }
-        },
-    )
-}
-
-/// Race reports rendered and sorted for schedule-independent comparison.
-fn rendered(report: &RunReport) -> Vec<String> {
-    let mut v: Vec<String> = report
-        .races
-        .reports()
-        .iter()
-        .map(|r| r.render(&report.segments))
-        .collect();
-    v.sort();
-    v
+    run_epochs(cfg, words, epochs)
 }
 
 /// A fixed racy two-epoch program: guarantees non-empty reports to compare.
@@ -97,19 +61,15 @@ proptest! {
         multi_writer in any::<bool>(),
     ) {
         let protocol = if multi_writer { Protocol::MultiWriter } else { Protocol::SingleWriter };
-        let epochs: Vec<Vec<Op>> = epochs
-            .iter()
-            .map(|ops| ops.iter().map(|&(p, w, is_w)| (p, w % words, is_w)).collect())
-            .collect();
         let clean = run_program(nprocs, protocol, words, &epochs, None, |_| {})
             .expect("clean run");
-        let baseline = rendered(&clean);
+        let baseline = race_lines(&clean);
         for capacity in [1u32, 4, 64, u32::MAX] {
             let plan = FaultPlan::clean(seed).with_link_capacity(capacity);
             let report = run_program(nprocs, protocol, words, &epochs, Some(plan), |_| {})
                 .expect("capacity alone must not fail a run");
             prop_assert_eq!(
-                &baseline, &rendered(&report),
+                &baseline, &race_lines(&report),
                 "capacity {} changed the race reports ({:?})", capacity, protocol
             );
             prop_assert!(
@@ -138,7 +98,7 @@ proptest! {
             cfg.budget = MemBudget { soft_bytes: soft, hard_bytes: u64::MAX };
         })
         .expect("soft pressure must not fail a run");
-        prop_assert_eq!(&rendered(&clean), &rendered(&squeezed));
+        prop_assert_eq!(&race_lines(&clean), &race_lines(&squeezed));
         // A byte-level soft limit this small is crossed at every close.
         prop_assert!(squeezed.resources.soft_gcs > 0, "{:?}", squeezed.resources);
     }
@@ -189,8 +149,8 @@ fn slow_consumer_is_flow_controlled_not_fatal() {
         let slowed = run_program(3, protocol, 3, &epochs, Some(plan), |_| {})
             .expect("a slow consumer must not fail a run");
         assert_eq!(
-            rendered(&clean),
-            rendered(&slowed),
+            race_lines(&clean),
+            race_lines(&slowed),
             "{protocol:?}: slow consumer changed the race reports"
         );
         assert!(
@@ -210,30 +170,25 @@ fn retention_bound_recovery_steers_to_newest_cut() {
     let epochs: Vec<Vec<Op>> = (0..6)
         .map(|e| vec![(e % 2, 0, true), ((e + 1) % 2, 0, false), (0, 1, true)])
         .collect();
-    let wire = |seed: u64| {
-        FaultPlan::clean(seed)
-            .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-            .with_max_retransmits(8)
-    };
     for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
         let recover = |cfg: &mut DsmConfig| {
             cfg.recovery = RecoveryPolicy::Recover { max_attempts: 3 };
             cfg.ckpt_retain = 1;
         };
         let clean =
-            run_program(2, protocol, 3, &epochs, Some(wire(3)), recover).expect("clean run");
+            run_program(2, protocol, 3, &epochs, Some(fast_wire(3)), recover).expect("clean run");
         let killed = run_program(
             2,
             protocol,
             3,
             &epochs,
-            Some(wire(3).with_kill(ProcId(1), 60)),
+            Some(fast_wire(3).with_kill(ProcId(1), 60)),
             recover,
         )
         .expect("recovery must absorb the kill with one retained cut");
         assert_eq!(
-            rendered(&clean),
-            rendered(&killed),
+            race_lines(&clean),
+            race_lines(&killed),
             "{protocol:?}: recovered race reports must match"
         );
         // Six epochs against a one-cut bound: eviction must have fired.

@@ -54,7 +54,10 @@ fn await_engines(rstats: &Arc<ReliabilityStats>, live: usize) {
 
 #[test]
 fn zero_loss_behaves_like_direct() {
-    let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), LossConfig::new(0.0, 1));
+    // An RTO no scheduler stall reaches: with nothing lost, no timer fires.
+    let rto = Duration::from_secs(60);
+    let plan = LossConfig::new(0.0, 1).with_rto(rto, rto);
+    let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
     send_n(&eps, 0, 1, 50);
     assert_eq!(recv_all(&eps, 1, 50), (0..50).collect::<Vec<_>>());
     let (drops, retx, dups) = rstats.snapshot();
@@ -349,6 +352,11 @@ fn capacity_one_link_delivers_in_order_with_bounded_queue() {
         rstats.credit_stalls.load(Ordering::Relaxed) > 0,
         "100 sends through a 1-deep window must stall"
     );
+    // The sender's engine lowers the gauge just after it puts the last
+    // stalled packet on the wire, so the receiver can hold all 100 first;
+    // an engine exits only with its queues empty, so read it after that.
+    drop(eps);
+    await_engines(&rstats, 0);
     assert_eq!(
         rstats.credit_stalled_now.load(Ordering::Relaxed),
         0,

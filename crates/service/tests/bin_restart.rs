@@ -3,32 +3,17 @@
 //! `--crash POINT:N` flag scripts `std::process::abort()`), restarted
 //! from the same `--data-dir`, and must converge to the same terminal
 //! status and race fingerprints as an uninterrupted run of the same
-//! spec.  `PERSIST_SEED` (the CI matrix axis) shifts both the workload
-//! seeds and which record the abort lands on.
+//! spec.  `CVM_SEED` shifts both the workload seeds and which record the
+//! abort lands on.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use cvm_service::json::{parse, Value};
 use cvm_service::CrashPoint;
-
-fn persist_seed() -> u64 {
-    std::env::var("PERSIST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-static DIR_SERIAL: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let serial = DIR_SERIAL.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("cvm-restart-{tag}-{}-{serial}", std::process::id()))
-}
+use cvm_testkit::{scratch_dir, seed};
 
 struct DaemonProc {
     child: Child,
@@ -161,7 +146,7 @@ fn image_of(client: &mut Client, job: u64, budget: Duration) -> JobImage {
 const SUBMIT: &str = r#"{"op":"submit","workload":"racy_counter","epochs":2,"nprocs":2,"seed_base":SEED,"seed_count":3}"#;
 
 fn submit_hunt(client: &mut Client) -> u64 {
-    let line = SUBMIT.replace("SEED", &persist_seed().to_string());
+    let line = SUBMIT.replace("SEED", &seed().max(1).to_string());
     let response = client.ask(&line);
     assert_eq!(
         response.get("ok").and_then(Value::as_bool),
@@ -206,7 +191,7 @@ fn crash_restart_and_compare(point: CrashPoint, reference: &JobImage) {
     // Submitted record is durable, so the admission must survive);
     // compaction-level points abort at the first compaction.
     let at = match point {
-        CrashPoint::MidRecord | CrashPoint::PostRecordPreFsync => 2 + (persist_seed() % 4),
+        CrashPoint::MidRecord | CrashPoint::PostRecordPreFsync => 2 + (seed().max(1) % 4),
         CrashPoint::MidCompaction | CrashPoint::PostSnapshotPreTrim => 1,
     };
     let crash = format!("{}:{at}", point.name());

@@ -7,11 +7,8 @@
 //! journal tail looks like, `Persist::open` lands on the longest valid
 //! prefix without panicking, and a reopened daemon converges to the
 //! same terminal statuses and race fingerprints as an uninterrupted
-//! run.  `PERSIST_SEED` (also the CI matrix axis) shifts the seeds and
-//! the scripted crash offsets.
+//! run.  `CVM_SEED` shifts the seeds and the scripted crash offsets.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use cvm_net::wire::{encode_frame, Wire};
@@ -20,28 +17,12 @@ use cvm_service::{
     CrashMode, CrashPoint, CrashSpec, Daemon, DaemonConfig, FsyncPolicy, JobId, JobPhase, JobSpec,
     JournalRecord, OutcomeImage, Persist, PersistConfig, ShadowState, Workload,
 };
+use cvm_testkit::{scratch_dir, seed};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
-
-/// The CI matrix axis: shifts workload seeds and crash offsets.
-fn persist_seed() -> u64 {
-    std::env::var("PERSIST_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-static DIR_SERIAL: AtomicU64 = AtomicU64::new(0);
-
-/// A fresh scratch directory under the system temp dir (the hermetic
-/// build has no tempfile crate).
-fn scratch_dir(tag: &str) -> PathBuf {
-    let serial = DIR_SERIAL.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("cvm-persist-{tag}-{}-{serial}", std::process::id()))
-}
 
 fn wait_all_terminal(daemon: &Daemon, budget: Duration) {
     let start = Instant::now();
@@ -278,7 +259,7 @@ proptest! {
 #[test]
 fn clean_restart_restores_results_without_recomputing() {
     let dir = scratch_dir("clean-restart");
-    let seed = persist_seed();
+    let seed = seed().max(1);
     let cfg = DaemonConfig {
         workers: 2,
         persist: PersistConfig::at(&dir),
@@ -327,7 +308,7 @@ fn clean_restart_restores_results_without_recomputing() {
 #[test]
 fn evictions_survive_restart() {
     let dir = scratch_dir("evict");
-    let seed = persist_seed();
+    let seed = seed().max(1);
     // Probe how many bytes each job's results cost, on an in-memory
     // daemon with an unbounded budget.
     let (bytes_a, bytes_both) = {
@@ -382,7 +363,7 @@ fn evictions_survive_restart() {
 /// inert, as a crash would) at `point`, then reopens the directory and
 /// checks the recovered daemon converges to `reference`.
 fn crash_and_recover(point: CrashPoint, fsync: FsyncPolicy, reference: &JobImage) {
-    let seed = persist_seed();
+    let seed = seed().max(1);
     let dir = scratch_dir(&format!("wedge-{}", point.name()));
     // Record stream for one 3-seed job: Submitted, SeedDone x3, Sealed.
     // Record-level points target records 2..=5 (never the Submitted —
@@ -440,7 +421,7 @@ fn crash_and_recover(point: CrashPoint, fsync: FsyncPolicy, reference: &JobImage
 
 #[test]
 fn crash_matrix_recovers_identical_results() {
-    let seed = persist_seed();
+    let seed = seed().max(1);
     // Uninterrupted reference: same spec, no persistence, no crash.
     let reference = {
         let daemon = Daemon::start(DaemonConfig {
@@ -469,7 +450,7 @@ fn crash_matrix_recovers_identical_results() {
 /// journal caught, the job id is present and terminal after recovery.
 #[test]
 fn no_acknowledged_job_is_silently_lost() {
-    let seed = persist_seed();
+    let seed = seed().max(1);
     let dir = scratch_dir("no-loss");
     let cfg = DaemonConfig {
         workers: 2,
@@ -533,7 +514,7 @@ fn cancellation_is_durable() {
             dwell_ms: 50,
         },
         2,
-        persist_seed(),
+        seed().max(1),
         1,
     );
     let id = daemon.submit(slow).expect("admitted");

@@ -9,9 +9,7 @@
 //! are byte-identical (by stable fingerprint) to direct
 //! [`Cluster::run`](cvm_dsm::Cluster::run) executions of the same seeds.
 //!
-//! `SERVICE_SEED` shifts every job's seed base, giving CI a cheap
-//! diversity axis across runs (same pattern as `PIPELINE_SEED` /
-//! `FAILOVER_SEED`).
+//! `CVM_SEED` shifts every job's seed base (`cvm_testkit::seed`).
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -21,12 +19,9 @@ use cvm_service::json::Value;
 use cvm_service::tcp::handle_line;
 use cvm_service::{run_direct, Daemon, DaemonConfig, JobId, JobPhase, JobSpec, KillSpec, Workload};
 
-/// Seed base for the soak, shifted by the `SERVICE_SEED` env axis.
+/// Seed base for the soak, shifted by `CVM_SEED`.
 fn seed_base() -> u64 {
-    std::env::var("SERVICE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+    cvm_testkit::seed().max(1)
 }
 
 fn wait_all_terminal(daemon: &Daemon, ids: &[JobId], budget: Duration) {

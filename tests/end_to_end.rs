@@ -3,11 +3,14 @@
 use std::time::Duration;
 
 use cvm_repro::dsm::{
-    Cluster, DetectConfig, DsmConfig, FaultPlan, Protocol, RecoveryPolicy, RunReport,
+    Cluster, DetectConfig, DsmConfig, Protocol, RecoveryPolicy, RunError, RunReport,
 };
 use cvm_repro::net::TrafficClass;
 use cvm_repro::race::OverlapStrategy;
-use cvm_repro::vclock::ProcId;
+use cvm_testkit::{
+    assert_equivalent, assert_matches, race_lines, seeded, Detection, Fault, Reference, Scenario,
+    Wire, OP_DEADLINE,
+};
 
 /// Every overlap strategy yields identical race sets on the same
 /// deterministic program.
@@ -220,28 +223,22 @@ fn consolidation_equals_barrier_detection() {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined-vs-synchronous detection matrix.
+// The equivalence matrices.
 //
+// Every cell runs `racy_epochs_body` on three processes and must report
+// races byte-identical to its `cvm_testkit` reference: the same program on
+// perfect channels, without faults, under the serial synchronous master.
 // Pipelined mode defers each epoch's detection off the barrier critical
-// path and delivers its reports one release late (flushed at run end), so
-// the contract is: byte-identical race-report *content and ordering* to
-// the synchronous run — across protocols, recovery policies, and scripted
-// faults.  Virtual time is explicitly NOT compared: overlapping detection
-// with the next epoch changes when costs are charged relative to message
-// receipt, which is the entire point of the mode.
+// path and delivers its reports one release late.  Under `Recover`, a dead
+// master's seat moves to the lowest-numbered survivor (a `MasterHandoff`
+// round pins the seat and the resume epoch), and a transient partition is
+// either bridged by retransmission or, when it outlasts the attempt,
+// deposes the master under a higher term fenced by a strict majority, the
+// deposed node rejoining from the agreed cut.  Virtual time is never
+// compared: when costs are charged is exactly what these modes change.
 // ---------------------------------------------------------------------------
 
-/// Sorted, rendered race lines: the canonical content+ordering fingerprint.
-fn race_fingerprint(report: &RunReport) -> Vec<String> {
-    let mut rendered: Vec<String> = report
-        .races
-        .reports()
-        .iter()
-        .map(|r| format!("{:?}@{} {}", r.kind, r.epoch, r.render(&report.segments)))
-        .collect();
-    rendered.sort();
-    rendered
-}
+const PROTOCOLS: [Protocol; 2] = [Protocol::SingleWriter, Protocol::MultiWriter];
 
 /// A deterministic barrier-only program racing in every one of 4 epochs:
 /// each process owns a page-sized stripe but also writes a shared clash
@@ -267,36 +264,7 @@ fn racy_epochs_body(h: &cvm_repro::dsm::ProcHandle, arr: &cvm_repro::page::GAddr
     }
 }
 
-/// Tight RTO/backoff so a scripted corpse is declared dead in
-/// milliseconds (same wire for both members of a compared pair).
-/// `PIPELINE_SEED` (CI's matrix axis) shifts every wire seed so reruns
-/// explore different loss/timing schedules without editing the test.
-fn matrix_wire(seed: u64) -> FaultPlan {
-    let base = std::env::var("PIPELINE_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0);
-    FaultPlan::clean(seed + base * 1000)
-        .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-        .with_max_retransmits(8)
-}
-
-fn matrix_cfg(protocol: Protocol, pipelined: bool, seed: Option<u64>) -> DsmConfig {
-    let mut cfg = DsmConfig::new(3);
-    cfg.protocol = protocol;
-    cfg.op_deadline = Duration::from_secs(5);
-    cfg.detect = if pipelined {
-        DetectConfig::pipelined()
-    } else {
-        DetectConfig::on()
-    };
-    if let Some(seed) = seed {
-        cfg.net_loss = Some(matrix_wire(seed));
-    }
-    cfg
-}
-
-fn run_matrix_cell(cfg: DsmConfig) -> Result<RunReport, cvm_repro::dsm::RunError> {
+fn run_racy_epochs(cfg: DsmConfig) -> Result<RunReport, RunError> {
     Cluster::run(
         cfg,
         |alloc| alloc.alloc_page_aligned("arr", 4096 * 4).unwrap(),
@@ -304,21 +272,33 @@ fn run_matrix_cell(cfg: DsmConfig) -> Result<RunReport, cvm_repro::dsm::RunError
     )
 }
 
-/// Clean runs: both protocols, Abort policy.  Pipelined reports must be
-/// byte-identical to synchronous, and the pipeline must actually engage.
+/// A cell that checkpoints every barrier and recovers over the fast wire,
+/// whose seed `CVM_SEED` moves.
+fn recovering(protocol: Protocol, detection: Detection, seed: u64, faults: Vec<Fault>) -> Scenario {
+    Scenario {
+        protocol,
+        detection,
+        recovery: RecoveryPolicy::Recover { max_attempts: 3 },
+        wire: Wire::Fast(seeded(seed)),
+        faults,
+        ..Scenario::new(3)
+    }
+}
+
+/// Clean runs: pipelined reports are byte-identical to synchronous ones,
+/// and the pipeline actually engages.
 #[test]
 fn pipelined_matches_synchronous_clean() {
-    for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
-        let sync = run_matrix_cell(matrix_cfg(protocol, false, None)).expect("sync run");
-        let piped = run_matrix_cell(matrix_cfg(protocol, true, None)).expect("pipelined run");
+    for protocol in PROTOCOLS {
+        let cell = Scenario {
+            protocol,
+            detection: Detection::Pipelined,
+            ..Scenario::new(3)
+        };
+        let (piped, sync) = assert_equivalent(&cell, run_racy_epochs);
         assert!(
             !sync.races.is_empty(),
             "{protocol:?}: the program must actually race"
-        );
-        assert_eq!(
-            race_fingerprint(&sync),
-            race_fingerprint(&piped),
-            "{protocol:?}: pipelined reports diverged"
         );
         // Same detection work, just moved off the critical path.
         assert_eq!(sync.det_stats, piped.det_stats, "{protocol:?}");
@@ -327,119 +307,58 @@ fn pipelined_matches_synchronous_clean() {
     }
 }
 
-/// Recovery runs: both protocols, `Recover` policy with a scripted worker
-/// kill, under several wire seeds.  Checkpointing makes every barrier a
-/// cut, so this also pins the gating rule: a cut must not commit before
-/// its epoch's detection drains — otherwise the restored race log (and
-/// hence the final report) would silently drop the gated epoch's races.
+/// Checkpointing runs, clean and with a scripted worker kill, under several
+/// wire seeds.  Every barrier is a cut, so this also pins the gating rule:
+/// a cut must not commit before its epoch's detection drains — otherwise
+/// the restored race log (and hence the final report) would silently drop
+/// the gated epoch's races.
 #[test]
 fn pipelined_matches_synchronous_through_recovery() {
-    for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
+    for protocol in PROTOCOLS {
         for seed in [11u64, 29, 47] {
-            let recover = |pipelined: bool, kill: bool| {
-                let mut cfg = matrix_cfg(protocol, pipelined, Some(seed));
-                cfg.recovery = RecoveryPolicy::Recover { max_attempts: 3 };
-                if kill {
-                    cfg.net_loss = Some(matrix_wire(seed).with_kill(ProcId(2), 30));
-                }
-                run_matrix_cell(cfg).expect("recovered run")
+            let kill = || {
+                vec![Fault::Kill {
+                    victim: 2,
+                    at_event: 30,
+                }]
             };
-            let sync_clean = recover(false, false);
-            let piped_clean = recover(true, false);
-            assert_eq!(
-                race_fingerprint(&sync_clean),
-                race_fingerprint(&piped_clean),
-                "{protocol:?}/seed {seed}: clean checkpointing runs diverged"
-            );
-            let sync_killed = recover(false, true);
-            let piped_killed = recover(true, true);
+            let clean = recovering(protocol, Detection::Pipelined, seed, vec![]);
+            let reference = Reference::run(&clean, run_racy_epochs);
+            assert_matches(&clean, &reference, run_racy_epochs);
+            let sync = recovering(protocol, Detection::Sync, seed, kill());
+            assert_matches(&sync, &reference, run_racy_epochs);
+            let piped = recovering(protocol, Detection::Pipelined, seed, kill());
+            let r = assert_matches(&piped, &reference, run_racy_epochs).recovery;
             assert!(
-                piped_killed.recovery.recoveries >= 1,
-                "{protocol:?}/seed {seed}: the kill must trigger recovery"
-            );
-            assert_eq!(
-                race_fingerprint(&sync_killed),
-                race_fingerprint(&piped_killed),
-                "{protocol:?}/seed {seed}: recovered runs diverged"
-            );
-            assert_eq!(
-                race_fingerprint(&sync_clean),
-                race_fingerprint(&sync_killed),
-                "{protocol:?}/seed {seed}: recovery changed the sync report"
+                r.recoveries >= 1,
+                "{piped:?}: the kill must trigger recovery"
             );
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Barrier-master failover & the fault-hardened pipeline.
-//
-// Process 0 is the barrier master and, in pipelined mode, hosts the
-// detection stage thread — killing it used to abort the whole attempt.
-// Under `RecoveryPolicy::Recover` with the default
-// `FailoverPolicy::Succession`, the lowest-numbered survivor now assumes
-// the master seat (a `MasterHandoff` round pins cluster agreement on the
-// seat and resume epoch), reconstructs detection state from the newest
-// committed cut, and resumes.  Contract: race reports byte-identical to
-// the fault-free run, with `RunReport.recovery.failovers` counting the
-// seat changes.
-// ---------------------------------------------------------------------------
-
-/// Same wire as [`matrix_wire`], but shifted by `FAILOVER_SEED` (the CI
-/// failover job's chaos axis) instead of `PIPELINE_SEED`, so the two
-/// matrices explore loss/timing schedules independently.
-fn failover_wire(seed: u64) -> FaultPlan {
-    let base = std::env::var("FAILOVER_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0);
-    FaultPlan::clean(seed + base * 1000)
-        .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-        .with_max_retransmits(8)
-}
-
-fn failover_cfg(protocol: Protocol, pipelined: bool, seed: u64) -> DsmConfig {
-    let mut cfg = matrix_cfg(protocol, pipelined, None);
-    cfg.net_loss = Some(failover_wire(seed));
-    cfg.recovery = RecoveryPolicy::Recover { max_attempts: 3 };
-    cfg
-}
-
-/// Tentpole acceptance: a scripted master kill under `Recover` completes
-/// via failover — no full-attempt abort — with byte-identical race
-/// reports in sync AND pipelined modes, and the recovery counters
-/// (failovers, backoff waits) surfaced in the report.
+/// A scripted master kill completes via failover — no full-attempt abort —
+/// in sync and pipelined modes, with the recovery counters surfaced.
 #[test]
 fn failover_master_kill_matches_clean() {
-    for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
-        for pipelined in [false, true] {
-            let clean = run_matrix_cell(failover_cfg(protocol, pipelined, 13))
-                .expect("clean checkpointing run");
-            assert_eq!(
-                clean.recovery.failovers, 0,
-                "{protocol:?}/pipelined={pipelined}: no faults, no failovers"
-            );
-            assert_eq!(clean.recovery.backoff_waits, 0);
-            let mut cfg = failover_cfg(protocol, pipelined, 13);
-            cfg.net_loss = Some(failover_wire(13).with_kill(ProcId(0), 30));
-            let failed_over = run_matrix_cell(cfg).expect("master kill must fail over, not abort");
+    for protocol in PROTOCOLS {
+        let reference = Reference::run(
+            &recovering(protocol, Detection::Sync, 13, vec![]),
+            run_racy_epochs,
+        );
+        for detection in [Detection::Sync, Detection::Pipelined] {
+            let kill = Fault::Kill {
+                victim: 0,
+                at_event: 30,
+            };
+            let cell = recovering(protocol, detection, 13, vec![kill]);
+            let r = assert_matches(&cell, &reference, run_racy_epochs).recovery;
             assert!(
-                failed_over.recovery.recoveries >= 1,
-                "{protocol:?}/pipelined={pipelined}: the kill must trigger recovery"
+                r.recoveries >= 1,
+                "{cell:?}: the kill must trigger recovery"
             );
-            assert!(
-                failed_over.recovery.failovers >= 1,
-                "{protocol:?}/pipelined={pipelined}: the master seat must move"
-            );
-            assert!(
-                failed_over.recovery.backoff_waits >= 1,
-                "{protocol:?}/pipelined={pipelined}: retries must back off"
-            );
-            assert_eq!(
-                race_fingerprint(&clean),
-                race_fingerprint(&failed_over),
-                "{protocol:?}/pipelined={pipelined}: failover changed the report"
-            );
+            assert!(r.failovers >= 1, "{cell:?}: the master seat must move");
+            assert!(r.backoff_waits >= 1, "{cell:?}: retries must back off");
         }
     }
 }
@@ -448,168 +367,105 @@ fn failover_master_kill_matches_clean() {
 /// named protocol window — the master mid-(pipelined)-compare, a worker
 /// answering the bitmap round an in-flight compare depends on, and either
 /// role inside the CkptAck→CkptGo commit window (where, in pipelined
-/// mode, the cut can be parked in the drain gate).  Every cell must
-/// recover to a byte-identical report; the master cells must fail over.
+/// mode, the cut can be parked in the drain gate).  Every cell recovers;
+/// the master cells fail over.
 #[test]
 fn failover_phase_strikes_match_clean() {
     use cvm_repro::dsm::ProtocolPhase;
-    let cells: [(u16, ProtocolPhase, u64, bool); 5] = [
-        (0, ProtocolPhase::PipelinedCompare, 1, true), // master mid-compare
-        (1, ProtocolPhase::BitmapRound, 1, true),      // worker mid-round
-        (0, ProtocolPhase::CkptWindow, 1, true),       // master, cut in drain gate
-        (1, ProtocolPhase::CkptWindow, 1, true),       // worker, cut in drain gate
-        (0, ProtocolPhase::BitmapRound, 2, false),     // master, sync detection
+    let strikes: [(u16, ProtocolPhase, u64, Detection); 5] = [
+        (0, ProtocolPhase::PipelinedCompare, 1, Detection::Pipelined), // master mid-compare
+        (1, ProtocolPhase::BitmapRound, 1, Detection::Pipelined),      // worker mid-round
+        (0, ProtocolPhase::CkptWindow, 1, Detection::Pipelined),       // master, cut in drain gate
+        (1, ProtocolPhase::CkptWindow, 1, Detection::Pipelined),       // worker, cut in drain gate
+        (0, ProtocolPhase::BitmapRound, 2, Detection::Sync),           // master, sync detection
     ];
-    for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
-        for (victim, phase, hit, pipelined) in cells {
-            let clean = run_matrix_cell(failover_cfg(protocol, pipelined, 19))
-                .expect("clean checkpointing run");
-            let mut cfg = failover_cfg(protocol, pipelined, 19);
-            cfg.net_loss = Some(failover_wire(19).with_kill_at_phase(ProcId(victim), phase, hit));
-            let struck = run_matrix_cell(cfg).expect("phase strike must recover");
-            assert!(
-                struck.recovery.recoveries >= 1,
-                "{protocol:?} P{victim}@{phase:?}#{hit}: the strike must land"
-            );
+    for protocol in PROTOCOLS {
+        let reference = Reference::run(
+            &recovering(protocol, Detection::Sync, 19, vec![]),
+            run_racy_epochs,
+        );
+        for (victim, phase, hit, detection) in strikes {
+            let strike = Fault::KillAtPhase { victim, phase, hit };
+            let cell = recovering(protocol, detection, 19, vec![strike]);
+            let r = assert_matches(&cell, &reference, run_racy_epochs).recovery;
+            assert!(r.recoveries >= 1, "{cell:?}: the strike must land");
             if victim == 0 {
-                assert!(
-                    struck.recovery.failovers >= 1,
-                    "{protocol:?} P{victim}@{phase:?}#{hit}: master strike must fail over"
-                );
+                assert!(r.failovers >= 1, "{cell:?}: master strike must fail over");
             } else {
                 assert_eq!(
-                    struck.recovery.failovers, 0,
-                    "{protocol:?} P{victim}@{phase:?}#{hit}: worker strike must not move the seat"
+                    r.failovers, 0,
+                    "{cell:?}: worker strike must not move the seat"
                 );
             }
-            assert_eq!(
-                race_fingerprint(&clean),
-                race_fingerprint(&struck),
-                "{protocol:?} P{victim}@{phase:?}#{hit}: strike changed the report"
-            );
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Partition tolerance: healing partitions, quorum-fenced succession, and
-// split-brain-safe rejoin.
-//
-// A transient partition cuts one node off the fabric for a window of its
-// own wire-datagram stream and then heals.  Short outages are bridged by
-// retransmission and never surface; long master-side outages depose the
-// seat — the survivors elect a successor under a higher term, fenced by a
-// strict-majority handoff quorum — and the deposed master rejoins from the
-// agreed checkpoint cut as a worker, its stale-term seat re-assertion
-// fenced and counted.  Contract: race reports byte-identical to the
-// fault-free run across ALL heal timings, with the partition/fencing
-// counters surfaced in `RunReport.recovery`.
-// ---------------------------------------------------------------------------
-
-/// Same wire as [`matrix_wire`], shifted by `PARTITION_SEED` (the CI
-/// partition job's chaos axis) so the partition matrix explores
-/// loss/timing schedules independently of the pipeline and failover jobs.
-fn partition_wire(seed: u64) -> FaultPlan {
-    let base = std::env::var("PARTITION_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0);
-    FaultPlan::clean(seed + base * 1000)
-        .with_rto(Duration::from_millis(2), Duration::from_millis(16))
-        .with_max_retransmits(8)
-}
-
-fn partition_cfg(protocol: Protocol, pipelined: bool, seed: u64) -> DsmConfig {
-    let mut cfg = matrix_cfg(protocol, pipelined, None);
-    cfg.net_loss = Some(partition_wire(seed));
-    cfg.recovery = RecoveryPolicy::Recover { max_attempts: 3 };
-    cfg
-}
-
-/// Tentpole acceptance: a transient master-side partition long enough to
-/// depose the seat.  The run must complete under `Recover` via quorum-
-/// fenced succession — partition, failover to the majority side, heal,
-/// old master fenced and rejoined from the cut — with race reports
-/// byte-identical to the fault-free run and every partition counter live.
+/// A transient master-side partition long enough to depose the seat
+/// completes via quorum-fenced succession — partition, failover to the
+/// majority side, heal, old master fenced and rejoined from the cut — with
+/// every partition counter live.
 #[test]
 fn partition_master_failover_fences_and_rejoins() {
-    for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
-        for pipelined in [false, true] {
-            let tag = format!("{protocol:?}/pipelined={pipelined}");
-            let clean = run_matrix_cell(partition_cfg(protocol, pipelined, 13))
-                .expect("clean checkpointing run");
-            assert_eq!(clean.recovery.partitions_healed, 0, "{tag}: clean wire");
-            assert_eq!(clean.recovery.stale_msgs_fenced, 0, "{tag}: clean wire");
-            let mut cfg = partition_cfg(protocol, pipelined, 13);
+    for protocol in PROTOCOLS {
+        let reference = Reference::run(
+            &recovering(protocol, Detection::Sync, 13, vec![]),
+            run_racy_epochs,
+        );
+        for detection in [Detection::Sync, Detection::Pipelined] {
             // The heal point is far beyond the attempt's traffic: within
             // attempt 1 the outage is effectively permanent (the peers
             // declare the master dead), and the window is observed healed
             // during the recovery backoff pause.
-            cfg.net_loss = Some(partition_wire(13).with_partition_healed(ProcId(0), 80, 100_000));
-            let healed = run_matrix_cell(cfg)
-                .expect("a transient master partition must fail over, not abort");
+            let cut = Fault::Partition {
+                victim: 0,
+                at: 80,
+                heal: 100_000,
+            };
+            let cell = recovering(protocol, detection, 13, vec![cut]);
+            let r = assert_matches(&cell, &reference, run_racy_epochs).recovery;
             assert!(
-                healed.recovery.recoveries >= 1,
-                "{tag}: the outage must trigger recovery"
-            );
-            assert!(
-                healed.recovery.failovers >= 1,
-                "{tag}: a cut master must lose the seat"
-            );
-            assert!(
-                healed.recovery.partitions_healed >= 1,
-                "{tag}: the transient window must be observed healed"
+                r.recoveries >= 1,
+                "{cell:?}: the outage must trigger recovery"
             );
             assert!(
-                healed.recovery.stale_msgs_fenced >= 1,
-                "{tag}: the deposed master's stale seat claim must be fenced"
+                r.failovers >= 1,
+                "{cell:?}: a cut master must lose the seat"
+            );
+            assert!(r.partitions_healed >= 1, "{cell:?}: the window must heal");
+            assert!(
+                r.stale_msgs_fenced >= 1,
+                "{cell:?}: the deposed master's stale seat claim must be fenced"
             );
             assert!(
-                healed.recovery.rejoin_restores >= 1,
-                "{tag}: the deposed master must rejoin from the agreed cut"
+                r.rejoin_restores >= 1,
+                "{cell:?}: the deposed master must rejoin from the agreed cut"
             );
-            assert_eq!(
-                healed.recovery.quorum_losses, 0,
-                "{tag}: the majority side never loses quorum"
-            );
-            assert_eq!(
-                race_fingerprint(&clean),
-                race_fingerprint(&healed),
-                "{tag}: the healed partition changed the report"
-            );
+            assert_eq!(r.quorum_losses, 0, "{cell:?}: the majority keeps quorum");
         }
     }
 }
 
-/// Byte-identity must hold across ALL heal timings, including outages
-/// short enough that retransmission bridges them without any recovery
-/// machinery engaging (the heal is then visible only in the counters).
+/// Byte-identity holds across all heal timings, including outages short
+/// enough that retransmission bridges them without any recovery machinery
+/// engaging (the heal is then visible only in the counters).
 #[test]
 fn partition_reports_identical_across_heal_timings() {
-    for protocol in [Protocol::SingleWriter, Protocol::MultiWriter] {
-        for pipelined in [false, true] {
-            let clean = run_matrix_cell(partition_cfg(protocol, pipelined, 29))
-                .expect("clean checkpointing run");
-            for (victim, heal_gap) in [(0u16, 12u64), (1, 12), (1, 100_000), (2, 400)] {
-                let tag =
-                    format!("{protocol:?}/pipelined={pipelined}/victim={victim}/gap={heal_gap}");
-                let mut cfg = partition_cfg(protocol, pipelined, 29);
-                cfg.net_loss = Some(partition_wire(29).with_partition_healed(
-                    ProcId(victim),
-                    40,
-                    40 + heal_gap,
-                ));
-                let healed =
-                    run_matrix_cell(cfg).expect("every heal timing must complete under Recover");
-                assert!(
-                    healed.recovery.partitions_healed >= 1,
-                    "{tag}: the window must be observed healed"
-                );
-                assert_eq!(
-                    race_fingerprint(&clean),
-                    race_fingerprint(&healed),
-                    "{tag}: heal timing changed the report"
-                );
+    for protocol in PROTOCOLS {
+        let reference = Reference::run(
+            &recovering(protocol, Detection::Sync, 29, vec![]),
+            run_racy_epochs,
+        );
+        for detection in [Detection::Sync, Detection::Pipelined] {
+            for (victim, gap) in [(0u16, 12u64), (1, 12), (1, 100_000), (2, 400)] {
+                let cut = Fault::Partition {
+                    victim,
+                    at: 40,
+                    heal: 40 + gap,
+                };
+                let cell = recovering(protocol, detection, 29, vec![cut]);
+                let r = assert_matches(&cell, &reference, run_racy_epochs).recovery;
+                assert!(r.partitions_healed >= 1, "{cell:?}: the window must heal");
             }
         }
     }
@@ -625,12 +481,15 @@ fn failover_stage_panic_surfaces_named_error() {
         RecoveryPolicy::Abort,
         RecoveryPolicy::Recover { max_attempts: 3 },
     ] {
-        let mut cfg = matrix_cfg(Protocol::SingleWriter, true, None);
-        cfg.recovery = recovery;
+        let mut cfg = Scenario {
+            detection: Detection::Pipelined,
+            recovery,
+            ..Scenario::new(3)
+        }
+        .config();
         cfg.detect.stage_panic_epoch = Some(1);
-        let deadline = cfg.op_deadline;
         let start = std::time::Instant::now();
-        let err = run_matrix_cell(cfg).expect_err("injected stage panic must fail the run");
+        let err = run_racy_epochs(cfg).expect_err("injected stage panic must fail the run");
         assert_eq!(
             err.error,
             cvm_repro::dsm::DsmError::Protocol {
@@ -639,7 +498,7 @@ fn failover_stage_panic_surfaces_named_error() {
             "{recovery:?}"
         );
         assert!(
-            start.elapsed() < deadline + Duration::from_secs(5),
+            start.elapsed() < OP_DEADLINE + Duration::from_secs(5),
             "{recovery:?}: the panic must be diagnosed promptly, not deadline out"
         );
     }
@@ -650,17 +509,25 @@ fn failover_stage_panic_surfaces_named_error() {
 /// invents races).
 #[test]
 fn pipelined_abort_kill_yields_partial_subset() {
-    let clean = run_matrix_cell(matrix_cfg(Protocol::SingleWriter, false, Some(7)))
-        .expect("clean baseline");
-    let full: Vec<String> = race_fingerprint(&clean);
-    for pipelined in [false, true] {
-        let mut cfg = matrix_cfg(Protocol::SingleWriter, pipelined, Some(7));
-        cfg.net_loss = Some(matrix_wire(7).with_kill(ProcId(1), 30));
-        let err = run_matrix_cell(cfg).expect_err("the kill must fail an Abort run");
-        for line in race_fingerprint(&err.partial) {
+    let cell = |detection, faults| Scenario {
+        detection,
+        wire: Wire::Fast(seeded(7)),
+        faults,
+        ..Scenario::new(3)
+    };
+    let clean = run_racy_epochs(cell(Detection::Sync, vec![]).config()).expect("clean baseline");
+    let full = race_lines(&clean);
+    for detection in [Detection::Sync, Detection::Pipelined] {
+        let kill = Fault::Kill {
+            victim: 1,
+            at_event: 30,
+        };
+        let err = run_racy_epochs(cell(detection, vec![kill]).config())
+            .expect_err("the kill must fail an Abort run");
+        for line in race_lines(&err.partial) {
             assert!(
                 full.contains(&line),
-                "pipelined={pipelined}: partial report invented a race: {line}"
+                "{detection:?}: partial report invented a race: {line}"
             );
         }
     }
@@ -675,37 +542,6 @@ fn pipelined_abort_kill_yields_partial_subset() {
 
 use proptest::prelude::*;
 
-/// A deterministic mixed workload (true races + false sharing + a
-/// race-free stripe) parameterized enough for the property to explore
-/// different plans and report sets.
-fn fingerprint_run(
-    nprocs: usize,
-    epochs: u64,
-    stride: u64,
-    workers: usize,
-    pipelined: bool,
-) -> std::collections::BTreeSet<u64> {
-    let mut cfg = DsmConfig::new(nprocs);
-    cfg.detect.workers = workers;
-    cfg.detect.pipelined = pipelined;
-    let report = Cluster::run(
-        cfg,
-        |alloc| alloc.alloc("arr", 8 * 128).unwrap(),
-        |h, &arr| {
-            let me = h.proc() as u64;
-            for e in 0..epochs {
-                for k in 0..4u64 {
-                    h.write(arr.word((me * stride + k * 16 + e) % 128), me + e);
-                }
-                let _ = h.read(arr.word((me + e) % 32));
-                h.barrier();
-            }
-        },
-    )
-    .expect("healthy run");
-    report.races.distinct_fingerprints()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 6,
@@ -719,12 +555,27 @@ proptest! {
         epochs in 1u64..=3,
         stride in 1u64..=5,
     ) {
-        let reference = fingerprint_run(nprocs, epochs, stride, 1, false);
-        for workers in [2usize, 4] {
-            let got = fingerprint_run(nprocs, epochs, stride, workers, false);
-            prop_assert_eq!(&got, &reference, "workers={} diverged", workers);
+        // A deterministic mixed workload: true races, false sharing and a
+        // race-free stripe, varied enough to explore plans and report sets.
+        let run = |cfg: DsmConfig| {
+            Cluster::run(
+                cfg,
+                |alloc| alloc.alloc("arr", 8 * 128).unwrap(),
+                |h, &arr| {
+                    let me = h.proc() as u64;
+                    for e in 0..epochs {
+                        for k in 0..4u64 {
+                            h.write(arr.word((me * stride + k * 16 + e) % 128), me + e);
+                        }
+                        let _ = h.read(arr.word((me + e) % 32));
+                        h.barrier();
+                    }
+                },
+            )
+        };
+        let reference = Reference::run(&Scenario::new(nprocs), run);
+        for detection in [Detection::Workers(2), Detection::Workers(4), Detection::Pipelined] {
+            assert_matches(&Scenario { detection, ..Scenario::new(nprocs) }, &reference, run);
         }
-        let piped = fingerprint_run(nprocs, epochs, stride, 0, true);
-        prop_assert_eq!(&piped, &reference, "pipelined master diverged");
     }
 }
