@@ -33,6 +33,7 @@ use cvm_vclock::ProcId;
 use parking_lot::Mutex;
 
 use crate::error::DsmError;
+use crate::node::NodeCore;
 use crate::pages::Node;
 
 /// How often blocked application threads re-check the failure cell.
@@ -157,22 +158,27 @@ pub(crate) fn die(ctl: &ClusterCtl, err: DsmError) -> ! {
     unwind();
 }
 
+/// A `Disconnected` send outside teardown means *this* node's wire
+/// endpoint is gone — a scripted kill landing mid-protocol.  Every thread
+/// that sends for node `me` (application, service, detection stage, the
+/// driver's handoff round) names the death through here, so the failure is
+/// the retryable [`DsmError::NodeFailed`] rather than a raw network error.
+pub(crate) fn name_own_death(err: DsmError, me: ProcId) -> DsmError {
+    match err {
+        DsmError::Net(cvm_net::NetError::Disconnected) => DsmError::NodeFailed { proc: me.0 },
+        other => other,
+    }
+}
+
 /// Checks an application-side protocol result: `Ok` and teardown-time
-/// errors pass, anything else fails the run and unwinds.
-///
-/// A `Disconnected` send outside teardown means *our own* node's wiring is
-/// gone (a scripted kill): report it as this node's death, not a generic
-/// network error.
+/// errors pass, anything else fails the run (naming our own death) and
+/// unwinds.
 pub(crate) fn check(node: &Node, me: ProcId, result: Result<(), DsmError>) {
     let Err(err) = result else { return };
     if node.ctl.tearing_down() {
         return;
     }
-    let err = match err {
-        DsmError::Net(cvm_net::NetError::Disconnected) => DsmError::NodeFailed { proc: me.0 },
-        other => other,
-    };
-    die(&node.ctl, err);
+    die(&node.ctl, name_own_death(err, me));
 }
 
 /// Blocks an application thread on a one-shot reply channel, polling the
@@ -202,6 +208,15 @@ pub(crate) fn await_signal(
                 die(&node.ctl, DsmError::NodeFailed { proc: me.0 });
             }
         }
+    }
+}
+
+/// Polls `node`'s protocol state until `done` holds or `limit` passes.
+/// The driver's bounded waits on the master (the handoff quorum, the
+/// pipelined run-end drain) go through here.
+pub(crate) fn await_state(node: &Node, limit: Instant, done: impl Fn(&NodeCore) -> bool) {
+    while !done(&node.state.lock()) && Instant::now() < limit {
+        std::thread::sleep(APP_POLL);
     }
 }
 

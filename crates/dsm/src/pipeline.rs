@@ -56,7 +56,7 @@ use cvm_vclock::{IntervalId, ProcId, VClock};
 
 use crate::config::DetectConfig;
 use crate::error::DsmError;
-use crate::fault::SERVICE_POLL;
+use crate::fault::{name_own_death, SERVICE_POLL};
 use crate::msg::Msg;
 use crate::node::NodeCore;
 use crate::pages::Node;
@@ -292,6 +292,7 @@ pub(crate) fn detection_stage(
 ) {
     let detector = EpochDetector::from(detect);
     let mut arena = EpochArena::new();
+    let me = node.state.lock().proc;
     loop {
         match rx.recv_timeout(SERVICE_POLL) {
             Ok(job) => {
@@ -313,7 +314,7 @@ pub(crate) fn detection_stage(
                     if node.ctl.tearing_down() {
                         return;
                     }
-                    node.ctl.fail(err);
+                    node.ctl.fail(name_own_death(err, me));
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -482,4 +483,48 @@ fn complete_detection(
         return start_epoch(st, node, arrived, records);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use cvm_net::{NetConfig, Network};
+    use parking_lot::Mutex;
+
+    use super::*;
+    use crate::barrier::BarrierMaster;
+    use crate::config::DsmConfig;
+    use crate::fault::ClusterCtl;
+
+    #[test]
+    fn stage_names_its_own_death_when_a_send_fails() {
+        // The master's first bitmap request finds no wire behind it, as
+        // when a kill lands on the master mid-round.  The stage must record
+        // the master's death, which recovery retries, not the raw
+        // `Net(Disconnected)`, which it does not.
+        let (mut eps, _) = Network::new(3, NetConfig::default());
+        let ep0 = eps.remove(0);
+        drop(eps);
+        let cfg = DsmConfig::new(3);
+        let mut core = NodeCore::new(cfg.clone(), ProcId(0));
+        let (pipe_tx, _pipe_rx) = crossbeam::channel::unbounded();
+        let mut bm = BarrierMaster::new(3);
+        bm.pipe = Some(PipelineState::new(pipe_tx));
+        core.barrier = Some(bm);
+        let node = Node {
+            state: Mutex::new(core),
+            sender: ep0.sender(),
+            ctl: Arc::new(ClusterCtl::new()),
+        };
+        // Two concurrent writes of page 0 by the workers: both bitmaps are
+        // remote, so the round must send before it can compare.
+        let records = vec![
+            Arc::new(cvm_race::make_interval(1, 1, vec![0, 1, 0], &[0], &[])),
+            Arc::new(cvm_race::make_interval(2, 1, vec![0, 0, 1], &[0], &[])),
+        ];
+        let (tx, rx) = crossbeam::channel::unbounded();
+        tx.send(Job::Detect { epoch: 0, records }).unwrap();
+        drop(tx);
+        detection_stage(&node, &rx, DetectConfig::on(), cfg.geometry);
+        assert_eq!(node.ctl.failure(), Some(DsmError::NodeFailed { proc: 0 }));
+    }
 }

@@ -180,6 +180,20 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// Whether the event is spent once the attempt it struck has failed:
+    /// a kill or phase strike has fired (the replacement node must not die
+    /// again), and a healing partition window has healed by the time a
+    /// retry starts (the retry backoff outlasts the scripted outage).
+    pub fn fires_once(&self) -> bool {
+        match self {
+            FaultEvent::Kill { .. } | FaultEvent::KillAtPhase { .. } => true,
+            FaultEvent::Partition { heal_at, .. } => heal_at.is_some(),
+            FaultEvent::CorruptAt { .. } | FaultEvent::SlowConsumer { .. } => false,
+        }
+    }
+}
+
 /// Wire fault model: seeded, deterministic fault injection plus the
 /// retransmission-policy knobs of the reliability protocol.
 ///
@@ -396,6 +410,39 @@ impl FaultPlan {
         });
         self
     }
+
+    /// Disarms every event that [fires once](FaultEvent::fires_once) and
+    /// returns how many partition windows that heals (each counted here,
+    /// once, because the engine that would have seen it heal is gone).
+    pub fn strip_fired(&mut self) -> u64 {
+        let healed = self
+            .events
+            .iter()
+            .filter(|e| matches!(e, FaultEvent::Partition { .. }) && e.fires_once())
+            .count() as u64;
+        self.events.retain(|e| !e.fires_once());
+        healed
+    }
+
+    /// Whether the plan partitions `target`'s interface at any point.
+    pub fn cuts(&self, target: ProcId) -> bool {
+        self.events
+            .iter()
+            .any(|e| matches!(*e, FaultEvent::Partition { node, .. } if node == target))
+    }
+
+    /// The `(phase, hit)` strikes the plan aims at `target`.
+    pub fn phase_strikes(&self, target: ProcId) -> Vec<(ProtocolPhase, u64)> {
+        self.events
+            .iter()
+            .filter_map(|e| match *e {
+                FaultEvent::KillAtPhase { node, phase, hit } if node == target => {
+                    Some((phase, hit))
+                }
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 /// Counters kept by the reliability layer.
@@ -499,15 +546,6 @@ impl ReliabilityStats {
     /// The shared gauge the fabric's metered links feed.
     pub(crate) fn link_gauge(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.link_high_water)
-    }
-
-    /// Snapshot of `(data wire drops, retransmissions, duplicates)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.wire_drops.load(Ordering::Relaxed),
-            self.retransmissions.load(Ordering::Relaxed),
-            self.duplicates.load(Ordering::Relaxed),
-        )
     }
 
     /// Full snapshot of every counter.
@@ -1674,6 +1712,32 @@ mod tests {
                 at_event: 100
             }
         ));
+    }
+
+    #[test]
+    fn fault_plan_rules_between_attempts() {
+        let mut plan = FaultPlan::new(0.1, 9)
+            .with_kill(ProcId(2), 100)
+            .with_kill_at_phase(ProcId(0), ProtocolPhase::CkptWindow, 1)
+            .with_kill_at_phase(ProcId(0), ProtocolPhase::BitmapRound, 2)
+            .with_partition_healed(ProcId(1), 10, 20)
+            .with_partition(ProcId(1), 40)
+            .with_slow_consumer(ProcId(2), 0, Duration::from_millis(1))
+            .with_corrupt_at(ProcId(0), 3, CorruptKind::Truncate);
+        assert_eq!(
+            plan.phase_strikes(ProcId(0)),
+            vec![
+                (ProtocolPhase::CkptWindow, 1),
+                (ProtocolPhase::BitmapRound, 2)
+            ]
+        );
+        assert!(plan.phase_strikes(ProcId(1)).is_empty());
+        assert!(plan.cuts(ProcId(1)) && !plan.cuts(ProcId(0)));
+        assert_eq!(plan.strip_fired(), 1, "one healing window");
+        assert_eq!(plan.events.len(), 3, "the permanent faults stay armed");
+        assert!(plan.events.iter().all(|e| !e.fires_once()));
+        assert!(plan.cuts(ProcId(1)), "the permanent partition still cuts");
+        assert_eq!(plan.strip_fired(), 0, "a heal is counted once");
     }
 
     #[test]

@@ -60,8 +60,11 @@ fn zero_loss_behaves_like_direct() {
     let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
     send_n(&eps, 0, 1, 50);
     assert_eq!(recv_all(&eps, 1, 50), (0..50).collect::<Vec<_>>());
-    let (drops, retx, dups) = rstats.snapshot();
-    assert_eq!((drops, retx, dups), (0, 0, 0));
+    let snap = rstats.full();
+    assert_eq!(
+        (snap.wire_drops, snap.retransmissions, snap.duplicates),
+        (0, 0, 0)
+    );
 }
 
 #[test]
@@ -85,9 +88,12 @@ fn heavy_loss_still_delivers_everything_in_order() {
         }
         assert_eq!(got0, (0..200).collect::<Vec<_>>(), "seed {seed}");
         assert_eq!(got1, (0..200).collect::<Vec<_>>(), "seed {seed}");
-        let (drops, retx, _) = rstats.snapshot();
-        assert!(drops > 0, "the wire must actually drop");
-        assert!(retx > 0, "drops must be repaired by retransmission");
+        let snap = rstats.full();
+        assert!(snap.wire_drops > 0, "the wire must actually drop");
+        assert!(
+            snap.retransmissions > 0,
+            "drops must be repaired by retransmission"
+        );
     }
 }
 
@@ -101,9 +107,8 @@ fn duplicates_are_suppressed() {
     // Nothing further arrives even after retransmission windows pass.
     std::thread::sleep(std::time::Duration::from_millis(20));
     assert!(eps[1].try_recv().is_err(), "duplicate leaked to the app");
-    let (_, _, dups) = rstats.snapshot();
-    // (dups counts suppressed copies; with 30% ACK loss there are some.)
-    let _ = dups;
+    // (duplicates counts suppressed copies; with 30% ACK loss there are some.)
+    let _ = rstats.full().duplicates;
 }
 
 #[test]
@@ -125,7 +130,7 @@ fn loss_pattern_is_reproducible_per_seed() {
         // Shut the fabric down so the drop count is final.
         drop(eps);
         await_engines(&rstats, 0);
-        rstats.snapshot().0
+        rstats.full().wire_drops
     };
     // The wire-drop sequence for the initial transmissions is seed-driven;
     // retransmission timing adds wall-clock noise, so compare only that
@@ -400,9 +405,12 @@ fn credit_window_is_invisible_to_loss_repair() {
             (0..80).collect::<Vec<_>>(),
             "capacity {capacity}"
         );
-        let (drops, retx, _) = rstats.snapshot();
-        assert!(drops > 0, "the wire must actually drop");
-        assert!(retx > 0, "drops must be repaired under a finite window");
+        let snap = rstats.full();
+        assert!(snap.wire_drops > 0, "the wire must actually drop");
+        assert!(
+            snap.retransmissions > 0,
+            "drops must be repaired under a finite window"
+        );
         use std::sync::atomic::Ordering;
         assert!(rstats.queue_high_water.load(Ordering::Relaxed) <= u64::from(capacity));
     }

@@ -1,10 +1,9 @@
 //! The race-hunt daemon: admission, lifecycle, queries, graceful drain.
 //!
-//! A [`Daemon`] owns the job table (the [`StateMap`] idiom), the bounded
-//! [`ResultStore`], and the supervised [`WorkerPool`].  It is cheaply
-//! cloneable — every front end (in-process handles, the TCP listener's
-//! connection threads) holds a clone and the shared interior does the
-//! synchronization.
+//! A [`Daemon`] owns the job table, the bounded [`ResultStore`], and the
+//! supervised [`WorkerPool`].  It is cheaply cloneable — every front end
+//! (in-process handles, the TCP listener's connection threads) holds a
+//! clone and the shared interior does the synchronization.
 //!
 //! Admission is *bounded*: at most `queue_capacity` jobs may be
 //! non-terminal at once; excess submissions are rejected with
@@ -12,6 +11,7 @@
 //! the daemon's memory and latency under overload a function of its
 //! configuration, not its callers.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +22,6 @@ use parking_lot::Mutex;
 use crate::job::{JobId, JobSnapshot, JobSpec, JobState};
 use crate::persist::{JournalRecord, OutcomeImage, Persist, PersistConfig, PersistStatsSnapshot};
 use crate::pool::{PoolStatsSnapshot, SeedTask, WorkerPool};
-use crate::statemap::StateMap;
 use crate::store::{JobRaces, ResultStore, StoreStats};
 
 /// Daemon sizing knobs.
@@ -112,7 +111,9 @@ pub struct DrainReport {
 
 struct DaemonInner {
     cfg: DaemonConfig,
-    jobs: StateMap<JobId, JobState>,
+    /// Every admitted job, in submission order.  Never held across a
+    /// journal record or a pool submission.
+    jobs: Mutex<BTreeMap<JobId, Arc<JobState>>>,
     store: Arc<ResultStore>,
     persist: Arc<Persist>,
     pool: Mutex<WorkerPool>,
@@ -171,14 +172,15 @@ impl Daemon {
         );
 
         let pool = WorkerPool::new(cfg.workers, Arc::clone(&store), Arc::clone(&persist));
-        let jobs: StateMap<JobId, JobState> = StateMap::new();
+        let mut jobs = BTreeMap::new();
 
         // Rebuild job lifecycle state and collect the seeds still owed.
         let mut pending: Vec<SeedTask> = Vec::new();
         let mut recovered_jobs = 0u64;
         for (&id, sj) in &shadow.jobs {
             let id = JobId(id);
-            let job = jobs.insert(id, JobState::new(id, sj.spec.clone()));
+            let job = Arc::new(JobState::new(id, sj.spec.clone()));
+            jobs.insert(id, Arc::clone(&job));
             job.mark_recovered();
             if !sj.order.is_empty() {
                 job.note_started();
@@ -231,7 +233,7 @@ impl Daemon {
             inner: Arc::new(DaemonInner {
                 next_id: AtomicU64::new(shadow.next_job.max(1)),
                 cfg,
-                jobs,
+                jobs: Mutex::new(jobs),
                 store,
                 persist,
                 pool: Mutex::new(pool),
@@ -270,7 +272,8 @@ impl Daemon {
                 });
             }
             let id = JobId(inner.next_id.fetch_add(1, Ordering::SeqCst));
-            let job = inner.jobs.insert(id, JobState::new(id, spec));
+            let job = Arc::new(JobState::new(id, spec));
+            inner.jobs.lock().insert(id, Arc::clone(&job));
             // Write-ahead: the admission is durable before any seed runs.
             inner.persist.record(&JournalRecord::Submitted {
                 job: id,
@@ -295,7 +298,7 @@ impl Daemon {
     /// Status snapshot of `id`, with the store's distinct-race count
     /// folded in.
     pub fn status(&self, id: JobId) -> Option<JobSnapshot> {
-        let job = self.inner.jobs.get(&id)?;
+        let job = self.inner.jobs.lock().get(&id).cloned()?;
         let mut snap = job.snapshot();
         snap.distinct_races = self.inner.store.distinct_count(id);
         Some(snap)
@@ -305,9 +308,9 @@ impl Daemon {
     pub fn jobs(&self) -> Vec<JobSnapshot> {
         self.inner
             .jobs
-            .entries()
-            .into_iter()
-            .map(|(id, job)| {
+            .lock()
+            .iter()
+            .map(|(&id, job)| {
                 let mut snap = job.snapshot();
                 snap.distinct_races = self.inner.store.distinct_count(id);
                 snap
@@ -319,16 +322,14 @@ impl Daemon {
     /// jobs are unaffected (cancel is idempotent and never regresses a
     /// phase).
     pub fn cancel(&self, id: JobId) -> bool {
-        match self.inner.jobs.get(&id) {
-            Some(job) => {
-                self.inner
-                    .persist
-                    .record(&JournalRecord::Cancelled { job: id });
-                job.cancel();
-                true
-            }
-            None => false,
-        }
+        let Some(job) = self.inner.jobs.lock().get(&id).cloned() else {
+            return false;
+        };
+        self.inner
+            .persist
+            .record(&JournalRecord::Cancelled { job: id });
+        job.cancel();
+        true
     }
 
     /// Deduplicated races of `id`: `None` while unknown or evicted.
@@ -371,7 +372,7 @@ impl Daemon {
         // Cancel whatever outlived the deadline; their runs drain via the
         // cancellation token within the pool's supervision bounds.
         let mut cancelled = 0usize;
-        for (_, job) in inner.jobs.entries() {
+        for job in inner.jobs.lock().values() {
             if !job.is_terminal() {
                 job.cancel();
                 cancelled += 1;
@@ -392,12 +393,8 @@ impl Daemon {
     }
 
     fn active_jobs(&self) -> usize {
-        self.inner
-            .jobs
-            .entries()
-            .iter()
-            .filter(|(_, job)| !job.is_terminal())
-            .count()
+        let jobs = self.inner.jobs.lock();
+        jobs.values().filter(|j| !j.is_terminal()).count()
     }
 }
 

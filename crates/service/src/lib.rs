@@ -40,7 +40,6 @@ pub mod job;
 pub mod json;
 pub mod persist;
 pub mod pool;
-pub mod statemap;
 pub mod store;
 pub mod tcp;
 pub mod workload;
@@ -52,7 +51,6 @@ pub use persist::{
     PersistConfig, PersistStatsSnapshot, ShadowState,
 };
 pub use pool::PoolStatsSnapshot;
-pub use statemap::StateMap;
 pub use store::{DedupedRace, JobRaces, ResultStore, StoreStats};
 pub use tcp::{TcpFrontEnd, TcpTuning};
 pub use workload::{build_config, run_direct, FaultSpec, KillSpec, Workload};
