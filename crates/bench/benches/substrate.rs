@@ -1,15 +1,18 @@
 //! Criterion micro-benchmarks of the substrates: bitmaps, diffs, the wire
-//! codec, the shared access path (words and runs), and a whole small cluster
-//! run (lock hand-off latency).
+//! codec, the shared access path (words and runs), round trips through the
+//! reliability engine over a corrupting wire, and a whole small cluster run
+//! (lock hand-off latency).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cvm_dsm::{Cluster, DsmConfig, Msg};
 use cvm_net::wire::{crc32c, Wire};
+use cvm_net::{ByteBreakdown, Endpoint, FaultPlan, NetConfig, Network, TrafficClass};
 use cvm_page::{Bitmap, Diff, PageId};
 use cvm_race::make_interval;
-use cvm_vclock::VClock;
+use cvm_vclock::{ProcId, VClock};
 use std::hint::black_box;
 use std::sync::Mutex;
+use std::time::Duration;
 
 fn bench_bitmap_ops(c: &mut Criterion) {
     let mut a = Bitmap::new(1024);
@@ -124,6 +127,49 @@ fn bench_lock_handoff(c: &mut Criterion) {
     });
 }
 
+fn send(ep: &Endpoint, dst: u16, payload: Vec<u8>) {
+    let len = payload.len() as u64;
+    ep.sender()
+        .send(
+            ProcId(dst),
+            0,
+            ByteBreakdown::single(TrafficClass::Data, len),
+            payload,
+        )
+        .expect("peer alive");
+}
+
+/// 64 request/reply round trips between two nodes through the reliability
+/// engine, over a wire that damages 5 % of frames (RTO 2/16 ms): the cost
+/// of repairing a damaged frame, which a clean hop does not see.
+fn bench_reliable_echo(c: &mut Criterion) {
+    let plan = FaultPlan::clean(2028)
+        .with_corruption(0.05)
+        .with_rto(Duration::from_millis(2), Duration::from_millis(16));
+    let (mut eps, _, _) = Network::with_loss(2, NetConfig::default(), plan);
+    let echo = eps.pop().expect("two endpoints");
+    let ping = eps.pop().expect("two endpoints");
+    // An empty payload ends the echo.
+    let echoer = std::thread::spawn(move || {
+        while let Ok(pkt) = echo.recv() {
+            if pkt.payload.is_empty() {
+                break;
+            }
+            send(&echo, 0, pkt.payload);
+        }
+    });
+    c.bench_function("reliable_echo_corrupt_x64", |b| {
+        b.iter(|| {
+            for _ in 0..64 {
+                send(&ping, 1, vec![1; 64]);
+                black_box(ping.recv().expect("echo"));
+            }
+        })
+    });
+    send(&ping, 1, Vec::new());
+    echoer.join().expect("echo thread");
+}
+
 /// One resident 512-word page read and written with detection on: a word at
 /// a time (512 trips through the access path) and as one run.
 fn bench_shared_access(c: &mut Criterion) {
@@ -172,6 +218,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_bitmap_ops, bench_diff, bench_codec, bench_shared_access, bench_lock_handoff
+    targets = bench_bitmap_ops, bench_diff, bench_codec, bench_shared_access, bench_reliable_echo,
+        bench_lock_handoff
 }
 criterion_main!(benches);

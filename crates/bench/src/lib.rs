@@ -228,8 +228,14 @@ pub fn wire_summary(r: &RunReport) -> String {
         return "reliable transport (no wire)".to_string();
     };
     format!(
-        "{} frames corrupted / {} dropped by checksum / {} quarantined by decode / {} retransmissions",
-        s.corrupt_injected, s.corrupt_dropped, s.decode_errors, s.retransmissions
+        "{} frames corrupted / {} dropped by checksum / {} quarantined by decode / \
+         {} NAKs / {} repairs / {} retransmissions",
+        s.corrupt_injected,
+        s.corrupt_dropped,
+        s.decode_errors,
+        s.naks,
+        s.repairs,
+        s.retransmissions
     )
 }
 
@@ -311,6 +317,8 @@ mod tests {
         let line = wire_summary(&on);
         assert!(line.contains("dropped by checksum"), "{line}");
         let snap = on.reliability.expect("faulty wire keeps stats");
+        let repair = format!("{} NAKs / {} repairs", snap.naks, snap.repairs);
+        assert!(line.contains(&repair), "{line}");
         assert!(snap.corrupt_injected > 0, "{snap:?}");
         assert_eq!(snap.decode_errors, 0, "{snap:?}");
     }

@@ -188,7 +188,11 @@ fn lossy_wire_does_not_fail_healthy_runs() {
     assert!(report.races.is_empty());
     let reliability = report.reliability.expect("lossy runs carry stats");
     assert!(reliability.wire_drops > 0, "the wire must actually drop");
-    assert!(reliability.retransmissions > 0, "drops must be repaired");
+    // Gap NAKs can repair every drop before a retransmission timer fires.
+    assert!(
+        reliability.retransmissions + reliability.repairs > 0,
+        "drops must be repaired"
+    );
 }
 
 #[test]

@@ -16,14 +16,24 @@
 //!   behind a magic/length/CRC-32C header
 //!   ([`encode_frame`](crate::wire::encode_frame)/
 //!   [`decode_frame`](crate::wire::decode_frame)), so corruption is
-//!   *detected* at the receiver and turned into an ordinary loss that the
-//!   retransmit path repairs;
+//!   *detected* at the receiver, which discards the frame and asks its
+//!   sender for a repair;
 //! * per-flow sequence numbers with cumulative ACKs;
 //! * receiver-side reordering and duplicate suppression;
+//! * negative acknowledgements: a receiver sends `NAK(upto)` — its
+//!   cumulative ACK for the sender's flow — when a frame fails the
+//!   checksum (the sender is known from the datagram's source address,
+//!   which the damage cannot touch) and when a data datagram reveals a
+//!   sequence gap (once per gap).  The sender takes it as an ACK, resends
+//!   what is still unacknowledged above `upto` — each datagram at most
+//!   once per retransmission-timer period, without spending its
+//!   retransmit budget — and re-sends its own ACK of the NAKer's flow, in
+//!   case that was the damaged frame.  One round trip instead of one RTO;
 //! * timer-driven retransmission with exponential backoff, jitter, and a
 //!   cap, plus a max-retransmit threshold that declares the peer *dead*
 //!   (surfaced as [`NetEvent::PeerDead`](crate::NetEvent)) instead of
-//!   retrying forever.
+//!   retrying forever.  The timer is the backstop NAKs cannot replace: a
+//!   lost tail datagram reveals no gap.
 //!
 //! The application-facing API is unchanged: [`Network::with_loss`] hands
 //! out the same [`Endpoint`]s/[`NetSender`]s, so the whole DSM (and the
@@ -34,16 +44,18 @@
 //!
 //! Every fault decision — including whether a frame is corrupted and
 //! which mutation it receives — is a pure splitmix64-style hash of the
-//! plan seed and the *identity* of the datagram — `(link, sequence,
-//! attempt)` for data, `(link, cumulative-ack value)` for ACKs — never of
-//! wall-clock time or call order.  A given `(FaultPlan, seed)` therefore
-//! reproduces the exact same drop/dup/delay/corrupt/kill sequence for the
-//! same traffic, which
-//! keeps record/replay and the bit-identical parallel detector epoch
-//! intact.  Data-loss decisions are fully order-independent; ACK loss
-//! ([`FaultPlan::ack_drop_rate`], off by default) is keyed by the
-//! cumulative-ack *value*, whose emission set can shift with retransmission
-//! timing — determinism tests should leave it at zero.
+//! plan seed and the *identity* of the datagram copy — `(link, sequence,
+//! attempt, repair ordinal)` for data, `(link, cumulative-ack value, copy
+//! ordinal of that value)` for ACKs and NAKs — never of wall-clock time or
+//! call order.  Every copy draws its own dice: a copy that fails does not
+//! doom the next one.  A given `(FaultPlan, seed)` therefore reproduces
+//! the exact same drop/dup/delay/corrupt/kill sequence for the same
+//! traffic, which keeps record/replay and the bit-identical parallel
+//! detector epoch intact.  *Which* copies exist is another matter:
+//! retransmissions fire on wall-clock timers, and repairs and re-sent
+//! ACKs follow NAKs that race them, so their counts are timing-dependent.
+//! A wire with no loss, corruption, delay or reordering sends no NAK and,
+//! within the RTO, no retransmission; determinism tests pin that regime.
 //!
 //! [`Endpoint`]: crate::Endpoint
 //! [`NetSender`]: crate::NetSender
@@ -139,7 +151,7 @@ pub enum FaultEvent {
     },
     /// The `at_frame`-th frame `node` puts on the wire (1-based, counting
     /// data and ACKs alike) is mutated with `kind` before transmission.
-    /// The receiver's integrity check rejects it like a loss.
+    /// The receiver's integrity check rejects it and NAKs the sender.
     CorruptAt {
         /// The node whose outgoing frame is corrupted.
         node: ProcId,
@@ -203,9 +215,9 @@ impl FaultEvent {
 pub struct FaultPlan {
     /// Probability in `[0, 1)` that any single *data* datagram is lost.
     pub drop_rate: f64,
-    /// Probability in `[0, 1)` that an ACK datagram is lost.  Off by
-    /// default: ACK loss decisions are keyed by the cumulative-ack value,
-    /// which can shift with retransmission timing (see module docs).
+    /// Probability in `[0, 1)` that an ACK or NAK datagram is lost.  Off
+    /// by default: which control copies are sent shifts with
+    /// retransmission timing (see module docs).
     pub ack_drop_rate: f64,
     /// Probability in `[0, 1)` that a datagram is duplicated on the wire.
     pub dup_rate: f64,
@@ -216,8 +228,8 @@ pub struct FaultPlan {
     pub reorder_rate: f64,
     /// Probability in `[0, 1)` that a datagram's bytes are mutated on the
     /// wire (seeded bit-flip, truncation, or garbage tail, chosen per
-    /// datagram).  The receiver's frame checksum rejects the damage, so a
-    /// corrupted datagram behaves exactly like a lost one.
+    /// datagram).  The receiver's frame checksum rejects the damage and
+    /// NAKs the sender, so a corrupted datagram costs one round trip.
     pub corrupt_rate: f64,
     /// Seeded per-datagram extra wire delay, uniform in `[min, max]`.
     pub delay: Option<(Duration, Duration)>,
@@ -288,7 +300,8 @@ impl FaultPlan {
         self
     }
 
-    /// Enables ACK loss at `rate` (see the determinism caveat above).
+    /// Enables ACK and NAK loss at `rate` (see the determinism caveat
+    /// above).
     #[must_use]
     pub fn with_ack_loss(mut self, rate: f64) -> Self {
         assert!((0.0..1.0).contains(&rate), "ack drop rate out of range");
@@ -314,7 +327,7 @@ impl FaultPlan {
 
     /// Enables seeded payload corruption at `rate`: each hit datagram gets
     /// a bit-flip, truncation, or garbage tail (chosen by the same keyed
-    /// dice), which the receiver's checksum turns into a plain loss.
+    /// dice), which the receiver's checksum rejects and NAKs.
     #[must_use]
     pub fn with_corruption(mut self, rate: f64) -> Self {
         assert!((0.0..1.0).contains(&rate), "corrupt rate out of range");
@@ -450,10 +463,14 @@ impl FaultPlan {
 pub struct ReliabilityStats {
     /// Data datagrams dropped by the simulated wire.
     pub wire_drops: AtomicU64,
-    /// ACK datagrams dropped by the simulated wire.
+    /// ACK and NAK datagrams dropped by the simulated wire.
     pub ack_drops: AtomicU64,
-    /// Data retransmissions performed.
+    /// Data retransmissions fired by the retransmission timer.
     pub retransmissions: AtomicU64,
+    /// NAKs sent by receivers (for damaged frames and sequence gaps).
+    pub naks: AtomicU64,
+    /// Data datagrams resent in answer to a NAK.
+    pub repairs: AtomicU64,
     /// Duplicate data datagrams suppressed at receivers.
     pub duplicates: AtomicU64,
     /// Duplicate datagrams injected by the fault plan.
@@ -476,7 +493,7 @@ pub struct ReliabilityStats {
     /// Frames mutated by the fault plan before transmission.
     pub corrupt_injected: AtomicU64,
     /// Received frames dropped by the integrity check (bad magic, length,
-    /// or checksum) — repaired by retransmission, exactly like wire loss.
+    /// or checksum) — each answered with a NAK to its sender.
     pub corrupt_dropped: AtomicU64,
     /// Frames whose checksum verified but whose body failed structural
     /// decode/validation (malformed datagram, out-of-range process id);
@@ -509,10 +526,14 @@ pub struct ReliabilityStats {
 pub struct ReliabilitySnapshot {
     /// Data datagrams dropped by the simulated wire.
     pub wire_drops: u64,
-    /// ACK datagrams dropped by the simulated wire.
+    /// ACK and NAK datagrams dropped by the simulated wire.
     pub ack_drops: u64,
-    /// Data retransmissions performed.
+    /// Data retransmissions fired by the retransmission timer.
     pub retransmissions: u64,
+    /// NAKs sent by receivers.
+    pub naks: u64,
+    /// Data datagrams resent in answer to a NAK.
+    pub repairs: u64,
     /// Duplicate data datagrams suppressed at receivers.
     pub duplicates: u64,
     /// Duplicate datagrams injected by the fault plan.
@@ -554,6 +575,8 @@ impl ReliabilityStats {
             wire_drops: self.wire_drops.load(Ordering::Relaxed),
             ack_drops: self.ack_drops.load(Ordering::Relaxed),
             retransmissions: self.retransmissions.load(Ordering::Relaxed),
+            naks: self.naks.load(Ordering::Relaxed),
+            repairs: self.repairs.load(Ordering::Relaxed),
             duplicates: self.duplicates.load(Ordering::Relaxed),
             dup_injected: self.dup_injected.load(Ordering::Relaxed),
             delayed: self.delayed.load(Ordering::Relaxed),
@@ -570,7 +593,7 @@ impl ReliabilityStats {
 }
 
 /// One datagram on the simulated wire.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 enum Dgram {
     Data {
         flow_src: ProcId,
@@ -579,10 +602,14 @@ enum Dgram {
     },
     /// Cumulative acknowledgement: all data with `seq <= upto` received.
     Ack { flow_dst: ProcId, upto: u64 },
+    /// Negative acknowledgement: the ACK of `upto`, plus "something of
+    /// yours above it was lost or damaged — resend".
+    Nak { flow_dst: ProcId, upto: u64 },
 }
 
 const DGRAM_TAG_DATA: u8 = 0;
 const DGRAM_TAG_ACK: u8 = 1;
+const DGRAM_TAG_NAK: u8 = 2;
 
 // Datagrams cross the simulated wire as bytes inside a checksummed frame
 // (so the fault plan can corrupt them like a real physical layer); this is
@@ -605,6 +632,11 @@ impl Wire for Dgram {
                 flow_dst.encode(buf);
                 upto.encode(buf);
             }
+            Dgram::Nak { flow_dst, upto } => {
+                buf.push(DGRAM_TAG_NAK);
+                flow_dst.encode(buf);
+                upto.encode(buf);
+            }
         }
     }
 
@@ -619,6 +651,10 @@ impl Wire for Dgram {
                 flow_dst: Wire::decode(r)?,
                 upto: Wire::decode(r)?,
             },
+            DGRAM_TAG_NAK => Dgram::Nak {
+                flow_dst: Wire::decode(r)?,
+                upto: Wire::decode(r)?,
+            },
             tag => return Err(crate::wire::WireError::BadTag { what: "Dgram", tag }),
         })
     }
@@ -628,7 +664,7 @@ impl Wire for Dgram {
     fn wire_size(&self) -> u64 {
         match self {
             Dgram::Data { packet, .. } => 1 + 2 + 8 + packet.wire_size(),
-            Dgram::Ack { .. } => 1 + 2 + 8,
+            Dgram::Ack { .. } | Dgram::Nak { .. } => 1 + 2 + 8,
         }
     }
 }
@@ -643,7 +679,7 @@ impl Dgram {
             Dgram::Data {
                 flow_src, packet, ..
             } => flow_src.index() < n && packet.src.index() < n && packet.dst.index() < n,
-            Dgram::Ack { flow_dst, .. } => flow_dst.index() < n,
+            Dgram::Ack { flow_dst, .. } | Dgram::Nak { flow_dst, .. } => flow_dst.index() < n,
         }
     }
 }
@@ -675,10 +711,23 @@ fn apply_corruption(frame: &mut Vec<u8>, kind: CorruptKind, roll: u64) {
 struct Unacked {
     seq: u64,
     packet: Packet,
-    /// Retransmissions performed so far.
+    /// Timer retransmissions performed so far: the backoff exponent and
+    /// the death budget.  NAK repairs never advance it.
     attempts: u32,
+    /// NAK repairs performed so far (the repair ordinal in each repair
+    /// copy's dice key; never reset).
+    repairs: u32,
+    /// Whether a NAK has repaired it since its last timer (re)transmission:
+    /// the one-repair-per-timer-period limit that bounds NAK cascades.
+    repaired: bool,
     /// When the next retransmission is due.
     due: Instant,
+}
+
+/// Dice key of one data copy: the timer attempt, and the repair ordinal
+/// (0 for the original and for timer retransmissions).
+fn copy_key(attempt: u32, repair: u32) -> u64 {
+    u64::from(attempt) | (u64::from(repair) << 32)
 }
 
 /// Sending-half state for one flow (this node → one peer).
@@ -708,6 +757,44 @@ struct FlowRx {
     expected: u64,
     /// Out-of-order buffer.
     buffer: HashMap<u64, Packet>,
+    /// The `expected` value the last gap NAK asked for: a gap is NAKed
+    /// once, however many later datagrams show it.
+    gap_naked: u64,
+    /// Copy ordinals of the ACKs and NAKs sent for this flow.
+    acks: CopyCount,
+    naks: CopyCount,
+}
+
+impl FlowRx {
+    fn new() -> Self {
+        FlowRx {
+            expected: 1,
+            buffer: HashMap::new(),
+            gap_naked: 0,
+            acks: CopyCount::default(),
+            naks: CopyCount::default(),
+        }
+    }
+}
+
+/// How many copies of one cumulative value a control stream has sent.
+/// The value only grows, so the last one and its count identify every
+/// copy.
+#[derive(Default)]
+struct CopyCount {
+    upto: u64,
+    copies: u64,
+}
+
+impl CopyCount {
+    /// The 0-based ordinal of the next copy of `upto`.
+    fn next(&mut self, upto: u64) -> u64 {
+        if upto != self.upto {
+            *self = CopyCount { upto, copies: 0 };
+        }
+        self.copies += 1;
+        self.copies - 1
+    }
 }
 
 /// Decision tags feeding the keyed fault hash (distinct streams per kind).
@@ -721,6 +808,8 @@ const TAG_JITTER: u64 = 0xD6;
 const TAG_CORRUPT: u64 = 0xD7;
 /// Which mutation a corrupted frame receives, and where it lands.
 const TAG_CORRUPT_KIND: u64 = 0xD8;
+/// NAK loss (at the ACK drop rate) and every other decision on a NAK.
+const TAG_NAK: u64 = 0xD9;
 
 /// Deterministic per-datagram fault dice: a splitmix64-style hash of the
 /// seed and the datagram identity, so decisions never depend on wall-clock
@@ -756,6 +845,19 @@ fn threshold(rate: f64) -> u64 {
     (rate * u64::MAX as f64) as u64
 }
 
+/// Backed-off, jittered retransmission timeout for timer attempt
+/// `attempt`: `min(rto << attempt, max_rto)` plus a deterministic jitter
+/// of up to 25% of the base RTO (keyed per `(peer, seq, attempt)`).
+fn rto_for(plan: &FaultPlan, dice: FaultDice, dst: ProcId, seq: u64, attempt: u32) -> Duration {
+    let base = plan.rto.as_nanos() as u64;
+    let backed = base.saturating_shl(attempt.min(20));
+    let capped = backed.min(plan.max_rto.as_nanos() as u64);
+    let jitter = (base / 4)
+        .wrapping_mul(dice.mix(TAG_JITTER, dst.0 as u64, seq, u64::from(attempt)) & 0xFF)
+        / 256;
+    Duration::from_nanos(capped + jitter)
+}
+
 /// SplitMix64 finalizer, the mixing step of the dice above on its own: one
 /// u64 in, one well-mixed u64 out.
 pub fn splitmix64(mut z: u64) -> u64 {
@@ -781,10 +883,13 @@ pub fn backoff_delay(attempt: u64, seed: u64) -> Duration {
 pub(crate) enum EngineIn {
     /// A new packet from one of this node's senders.
     Outbound(ProcId, Packet),
-    /// A frame off the faulty wire: encoded, checksummed bytes, not a
-    /// structure, so the fault plan can corrupt it like a real physical
-    /// layer.
-    Wire(Vec<u8>),
+    /// A frame off the faulty wire and the node that sent it.  The frame
+    /// is encoded, checksummed bytes, not a structure, so the fault plan
+    /// can corrupt it like a real physical layer; the sender is the
+    /// datagram's source address as `recvfrom` reports it, outside the
+    /// bytes the checksum covers, so it names whom to NAK even when the
+    /// bytes are damaged.
+    Wire(ProcId, Vec<u8>),
     /// The node's last sender is gone: drain, then exit.  Not an engine
     /// event — [`FaultEvent::Kill`] ordinals count packets and frames only.
     OutboundClosed,
@@ -869,6 +974,91 @@ pub(crate) struct ReliabilityEngine {
 }
 
 impl ReliabilityEngine {
+    /// Node `me`'s engine under `plan`, reading `inbox` and writing the
+    /// wire through `wire_txs` (indexed by node) and deliveries to
+    /// `deliver_tx`.
+    fn new(
+        me: ProcId,
+        plan: &FaultPlan,
+        wire_txs: Vec<LinkTx<EngineIn>>,
+        inbox: LinkRx<EngineIn>,
+        deliver_tx: LinkTx<NetEvent>,
+        stats: Arc<ReliabilityStats>,
+    ) -> Self {
+        // *Every* partition window scripted for this node, not just the
+        // first: a node may partition, heal and partition again.
+        let partitions = plan
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                FaultEvent::Partition {
+                    node,
+                    at_datagram,
+                    heal_at,
+                } if node == me => Some((at_datagram, heal_at, false)),
+                _ => None,
+            })
+            .collect();
+        let slow = plan.events.iter().find_map(|e| match *e {
+            FaultEvent::SlowConsumer {
+                node,
+                at_datagram,
+                dwell,
+            } if node == me => Some((at_datagram, dwell)),
+            _ => None,
+        });
+        let kill_at = plan.events.iter().find_map(|e| match *e {
+            FaultEvent::Kill { node, at_event } if node == me => Some(at_event),
+            _ => None,
+        });
+        let corrupt_at = plan
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                FaultEvent::CorruptAt {
+                    node,
+                    at_frame,
+                    kind,
+                } if node == me => Some((at_frame, kind)),
+                _ => None,
+            })
+            .collect();
+        ReliabilityEngine {
+            node: me,
+            wire_txs,
+            inbox,
+            deliver_tx,
+            dice: FaultDice {
+                seed: plan.seed ^ (me.index() as u64).wrapping_mul(0x1234_5677),
+            },
+            drop_t: threshold(plan.drop_rate),
+            ack_drop_t: threshold(plan.ack_drop_rate),
+            dup_t: threshold(plan.dup_rate),
+            reorder_t: threshold(plan.reorder_rate),
+            corrupt_t: threshold(plan.corrupt_rate),
+            delay_ns: plan
+                .delay
+                .map(|(min, max)| (min.as_nanos() as u64, (max - min).as_nanos() as u64)),
+            window: u64::from(plan.link_capacity.max(1)),
+            slow,
+            partitions,
+            kill_at,
+            corrupt_at,
+            wire_sends: 0,
+            events_handled: 0,
+            frames_sent: 0,
+            partitioned: false,
+            killed: false,
+            dead: HashSet::new(),
+            delayed: Vec::new(),
+            holdback: HashMap::new(),
+            stats,
+            tx_flows: HashMap::new(),
+            rx_flows: HashMap::new(),
+            plan: plan.clone(),
+        }
+    }
+
     /// Notes one engine event (an outbound packet or a wire arrival);
     /// returns `true` once the scripted kill point has been reached, in
     /// which case the event is not handled.
@@ -912,8 +1102,8 @@ impl ReliabilityEngine {
     /// applies any injected corruption: a scripted [`FaultEvent::CorruptAt`]
     /// matching this node-local sent-frame ordinal wins, otherwise the
     /// keyed `corrupt_rate` dice.  Every physical copy (original, injected
-    /// duplicate, retransmission) is framed separately, so each gets an
-    /// independent corruption decision — just like a real wire.
+    /// duplicate, retransmission, repair) is framed separately, so each
+    /// gets an independent corruption decision — just like a real wire.
     fn frame_for(&mut self, dst: ProcId, dgram: &Dgram, tag: u64, a: u64, b: u64) -> Vec<u8> {
         self.frames_sent += 1;
         let mut frame = encode_framed(dgram);
@@ -956,12 +1146,12 @@ impl ReliabilityEngine {
             self.stats.partition_drops.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let (drop_tag, drop_t, drop_ctr) = if tag == TAG_ACK_DROP {
-            (TAG_ACK_DROP, self.ack_drop_t, &self.stats.ack_drops)
+        let (drop_t, drop_ctr) = if tag == TAG_DATA_DROP {
+            (self.drop_t, &self.stats.wire_drops)
         } else {
-            (TAG_DATA_DROP, self.drop_t, &self.stats.wire_drops)
+            (self.ack_drop_t, &self.stats.ack_drops)
         };
-        if self.dice.hit(drop_tag, dst.0 as u64, a, b, drop_t) {
+        if self.dice.hit(tag, dst.0 as u64, a, b, drop_t) {
             drop_ctr.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -1018,43 +1208,49 @@ impl ReliabilityEngine {
         // A closed peer means shutdown is in progress; count it so
         // shutdown loss is distinguishable from wire loss.
         if self.wire_txs[dst.index()]
-            .send(EngineIn::Wire(frame))
+            .send(EngineIn::Wire(self.node, frame))
             .is_err()
         {
             self.stats.peer_closed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn send_data(&mut self, dst: ProcId, seq: u64, attempt: u32, packet: Packet) {
+    /// Puts one copy of data datagram `seq` on the wire; `key` is the
+    /// copy's [`copy_key`].
+    fn send_data(&mut self, dst: ProcId, seq: u64, key: u64, packet: Packet) {
         let dgram = Dgram::Data {
             flow_src: self.node,
             seq,
             packet,
         };
-        self.inject(dst, &dgram, TAG_DATA_DROP, seq, u64::from(attempt));
+        self.inject(dst, &dgram, TAG_DATA_DROP, seq, key);
     }
 
-    fn send_ack(&mut self, dst: ProcId, upto: u64) {
+    /// The receiving half of the flow from `src`, created on first use.
+    fn rx_flow(&mut self, src: ProcId) -> &mut FlowRx {
+        self.rx_flows.entry(src).or_insert_with(FlowRx::new)
+    }
+
+    /// Acknowledges `src`'s flow cumulatively; each copy of one `upto` is
+    /// keyed by its own ordinal, so a lost ACK does not doom its re-sends.
+    fn send_ack(&mut self, src: ProcId, upto: u64) {
+        let copy = self.rx_flow(src).acks.next(upto);
         let dgram = Dgram::Ack {
             flow_dst: self.node,
             upto,
         };
-        self.inject(dst, &dgram, TAG_ACK_DROP, upto, 0);
+        self.inject(src, &dgram, TAG_ACK_DROP, upto, copy);
     }
 
-    /// Backed-off, jittered retransmission timeout for the given attempt:
-    /// `min(rto << attempt, max_rto)` plus a deterministic jitter of up to
-    /// 25% of the base RTO (keyed per `(peer, seq, attempt)`).
-    fn rto_for(&self, dst: ProcId, seq: u64, attempt: u32) -> Duration {
-        let base = self.plan.rto.as_nanos() as u64;
-        let backed = base.saturating_shl(attempt.min(20));
-        let capped = backed.min(self.plan.max_rto.as_nanos() as u64);
-        let jitter = (base / 4).wrapping_mul(
-            self.dice
-                .mix(TAG_JITTER, dst.0 as u64, seq, u64::from(attempt))
-                & 0xFF,
-        ) / 256;
-        Duration::from_nanos(capped + jitter)
+    /// Asks `src` to repair its flow above `upto` (keyed like an ACK).
+    fn send_nak(&mut self, src: ProcId, upto: u64) {
+        self.stats.naks.fetch_add(1, Ordering::Relaxed);
+        let copy = self.rx_flow(src).naks.next(upto);
+        let dgram = Dgram::Nak {
+            flow_dst: self.node,
+            upto,
+        };
+        self.inject(src, &dgram, TAG_NAK, upto, copy);
     }
 
     fn handle_outbound(&mut self, dst: ProcId, packet: Packet) {
@@ -1094,23 +1290,20 @@ impl ReliabilityEngine {
         let flow = self.tx_flows.get_mut(&dst).expect("flow exists");
         let seq = flow.next_seq;
         flow.next_seq += 1;
-        let inflight = flow.unacked.len() as u64 + 1;
+        flow.unacked.push(Unacked {
+            seq,
+            packet: packet.clone(),
+            attempts: 0,
+            repairs: 0,
+            repaired: false,
+            due: Instant::now() + rto_for(&self.plan, self.dice, dst, seq, 0),
+        });
+        let inflight = flow.unacked.len() as u64;
         debug_assert!(inflight <= self.window, "credit window overrun");
         self.stats
             .queue_high_water
             .fetch_max(inflight, Ordering::Relaxed);
-        let due = Instant::now() + self.rto_for(dst, seq, 0);
-        self.tx_flows
-            .get_mut(&dst)
-            .expect("flow exists")
-            .unacked
-            .push(Unacked {
-                seq,
-                packet: packet.clone(),
-                attempts: 0,
-                due,
-            });
-        self.send_data(dst, seq, 0, packet);
+        self.send_data(dst, seq, copy_key(0, 0), packet);
     }
 
     /// Spends credits freed by an ACK on the flow's stalled packets, in
@@ -1140,7 +1333,7 @@ impl ReliabilityEngine {
         }
     }
 
-    fn handle_wire(&mut self, frame: Vec<u8>) {
+    fn handle_wire(&mut self, src: ProcId, frame: Vec<u8>) {
         if self.note_event() {
             return;
         }
@@ -1159,14 +1352,19 @@ impl ReliabilityEngine {
             return;
         }
         // Trust boundary: the wire delivered bytes, nothing more.  A frame
-        // that fails the magic/length/checksum gate is treated exactly
-        // like a loss (the sender's retransmit path repairs it); one that
+        // that fails the magic/length/checksum gate is dropped and NAKed
+        // to its source address (which the damage cannot reach); one that
         // passes the checksum but decodes to a malformed or out-of-range
-        // datagram is quarantined rather than delivered.
+        // datagram was not damaged in transit — a resend would carry the
+        // same bytes — so it is quarantined, unanswered.
         let body = match decode_frame(&frame) {
             Ok(body) => body,
             Err(_) => {
                 self.stats.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
+                if !self.dead.contains(&src) {
+                    let upto = self.rx_flow(src).expected - 1;
+                    self.send_nak(src, upto);
+                }
                 return;
             }
         };
@@ -1187,10 +1385,7 @@ impl ReliabilityEngine {
                 seq,
                 packet,
             } => {
-                let flow = self.rx_flows.entry(flow_src).or_insert(FlowRx {
-                    expected: 1,
-                    buffer: HashMap::new(),
-                });
+                let flow = self.rx_flows.entry(flow_src).or_insert_with(FlowRx::new);
                 if seq < flow.expected || flow.buffer.contains_key(&seq) {
                     self.stats.duplicates.fetch_add(1, Ordering::Relaxed);
                 } else {
@@ -1203,18 +1398,68 @@ impl ReliabilityEngine {
                         let _ = self.deliver_tx.send(NetEvent::Packet(pkt));
                     }
                 }
-                // (Re-)acknowledge cumulatively; covers lost ACKs too.
-                let upto = self.rx_flows[&flow_src].expected - 1;
-                self.send_ack(flow_src, upto);
-            }
-            Dgram::Ack { flow_dst, upto } => {
-                if let Some(flow) = self.tx_flows.get_mut(&flow_dst) {
-                    flow.unacked.retain(|u| u.seq > upto);
+                // (Re-)acknowledge cumulatively; covers lost ACKs too.  A
+                // datagram beyond a hole shows the hole: the first one to
+                // show it NAKs instead, which acknowledges just as much.
+                let upto = flow.expected - 1;
+                if seq > flow.expected && flow.gap_naked != flow.expected {
+                    flow.gap_naked = flow.expected;
+                    self.send_nak(flow_src, upto);
+                } else {
+                    self.send_ack(flow_src, upto);
                 }
-                // The cumulative ACK is the credit grant: spend whatever
-                // it freed on this flow's stalled packets.
-                self.admit_pending(flow_dst);
             }
+            Dgram::Ack { flow_dst, upto } => self.acknowledged(flow_dst, upto),
+            Dgram::Nak { flow_dst, upto } => {
+                // Repair first: packets the freed credits admit are fresh.
+                self.repair(flow_dst, upto);
+                self.acknowledged(flow_dst, upto);
+                // The damaged frame may have been our ACK of the NAKer's
+                // flow; re-sending it is one small frame either way.
+                let upto = self.rx_flows.get(&flow_dst).map_or(0, |f| f.expected - 1);
+                if upto > 0 {
+                    self.send_ack(flow_dst, upto);
+                }
+            }
+        }
+    }
+
+    /// Retires `dst`'s datagrams up to `upto` and spends the credits that
+    /// frees on the flow's stalled packets: the cumulative ACK is the
+    /// credit grant.
+    fn acknowledged(&mut self, dst: ProcId, upto: u64) {
+        if let Some(flow) = self.tx_flows.get_mut(&dst) {
+            flow.unacked.retain(|u| u.seq > upto);
+        }
+        self.admit_pending(dst);
+    }
+
+    /// Answers a NAK from `dst`: resends every datagram above `upto` that
+    /// no NAK has repaired since its last timer (re)transmission.  A repair
+    /// restarts the datagram's timer but leaves `attempts` — the backoff
+    /// exponent and the death budget — to the timer, and the
+    /// once-per-period limit keeps a burst of NAKs (one per damaged frame)
+    /// from multiplying into a burst of resends.
+    fn repair(&mut self, dst: ProcId, upto: u64) {
+        let now = Instant::now();
+        let Some(flow) = self.tx_flows.get_mut(&dst) else {
+            return;
+        };
+        let mut resend = Vec::new();
+        for u in flow.unacked.iter_mut() {
+            if u.seq <= upto || u.repaired {
+                continue;
+            }
+            u.repaired = true;
+            u.repairs += 1;
+            u.due = now + rto_for(&self.plan, self.dice, dst, u.seq, u.attempts);
+            resend.push((u.seq, copy_key(u.attempts, u.repairs), u.packet.clone()));
+        }
+        self.stats
+            .repairs
+            .fetch_add(resend.len() as u64, Ordering::Relaxed);
+        for (seq, key, packet) in resend {
+            self.send_data(dst, seq, key, packet);
         }
     }
 
@@ -1235,6 +1480,8 @@ impl ReliabilityEngine {
                     break;
                 }
                 u.attempts += 1;
+                u.repaired = false;
+                u.due = now + rto_for(&self.plan, self.dice, dst, u.seq, u.attempts);
                 resend.push((dst, u.seq, u.attempts, u.packet.clone()));
             }
         }
@@ -1243,15 +1490,7 @@ impl ReliabilityEngine {
                 continue;
             }
             self.stats.retransmissions.fetch_add(1, Ordering::Relaxed);
-            let due = now + self.rto_for(dst, seq, attempt);
-            if let Some(u) = self
-                .tx_flows
-                .get_mut(&dst)
-                .and_then(|f| f.unacked.iter_mut().find(|u| u.seq == seq))
-            {
-                u.due = due;
-            }
-            self.send_data(dst, seq, attempt, packet);
+            self.send_data(dst, seq, copy_key(attempt, 0), packet);
         }
         for dst in died {
             if self.dead.insert(dst) {
@@ -1359,7 +1598,7 @@ impl ReliabilityEngine {
             };
             match msg {
                 Some(EngineIn::Outbound(dst, pkt)) => self.handle_outbound(dst, pkt),
-                Some(EngineIn::Wire(frame)) => self.handle_wire(frame),
+                Some(EngineIn::Wire(src, frame)) => self.handle_wire(src, frame),
                 Some(EngineIn::OutboundClosed) => outbound_open = false,
                 // A timer came due.
                 None => {}
@@ -1414,80 +1653,14 @@ pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric
             inbox: wire_txs[i].clone(),
         });
         deliver_rxs.push(deliver_rx);
-        let me = ProcId::from_index(i);
-        // Collect *every* partition window scripted for this node — an
-        // earlier version `find_map`ed the first event only, silently
-        // dropping later scripted partitions.
-        let partitions: Vec<(u64, Option<u64>, bool)> = plan
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::Partition {
-                    node,
-                    at_datagram,
-                    heal_at,
-                } if *node == me => Some((*at_datagram, *heal_at, false)),
-                _ => None,
-            })
-            .collect();
-        let slow = plan.events.iter().find_map(|e| match e {
-            FaultEvent::SlowConsumer {
-                node,
-                at_datagram,
-                dwell,
-            } if *node == me => Some((*at_datagram, *dwell)),
-            _ => None,
-        });
-        let kill_at = plan.events.iter().find_map(|e| match e {
-            FaultEvent::Kill { node, at_event } if *node == me => Some(*at_event),
-            _ => None,
-        });
-        let corrupt_at: Vec<(u64, CorruptKind)> = plan
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::CorruptAt {
-                    node,
-                    at_frame,
-                    kind,
-                } if *node == me => Some((*at_frame, *kind)),
-                _ => None,
-            })
-            .collect();
-        let engine = ReliabilityEngine {
-            node: me,
-            wire_txs: wire_txs.clone(),
+        let engine = ReliabilityEngine::new(
+            ProcId::from_index(i),
+            &plan,
+            wire_txs.clone(),
             inbox,
             deliver_tx,
-            dice: FaultDice {
-                seed: plan.seed ^ (i as u64).wrapping_mul(0x1234_5677),
-            },
-            drop_t: threshold(plan.drop_rate),
-            ack_drop_t: threshold(plan.ack_drop_rate),
-            dup_t: threshold(plan.dup_rate),
-            reorder_t: threshold(plan.reorder_rate),
-            corrupt_t: threshold(plan.corrupt_rate),
-            delay_ns: plan
-                .delay
-                .map(|(min, max)| (min.as_nanos() as u64, (max - min).as_nanos() as u64)),
-            window: u64::from(plan.link_capacity.max(1)),
-            slow,
-            partitions,
-            kill_at,
-            corrupt_at,
-            wire_sends: 0,
-            events_handled: 0,
-            frames_sent: 0,
-            partitioned: false,
-            killed: false,
-            dead: HashSet::new(),
-            delayed: Vec::new(),
-            holdback: HashMap::new(),
-            stats: Arc::clone(&stats),
-            tx_flows: HashMap::new(),
-            rx_flows: HashMap::new(),
-            plan: plan.clone(),
-        };
+            Arc::clone(&stats),
+        );
         std::thread::Builder::new()
             .name(format!("reliability-{i}"))
             .spawn(move || engine.run())
@@ -1500,6 +1673,144 @@ pub(crate) fn build_reliable_fabric(n: usize, plan: FaultPlan) -> ReliableFabric
 mod tests {
     use super::*;
     use crate::wire::encode_frame;
+
+    /// Node 0's engine of a two-node fabric, driven by hand (no thread),
+    /// and node 1's inbox, where node 0's frames land.
+    fn engine_for_node0(plan: &FaultPlan) -> (ReliabilityEngine, LinkRx<EngineIn>) {
+        let stats = Arc::new(ReliabilityStats::default());
+        let (wire_txs, mut inboxes): (Vec<_>, Vec<_>) = (0..2)
+            .map(|_| metered_link::<EngineIn>(stats.link_gauge()))
+            .unzip();
+        let peer = inboxes.pop().expect("two inboxes");
+        let inbox = inboxes.pop().expect("two inboxes");
+        let (deliver_tx, _) = metered_link(stats.link_gauge());
+        let engine = ReliabilityEngine::new(ProcId(0), plan, wire_txs, inbox, deliver_tx, stats);
+        (engine, peer)
+    }
+
+    /// Every datagram node 0 has put on the wire to node 1 since the last
+    /// look, decoded.
+    fn sent(peer: &LinkRx<EngineIn>) -> Vec<Dgram> {
+        std::iter::from_fn(|| peer.try_recv().ok())
+            .map(|msg| match msg {
+                EngineIn::Wire(ProcId(0), frame) => {
+                    Dgram::from_bytes(decode_frame(&frame).expect("clean wire")).expect("decodes")
+                }
+                _ => panic!("only node 0's frames reach node 1's inbox"),
+            })
+            .collect()
+    }
+
+    fn packet(dst: u16) -> Packet {
+        Packet {
+            src: ProcId(0),
+            dst: ProcId(dst),
+            sent_at: 0,
+            breakdown: crate::ByteBreakdown::default(),
+            payload: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn naks_repair_once_per_timer_period_and_spend_no_attempts() {
+        let (mut engine, peer) = engine_for_node0(&FaultPlan::clean(3));
+        let p1 = ProcId(1);
+        engine.handle_outbound(p1, packet(1));
+        let nak = encode_framed(&Dgram::Nak {
+            flow_dst: p1,
+            upto: 0,
+        });
+        let unacked = |e: &ReliabilityEngine| {
+            let u = &e.tx_flows[&p1].unacked[0];
+            (u.attempts, u.repairs, u.due)
+        };
+        let first_due = unacked(&engine).2;
+        for _ in 0..5 {
+            engine.handle_wire(p1, nak.clone());
+        }
+        let (attempts, repairs, due) = unacked(&engine);
+        assert_eq!((attempts, repairs), (0, 1), "one repair per timer period");
+        assert!(due >= first_due, "a repair restarts the timer");
+        // The original and its one repair; nothing received, so no re-ACK.
+        assert!(matches!(
+            sent(&peer)[..],
+            [Dgram::Data { seq: 1, .. }, Dgram::Data { seq: 1, .. }]
+        ));
+        // The timer fires: a new period, so the next NAK may repair again.
+        engine.retransmit_due(due);
+        for _ in 0..5 {
+            engine.handle_wire(p1, nak.clone());
+        }
+        assert_eq!(unacked(&engine).0, 1, "only the timer spends attempts");
+        assert_eq!(unacked(&engine).1, 2);
+        assert_eq!(sent(&peer).len(), 2, "one timer copy, one repair");
+        let snap = engine.stats.full();
+        assert_eq!((snap.retransmissions, snap.repairs), (1, 2));
+        // A NAK acknowledges what it covers.
+        engine.handle_wire(
+            p1,
+            encode_framed(&Dgram::Nak {
+                flow_dst: p1,
+                upto: 1,
+            }),
+        );
+        assert!(engine.tx_flows[&p1].unacked.is_empty());
+        assert!(sent(&peer).is_empty(), "nothing left to repair");
+    }
+
+    #[test]
+    fn receiver_naks_damage_and_each_gap_once_but_not_quarantine() {
+        let (mut engine, peer) = engine_for_node0(&FaultPlan::clean(4));
+        let p1 = ProcId(1);
+        let data = |seq| {
+            encode_framed(&Dgram::Data {
+                flow_src: p1,
+                seq,
+                packet: packet(0),
+            })
+        };
+        // A damaged frame is NAKed to its source address.
+        let mut damaged = data(1);
+        damaged.truncate(5);
+        engine.handle_wire(p1, damaged);
+        assert!(matches!(sent(&peer)[..], [Dgram::Nak { upto: 0, .. }]));
+        // Seq 1 is missing: seq 2 shows the gap and NAKs it, seq 3 shows
+        // the same gap and only ACKs.
+        engine.handle_wire(p1, data(2));
+        engine.handle_wire(p1, data(3));
+        assert!(matches!(
+            sent(&peer)[..],
+            [Dgram::Nak { upto: 0, .. }, Dgram::Ack { upto: 0, .. }]
+        ));
+        // The hole fills; a new one at 5 is NAKed afresh.
+        engine.handle_wire(p1, data(1));
+        engine.handle_wire(p1, data(5));
+        assert!(matches!(
+            sent(&peer)[..],
+            [Dgram::Ack { upto: 3, .. }, Dgram::Nak { upto: 3, .. }]
+        ));
+        // A checksum-valid frame that does not decode was not damaged in
+        // transit: quarantined, unanswered.
+        engine.handle_wire(p1, encode_frame(&[0xFF, 0, 1]));
+        assert_eq!(engine.stats.full().decode_errors, 1);
+        // Nor is a peer already declared dead answered.
+        engine.dead.insert(p1);
+        engine.handle_wire(p1, vec![0; 3]);
+        assert!(sent(&peer).is_empty());
+        assert_eq!(engine.stats.full().naks, 3);
+    }
+
+    #[test]
+    fn copy_ordinals_give_every_copy_its_own_key() {
+        let mut acks = CopyCount::default();
+        assert_eq!((acks.next(0), acks.next(0)), (0, 1));
+        assert_eq!((acks.next(4), acks.next(4), acks.next(4)), (0, 1, 2));
+        assert_eq!(acks.next(5), 0);
+        // Data copies: the original and timer resends keep the repair
+        // ordinal at zero, so neither collides with a repair.
+        assert_eq!(copy_key(3, 0), 3);
+        assert_ne!(copy_key(0, 1), copy_key(1, 0));
+    }
 
     #[test]
     fn dice_matches_rate_roughly() {

@@ -186,8 +186,9 @@ fn same_plan_and_seed_reproduce_identical_stats() {
 #[test]
 fn corruption_is_repaired_by_retransmission() {
     // A quarter of all frames are mutated on the wire; the receiver's
-    // checksum rejects every one of them and the retransmit path fills the
-    // gaps, so delivery stays complete, in order, and duplicate-free.
+    // checksum rejects every one of them and NAKs the sender, whose repairs
+    // (and, behind them, the timer) fill the gaps, so delivery stays
+    // complete, in order, and duplicate-free.
     for seed in [21u64, 22, 23] {
         let plan = FaultPlan::clean(seed).with_corruption(0.25);
         let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
@@ -209,8 +210,8 @@ fn corruption_is_repaired_by_retransmission() {
             "seed {seed}: damage leaked past the frame gate"
         );
         assert!(
-            snap.retransmissions > 0,
-            "seed {seed}: corruption losses must be repaired"
+            snap.repairs > 0,
+            "seed {seed}: damaged frames must be NAKed and repaired"
         );
     }
 }
@@ -218,24 +219,106 @@ fn corruption_is_repaired_by_retransmission() {
 #[test]
 fn scripted_corruption_strikes_exact_frames() {
     // Only node 0's first two frames are mutated (one truncation, one
-    // garbage tail); a 1-second RTO keeps retransmissions out of the
-    // window, so the injected count is exactly the scripted two and both
-    // are dropped at the receiver.
+    // garbage tail).  The receiver NAKs the first; the sender repairs both
+    // originals at once (frames 3 and 4, clean), and the second damaged
+    // frame's NAK finds them already repaired.  Both packets arrive long
+    // before the 1-second RTO, so no timer fires and the injected count is
+    // exactly the scripted two.
     let plan = FaultPlan::clean(5)
         .with_rto(Duration::from_secs(1), Duration::from_secs(2))
         .with_corrupt_at(ProcId(0), 1, CorruptKind::Truncate)
         .with_corrupt_at(ProcId(0), 2, CorruptKind::GarbageTail);
     let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
     send_n(&eps, 0, 1, 2);
-    // Nothing can arrive until the corrupted originals are retransmitted.
-    std::thread::sleep(Duration::from_millis(50));
+    let window = Duration::from_millis(50);
+    for i in 0..2 {
+        let pkt = eps[1]
+            .recv_timeout(window)
+            .expect("repaired inside the window");
+        assert_eq!(pkt.payload, payload(i));
+    }
     let snap = rstats.full();
     assert_eq!(snap.corrupt_injected, 2, "{snap:?}");
     assert_eq!(snap.corrupt_dropped, 2, "{snap:?}");
+    assert_eq!((snap.retransmissions, snap.repairs), (0, 2), "{snap:?}");
+}
+
+#[test]
+fn gaps_are_repaired_before_any_timer() {
+    // Data is lossy and the RTO is a second, so only NAKs can repair
+    // anything inside the test.  Filler packets behind the first 20 keep
+    // every hole among them visible as a sequence gap.  Seed 30 drops six
+    // of the 20 originals (seq 1 among them) and none of their first
+    // repairs, so all 20 arrive in far less than half an RTO and no timer
+    // fires.
+    let rto = Duration::from_secs(1);
+    let plan = FaultPlan::new(0.15, 30).with_rto(rto, rto);
+    let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
+    let started = Instant::now();
+    send_n(&eps, 0, 1, 60);
+    assert_eq!(recv_all(&eps, 1, 20), (0..20).collect::<Vec<_>>());
+    let elapsed = started.elapsed();
+    let snap = rstats.full();
+    assert!(elapsed < rto / 2, "took {elapsed:?}: {snap:?}");
+    assert_eq!(snap.retransmissions, 0, "{snap:?}");
     assert!(
-        eps[1].try_recv().is_err(),
-        "corrupted frames must not deliver"
+        snap.wire_drops > 0 && snap.naks > 0 && snap.repairs > 0,
+        "{snap:?}"
     );
+}
+
+#[test]
+fn nak_repairs_stay_bounded_under_heavy_corruption() {
+    // Nine frames in ten are damaged — data, ACKs and NAKs alike — so
+    // nearly every NAK is answered by a repair that is itself damaged and
+    // NAKed.  The one-repair-per-timer-period limit bounds that cascade:
+    // each datagram is repaired at most once before the timer first fires
+    // and once per retransmission after, so repairs never exceed
+    // retransmissions plus the datagram count.
+    let plan = FaultPlan::clean(77)
+        .with_corruption(0.9)
+        .with_rto(Duration::from_millis(1), Duration::from_millis(4))
+        .with_max_retransmits(1000);
+    let (mut eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
+    send_n(&eps, 0, 1, 20);
+    assert_eq!(recv_all(&eps, 1, 20), (0..20).collect::<Vec<_>>());
+    // Node 0's engine exits once all 20 are acknowledged; then the
+    // counters it drives are final.
+    let receiver = eps.remove(1);
+    drop(eps);
+    await_engines(&rstats, 1);
+    let snap = rstats.full();
+    drop(receiver);
+    assert_eq!(snap.peers_declared_dead, 0, "{snap:?}");
+    assert!(snap.repairs > 0, "{snap:?}");
+    assert!(snap.repairs <= snap.retransmissions + 20, "{snap:?}");
+}
+
+#[test]
+fn lost_ack_copies_do_not_doom_their_resends() {
+    // One packet, 30 % ACK loss, a budget of 8 retransmissions.  The
+    // packet arrives at once, so node 1 is healthy: only if every copy of
+    // `ACK(1)` were lost — nine in a row — could node 0 declare it dead.
+    // Each copy draws its own dice, so over 40 seeds that never happens.
+    // Were the copies keyed by the ACK value alone, one copy's fate would
+    // be every copy's, and about a quarter of these seeds would kill node 1.
+    for seed in 0..40u64 {
+        let plan = FaultPlan::clean(seed)
+            .with_ack_loss(0.3)
+            .with_rto(Duration::from_millis(1), Duration::from_millis(4))
+            .with_max_retransmits(8);
+        let (mut eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
+        send_n(&eps, 0, 1, 1);
+        assert_eq!(recv_all(&eps, 1, 1), vec![0]);
+        // Node 0's engine exits once the packet is acknowledged or node 1
+        // is declared dead, whichever comes first.
+        let receiver = eps.remove(1);
+        drop(eps);
+        await_engines(&rstats, 1);
+        let snap = rstats.full();
+        drop(receiver);
+        assert_eq!(snap.peers_declared_dead, 0, "seed {seed}: {snap:?}");
+    }
 }
 
 #[test]
