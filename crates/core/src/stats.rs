@@ -1,49 +1,37 @@
 //! Detector statistics feeding the paper's Table 3 and Figure 3.
 
-/// Counters produced by the barrier-master comparison algorithm.
-///
-/// Percentages derived from these counters reproduce the first two columns
-/// of the paper's Table 3 ("Intervals Used" and "Bitmaps Used"); the raw
-/// comparison counts drive the cost model behind Figure 3's "Intervals" and
-/// "Bitmaps" bars.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DetectorStats {
-    /// Intervals examined across all epochs.
-    pub intervals_total: u64,
-    /// Intervals involved in at least one concurrent pair with page overlap
-    /// (i.e. exhibiting unsynchronized sharing, true or false).
-    pub intervals_used: u64,
-    /// Version-vector comparisons performed (constant-time each).
-    pub pair_comparisons: u64,
-    /// Pairs found concurrent.
-    pub pairs_concurrent: u64,
-    /// Concurrent pairs whose page notice lists overlap (the check list).
-    pub pairs_overlapping: u64,
-    /// Distinct `(interval, page)` bitmaps retrieved in the extra round.
-    pub bitmaps_requested: u64,
-    /// Total `(interval, page)` access pairs (read or write notices) —
-    /// the denominator of "Bitmaps Used".
-    pub bitmaps_total: u64,
-    /// Word-level bitmap comparisons performed.
-    pub bitmap_comparisons: u64,
-    /// Races reported (one per racy word per interval pair).
-    pub races_found: u64,
+cvm_net::counters! {
+    /// Counters produced by the barrier-master comparison algorithm.
+    ///
+    /// Percentages derived from these counters reproduce the first two columns
+    /// of the paper's Table 3 ("Intervals Used" and "Bitmaps Used"); the raw
+    /// comparison counts drive the cost model behind Figure 3's "Intervals" and
+    /// "Bitmaps" bars.
+    pub struct DetectorStats {
+        /// Intervals examined across all epochs.
+        pub intervals_total: u64,
+        /// Intervals involved in at least one concurrent pair with page overlap
+        /// (i.e. exhibiting unsynchronized sharing, true or false).
+        pub intervals_used: u64,
+        /// Version-vector comparisons performed (constant-time each).
+        pub pair_comparisons: u64,
+        /// Pairs found concurrent.
+        pub pairs_concurrent: u64,
+        /// Concurrent pairs whose page notice lists overlap (the check list).
+        pub pairs_overlapping: u64,
+        /// Distinct `(interval, page)` bitmaps retrieved in the extra round.
+        pub bitmaps_requested: u64,
+        /// Total `(interval, page)` access pairs (read or write notices) —
+        /// the denominator of "Bitmaps Used".
+        pub bitmaps_total: u64,
+        /// Word-level bitmap comparisons performed.
+        pub bitmap_comparisons: u64,
+        /// Races reported (one per racy word per interval pair).
+        pub races_found: u64,
+    }
 }
 
 impl DetectorStats {
-    /// Accumulates another epoch's counters.
-    pub fn add(&mut self, other: &DetectorStats) {
-        self.intervals_total += other.intervals_total;
-        self.intervals_used += other.intervals_used;
-        self.pair_comparisons += other.pair_comparisons;
-        self.pairs_concurrent += other.pairs_concurrent;
-        self.pairs_overlapping += other.pairs_overlapping;
-        self.bitmaps_requested += other.bitmaps_requested;
-        self.bitmaps_total += other.bitmaps_total;
-        self.bitmap_comparisons += other.bitmap_comparisons;
-        self.races_found += other.races_found;
-    }
-
     /// Table 3, column 1: fraction of intervals involved in at least one
     /// concurrent pair with page overlap.
     pub fn intervals_used_frac(&self) -> f64 {

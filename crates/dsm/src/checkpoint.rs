@@ -86,10 +86,10 @@ pub struct NodeImage {
     pub(crate) locks: Vec<(u32, LockImage)>,
     pub(crate) lock_mgr: Vec<(u32, ProcId)>,
     pub(crate) races: Vec<RaceReport>,
-    pub(crate) det_stats: Vec<u64>,
+    pub(crate) det_stats: DetectorStats,
     pub(crate) sched_rec: Vec<(u32, Vec<ProcId>)>,
     pub(crate) replay_pos: Vec<(u32, u32)>,
-    pub(crate) stats: Vec<u64>,
+    pub(crate) stats: NodeStats,
     pub(crate) watch_hits: Vec<((ProcId, u32), (bool, u32))>,
     pub(crate) trace: Vec<TraceEvent>,
     pub(crate) trace_last_release: Vec<(u32, u32)>,
@@ -126,85 +126,6 @@ fn prot_from_u8(v: u8) -> Result<Protection, WireError> {
         }),
     }
 }
-
-fn det_stats_to_vec(s: &DetectorStats) -> Vec<u64> {
-    vec![
-        s.intervals_total,
-        s.intervals_used,
-        s.pair_comparisons,
-        s.pairs_concurrent,
-        s.pairs_overlapping,
-        s.bitmaps_requested,
-        s.bitmaps_total,
-        s.bitmap_comparisons,
-        s.races_found,
-    ]
-}
-
-pub(crate) fn det_stats_from_vec(v: &[u64]) -> DetectorStats {
-    DetectorStats {
-        intervals_total: v[0],
-        intervals_used: v[1],
-        pair_comparisons: v[2],
-        pairs_concurrent: v[3],
-        pairs_overlapping: v[4],
-        bitmaps_requested: v[5],
-        bitmaps_total: v[6],
-        bitmap_comparisons: v[7],
-        races_found: v[8],
-    }
-}
-
-fn node_stats_to_vec(s: &NodeStats) -> Vec<u64> {
-    vec![
-        s.intervals,
-        s.barriers,
-        s.consolidations,
-        s.locks_local,
-        s.locks_remote,
-        s.read_faults,
-        s.write_faults,
-        s.pages_sent,
-        s.diffs_made,
-        s.diff_words,
-        s.records_applied,
-        s.shared_reads,
-        s.shared_writes,
-        s.log_high_water,
-        s.bitmap_high_water,
-        s.retained_bytes_high_water,
-        s.soft_gcs,
-        s.pipelined_epochs,
-        s.pipeline_stalls,
-    ]
-}
-
-fn node_stats_from_vec(v: &[u64]) -> NodeStats {
-    NodeStats {
-        intervals: v[0],
-        barriers: v[1],
-        consolidations: v[2],
-        locks_local: v[3],
-        locks_remote: v[4],
-        read_faults: v[5],
-        write_faults: v[6],
-        pages_sent: v[7],
-        diffs_made: v[8],
-        diff_words: v[9],
-        records_applied: v[10],
-        shared_reads: v[11],
-        shared_writes: v[12],
-        log_high_water: v[13],
-        bitmap_high_water: v[14],
-        retained_bytes_high_water: v[15],
-        soft_gcs: v[16],
-        pipelined_epochs: v[17],
-        pipeline_stalls: v[18],
-    }
-}
-
-const DET_STATS_FIELDS: usize = 9;
-const NODE_STATS_FIELDS: usize = 19;
 
 impl Wire for NodeImage {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -273,10 +194,7 @@ impl Wire for NodeImage {
             master: Wire::decode(r)?,
             seat_term: Wire::decode(r)?,
         };
-        if img.clock_cats.len() != NCATS
-            || img.det_stats.len() != DET_STATS_FIELDS
-            || img.stats.len() != NODE_STATS_FIELDS
-        {
+        if img.clock_cats.len() != NCATS {
             return Err(WireError::BadLength(img.clock_cats.len() as u64));
         }
         for (_, (prot, _)) in &img.frames {
@@ -406,14 +324,14 @@ pub(crate) fn snapshot(st: &NodeCore) -> NodeImage {
         locks,
         lock_mgr,
         races: st.race_log.reports().to_vec(),
-        det_stats: det_stats_to_vec(&st.det_stats),
+        det_stats: st.det_stats,
         sched_rec: st.sched_rec.entries(),
         replay_pos: st
             .replay
             .as_ref()
             .map(|r| r.positions())
             .unwrap_or_default(),
-        stats: node_stats_to_vec(&st.stats),
+        stats: st.stats,
         watch_hits,
         trace: st.trace.clone(),
         trace_last_release,
@@ -502,12 +420,12 @@ pub(crate) fn restore(st: &mut NodeCore, img: &NodeImage) {
     st.resume_epoch = img.epoch;
     st.race_log = RaceLog::new();
     st.race_log.extend(img.races.iter().cloned());
-    st.det_stats = det_stats_from_vec(&img.det_stats);
+    st.det_stats = img.det_stats;
     st.sched_rec = SyncSchedule::from_entries(img.sched_rec.clone());
     if let Some(cursor) = st.replay.as_mut() {
         cursor.restore_positions(&img.replay_pos);
     }
-    st.stats = node_stats_from_vec(&img.stats);
+    st.stats = img.stats;
     st.watch_hits = img
         .watch_hits
         .iter()
@@ -950,6 +868,80 @@ mod tests {
         let img = snapshot(&st);
         let decoded = NodeImage::from_bytes(&img.to_bytes()).unwrap();
         assert_eq!(img, decoded);
+    }
+
+    /// FNV-1a, 64-bit: pins an image's bytes without spelling out its two
+    /// resident pages.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn image_bytes_are_pinned() {
+        // The image format is a contract: the fixture's encoding, pinned by
+        // length and digest.
+        let bytes = snapshot(&hydrated_core()).to_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (8940, 9_821_873_163_553_668_852)
+        );
+    }
+
+    #[test]
+    fn counter_sets_keep_their_vec_encoding() {
+        // A counter set encodes as its values in a `Vec<u64>`, in
+        // declaration order.
+        let det = DetectorStats {
+            intervals_total: 1,
+            intervals_used: 2,
+            pair_comparisons: 3,
+            pairs_concurrent: 4,
+            pairs_overlapping: 5,
+            bitmaps_requested: 6,
+            bitmaps_total: 7,
+            bitmap_comparisons: 8,
+            races_found: 9,
+        };
+        assert_eq!(
+            det.to_bytes(),
+            vec![1u64, 2, 3, 4, 5, 6, 7, 8, 9].to_bytes()
+        );
+        let stats = NodeStats {
+            intervals: 1,
+            barriers: 2,
+            consolidations: 3,
+            locks_local: 4,
+            locks_remote: 5,
+            read_faults: 6,
+            write_faults: 7,
+            pages_sent: 8,
+            diffs_made: 9,
+            diff_words: 10,
+            records_applied: 11,
+            shared_reads: 12,
+            shared_writes: 13,
+            log_high_water: 14,
+            bitmap_high_water: 15,
+            retained_bytes_high_water: 16,
+            soft_gcs: 17,
+            pipelined_epochs: 18,
+            pipeline_stalls: 19,
+        };
+        let expected: Vec<u64> = vec![
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+        ];
+        assert_eq!(stats.to_bytes(), expected.to_bytes());
+        // One value too few or too many is a decode error, not a panic.
+        for n in [8, 10] {
+            let body: Vec<u64> = (1..=n).collect();
+            assert!(DetectorStats::from_bytes(&body.to_bytes()).is_err());
+        }
+        for n in [18, 20] {
+            let body: Vec<u64> = (1..=n).collect();
+            assert!(NodeStats::from_bytes(&body.to_bytes()).is_err());
+        }
     }
 
     #[test]

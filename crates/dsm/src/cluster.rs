@@ -308,7 +308,7 @@ where
                     // reconstructed from the cut.
                     if i == mi && core.master != master {
                         if let Some(prev) = s.image(epoch, core.master.0) {
-                            core.det_stats = crate::checkpoint::det_stats_from_vec(&prev.det_stats);
+                            core.det_stats = prev.det_stats;
                         }
                     }
                 }
@@ -539,7 +539,7 @@ where
         races: races.expect("master node present"),
         det_stats,
         net: net_stats.snapshot(),
-        reliability: rstats.map(|r| r.full()),
+        reliability: rstats.map(|r| r.snapshot()),
         segments: run.segments.clone(),
         schedule,
         watch_hits,

@@ -215,50 +215,51 @@ pub(crate) struct MwHome {
     pub local_waiter: Option<(Sender<()>, DiffNeeds)>,
 }
 
-/// Plain counters of protocol activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Intervals closed.
-    pub intervals: u64,
-    /// Barriers completed.
-    pub barriers: u64,
-    /// Consolidations (barrier machinery run for lock-only programs, §6.3).
-    pub consolidations: u64,
-    /// Lock acquisitions satisfied locally (token cached).
-    pub locks_local: u64,
-    /// Lock acquisitions requiring messages.
-    pub locks_remote: u64,
-    /// Read faults taken.
-    pub read_faults: u64,
-    /// Write faults taken.
-    pub write_faults: u64,
-    /// Pages sent to other nodes (copies or ownership transfers).
-    pub pages_sent: u64,
-    /// Diffs created (multi-writer).
-    pub diffs_made: u64,
-    /// Total words across created diffs.
-    pub diff_words: u64,
-    /// Remote interval records applied.
-    pub records_applied: u64,
-    /// Shared reads performed.
-    pub shared_reads: u64,
-    /// Shared writes performed.
-    pub shared_writes: u64,
-    /// High-water mark of retained interval records (GC boundedness).
-    pub log_high_water: u64,
-    /// High-water mark of retained access bitmaps (GC boundedness).
-    pub bitmap_high_water: u64,
-    /// High-water mark of estimated retained bytes across all metered
-    /// classes (records, bitmaps, twins, checkpoint images).
-    pub retained_bytes_high_water: u64,
-    /// Soft-budget crossings that triggered proactive GC.
-    pub soft_gcs: u64,
-    /// Barrier epochs whose detection ran overlapped on the pipeline stage
-    /// (master only; zero in synchronous mode).
-    pub pipelined_epochs: u64,
-    /// Barriers that stalled waiting for the previous epoch's detection to
-    /// drain (master only; the depth-1 pipeline was full).
-    pub pipeline_stalls: u64,
+cvm_net::counters! {
+    /// Plain counters of protocol activity.
+    pub struct NodeStats {
+        /// Intervals closed.
+        pub intervals: u64,
+        /// Barriers completed.
+        pub barriers: u64,
+        /// Consolidations (barrier machinery run for lock-only programs, §6.3).
+        pub consolidations: u64,
+        /// Lock acquisitions satisfied locally (token cached).
+        pub locks_local: u64,
+        /// Lock acquisitions requiring messages.
+        pub locks_remote: u64,
+        /// Read faults taken.
+        pub read_faults: u64,
+        /// Write faults taken.
+        pub write_faults: u64,
+        /// Pages sent to other nodes (copies or ownership transfers).
+        pub pages_sent: u64,
+        /// Diffs created (multi-writer).
+        pub diffs_made: u64,
+        /// Total words across created diffs.
+        pub diff_words: u64,
+        /// Remote interval records applied.
+        pub records_applied: u64,
+        /// Shared reads performed.
+        pub shared_reads: u64,
+        /// Shared writes performed.
+        pub shared_writes: u64,
+        /// High-water mark of retained interval records (GC boundedness).
+        pub log_high_water: u64,
+        /// High-water mark of retained access bitmaps (GC boundedness).
+        pub bitmap_high_water: u64,
+        /// High-water mark of estimated retained bytes across all metered
+        /// classes (records, bitmaps, twins, checkpoint images).
+        pub retained_bytes_high_water: u64,
+        /// Soft-budget crossings that triggered proactive GC.
+        pub soft_gcs: u64,
+        /// Barrier epochs whose detection ran overlapped on the pipeline stage
+        /// (master only; zero in synchronous mode).
+        pub pipelined_epochs: u64,
+        /// Barriers that stalled waiting for the previous epoch's detection to
+        /// drain (master only; the depth-1 pipeline was full).
+        pub pipeline_stalls: u64,
+    }
 }
 
 /// Mutable state of one node, shared between its application thread and its

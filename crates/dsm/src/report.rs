@@ -42,37 +42,38 @@ pub struct NodeReport {
     pub private_calls: u64,
 }
 
-/// Checkpoint/recovery activity of one run (all zeros under
-/// [`RecoveryPolicy::Abort`](crate::RecoveryPolicy)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Node images deposited in the checkpoint store (across attempts).
-    pub checkpoints_taken: u64,
-    /// Total encoded bytes of those images.
-    pub bytes_snapshotted: u64,
-    /// Rollback/restart cycles performed after node failures.
-    pub recoveries: u64,
-    /// Barrier epochs re-entered after rollbacks (work lost to failures).
-    pub epochs_replayed: u64,
-    /// Times the barrier-master role moved to the lowest-numbered survivor
-    /// because the master itself died.
-    pub failovers: u64,
-    /// Backoff sleeps taken between recovery attempts (exponential with
-    /// seeded jitter, so persistent faults cannot spin the attempt loop).
-    pub backoff_waits: u64,
-    /// Scripted partition windows that reached their heal point and let
-    /// traffic flow again (from the reliability layer).
-    pub partitions_healed: u64,
-    /// Stale-term master messages fenced (dropped, never applied) across
-    /// the cluster: an old master talking across a healed partition.
-    pub stale_msgs_fenced: u64,
-    /// Re-seating rounds abandoned because the would-be master could not
-    /// collect a strict majority of handoff acknowledgements.
-    pub quorum_losses: u64,
-    /// Nodes restored from the agreed checkpoint cut after having been cut
-    /// off from the re-seating (the healed old master rejoining at the
-    /// current term).
-    pub rejoin_restores: u64,
+cvm_net::counters! {
+    /// Checkpoint/recovery activity of one run (all zeros under
+    /// [`RecoveryPolicy::Abort`](crate::RecoveryPolicy)).
+    pub struct RecoveryStats {
+        /// Node images deposited in the checkpoint store (across attempts).
+        pub checkpoints_taken: u64,
+        /// Total encoded bytes of those images.
+        pub bytes_snapshotted: u64,
+        /// Rollback/restart cycles performed after node failures.
+        pub recoveries: u64,
+        /// Barrier epochs re-entered after rollbacks (work lost to failures).
+        pub epochs_replayed: u64,
+        /// Times the barrier-master role moved to the lowest-numbered survivor
+        /// because the master itself died.
+        pub failovers: u64,
+        /// Backoff sleeps taken between recovery attempts (exponential with
+        /// seeded jitter, so persistent faults cannot spin the attempt loop).
+        pub backoff_waits: u64,
+        /// Scripted partition windows that reached their heal point and let
+        /// traffic flow again (from the reliability layer).
+        pub partitions_healed: u64,
+        /// Stale-term master messages fenced (dropped, never applied) across
+        /// the cluster: an old master talking across a healed partition.
+        pub stale_msgs_fenced: u64,
+        /// Re-seating rounds abandoned because the would-be master could not
+        /// collect a strict majority of handoff acknowledgements.
+        pub quorum_losses: u64,
+        /// Nodes restored from the agreed checkpoint cut after having been cut
+        /// off from the re-seating (the healed old master rejoining at the
+        /// current term).
+        pub rejoin_restores: u64,
+    }
 }
 
 /// Resource-governance high-water marks and counters of one run.

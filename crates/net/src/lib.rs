@@ -36,6 +36,7 @@ mod link;
 mod network;
 pub mod reliable;
 mod stats;
+pub mod telemetry;
 pub mod wire;
 
 pub use network::{

@@ -458,104 +458,71 @@ impl FaultPlan {
     }
 }
 
-/// Counters kept by the reliability layer.
-#[derive(Debug, Default)]
-pub struct ReliabilityStats {
-    /// Data datagrams dropped by the simulated wire.
-    pub wire_drops: AtomicU64,
-    /// ACK and NAK datagrams dropped by the simulated wire.
-    pub ack_drops: AtomicU64,
-    /// Data retransmissions fired by the retransmission timer.
-    pub retransmissions: AtomicU64,
-    /// NAKs sent by receivers (for damaged frames and sequence gaps).
-    pub naks: AtomicU64,
-    /// Data datagrams resent in answer to a NAK.
-    pub repairs: AtomicU64,
-    /// Duplicate data datagrams suppressed at receivers.
-    pub duplicates: AtomicU64,
-    /// Duplicate datagrams injected by the fault plan.
-    pub dup_injected: AtomicU64,
-    /// Datagrams held back by the seeded delay distribution.
-    pub delayed: AtomicU64,
-    /// Datagrams swapped by the reordering window.
-    pub reordered: AtomicU64,
-    /// Datagrams dropped because the sender was partitioned or the peer
-    /// already declared dead.
-    pub partition_drops: AtomicU64,
-    /// Scripted partition windows that reached their heal point and let
-    /// traffic flow again.
-    pub partitions_healed: AtomicU64,
-    /// Datagrams lost because the peer's wire endpoint had closed
-    /// (shutdown in progress) — distinguishable from wire loss.
-    pub peer_closed: AtomicU64,
-    /// Peers declared dead after exhausting the retransmit budget.
-    pub peers_declared_dead: AtomicU64,
-    /// Frames mutated by the fault plan before transmission.
-    pub corrupt_injected: AtomicU64,
-    /// Received frames dropped by the integrity check (bad magic, length,
-    /// or checksum) — each answered with a NAK to its sender.
-    pub corrupt_dropped: AtomicU64,
-    /// Frames whose checksum verified but whose body failed structural
-    /// decode/validation (malformed datagram, out-of-range process id);
-    /// quarantined rather than delivered.
-    pub decode_errors: AtomicU64,
-    /// Outbound packets that found their link's credit window closed and
-    /// waited in the pending queue.  Timing-dependent (how often a window
-    /// is momentarily full depends on scheduling), so it lives outside
-    /// [`ReliabilitySnapshot`].
-    pub credit_stalls: AtomicU64,
-    /// Deepest any flow's in-flight (unacknowledged) window ever got —
-    /// bounded by [`FaultPlan::link_capacity`] by construction.  Also
-    /// timing-dependent; outside the snapshot.
-    pub queue_high_water: AtomicU64,
-    /// In-order packets handed to application endpoints.  Progress signal
-    /// for the overload watchdog; timing-dependent totals only matter as
-    /// "changed since last look", so it too stays outside the snapshot.
-    pub delivered: AtomicU64,
-    /// Gauge: flows currently credit-stalled (non-empty pending queue)
-    /// across all engines.  Non-zero here plus no delivery progress is the
-    /// watchdog's credit-deadlock signature.
-    pub credit_stalled_now: AtomicU64,
-    /// Deepest any transport channel (engine inbox, delivery) ever got,
-    /// shared by the fabric's metered links.
-    link_high_water: Arc<AtomicU64>,
-}
-
-/// Point-in-time copy of every [`ReliabilityStats`] counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReliabilitySnapshot {
-    /// Data datagrams dropped by the simulated wire.
-    pub wire_drops: u64,
-    /// ACK and NAK datagrams dropped by the simulated wire.
-    pub ack_drops: u64,
-    /// Data retransmissions fired by the retransmission timer.
-    pub retransmissions: u64,
-    /// NAKs sent by receivers.
-    pub naks: u64,
-    /// Data datagrams resent in answer to a NAK.
-    pub repairs: u64,
-    /// Duplicate data datagrams suppressed at receivers.
-    pub duplicates: u64,
-    /// Duplicate datagrams injected by the fault plan.
-    pub dup_injected: u64,
-    /// Datagrams held back by the seeded delay distribution.
-    pub delayed: u64,
-    /// Datagrams swapped by the reordering window.
-    pub reordered: u64,
-    /// Datagrams dropped while partitioned or to dead peers.
-    pub partition_drops: u64,
-    /// Scripted partition windows that healed.
-    pub partitions_healed: u64,
-    /// Datagrams lost to closed (shut-down) peer endpoints.
-    pub peer_closed: u64,
-    /// Peers declared dead after exhausting the retransmit budget.
-    pub peers_declared_dead: u64,
-    /// Frames mutated by the fault plan before transmission.
-    pub corrupt_injected: u64,
-    /// Received frames dropped by the integrity check.
-    pub corrupt_dropped: u64,
-    /// Checksum-valid frames quarantined by structural validation.
-    pub decode_errors: u64,
+crate::counters! {
+    /// Point-in-time copy of every [`ReliabilityStats`] counter.
+    pub struct ReliabilitySnapshot {
+        /// Data datagrams dropped by the simulated wire.
+        pub wire_drops: u64,
+        /// ACK and NAK datagrams dropped by the simulated wire.
+        pub ack_drops: u64,
+        /// Data retransmissions fired by the retransmission timer.
+        pub retransmissions: u64,
+        /// NAKs sent by receivers (for damaged frames and sequence gaps).
+        pub naks: u64,
+        /// Data datagrams resent in answer to a NAK.
+        pub repairs: u64,
+        /// Duplicate data datagrams suppressed at receivers.
+        pub duplicates: u64,
+        /// Duplicate datagrams injected by the fault plan.
+        pub dup_injected: u64,
+        /// Datagrams held back by the seeded delay distribution.
+        pub delayed: u64,
+        /// Datagrams swapped by the reordering window.
+        pub reordered: u64,
+        /// Datagrams dropped because the sender was partitioned or the peer
+        /// already declared dead.
+        pub partition_drops: u64,
+        /// Scripted partition windows that reached their heal point and let
+        /// traffic flow again.
+        pub partitions_healed: u64,
+        /// Datagrams lost because the peer's wire endpoint had closed
+        /// (shutdown in progress) — distinguishable from wire loss.
+        pub peer_closed: u64,
+        /// Peers declared dead after exhausting the retransmit budget.
+        pub peers_declared_dead: u64,
+        /// Frames mutated by the fault plan before transmission.
+        pub corrupt_injected: u64,
+        /// Received frames dropped by the integrity check (bad magic, length,
+        /// or checksum) — each answered with a NAK to its sender.
+        pub corrupt_dropped: u64,
+        /// Frames whose checksum verified but whose body failed structural
+        /// decode/validation (malformed datagram, out-of-range process id);
+        /// quarantined rather than delivered.
+        pub decode_errors: u64,
+    }
+    /// Counters kept by the reliability layer, and beside them the gauges
+    /// and timing-dependent counts [`ReliabilitySnapshot`] leaves out.
+    atomic pub struct ReliabilityStats {
+        /// Outbound packets that found their link's credit window closed and
+        /// waited in the pending queue.  Timing-dependent: how often a window
+        /// is momentarily full depends on scheduling.
+        pub credit_stalls: AtomicU64,
+        /// Deepest any flow's in-flight (unacknowledged) window ever got —
+        /// bounded by [`FaultPlan::link_capacity`] by construction.  Also
+        /// timing-dependent.
+        pub queue_high_water: AtomicU64,
+        /// In-order packets handed to application endpoints.  Progress signal
+        /// for the overload watchdog; timing-dependent totals only matter as
+        /// "changed since last look".
+        pub delivered: AtomicU64,
+        /// Gauge: flows currently credit-stalled (non-empty pending queue)
+        /// across all engines.  Non-zero here plus no delivery progress is the
+        /// watchdog's credit-deadlock signature.
+        pub credit_stalled_now: AtomicU64,
+        /// Deepest any transport channel (engine inbox, delivery) ever got,
+        /// shared by the fabric's metered links.
+        link_high_water: Arc<AtomicU64>,
+    }
 }
 
 impl ReliabilityStats {
@@ -567,28 +534,6 @@ impl ReliabilityStats {
     /// The shared gauge the fabric's metered links feed.
     pub(crate) fn link_gauge(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.link_high_water)
-    }
-
-    /// Full snapshot of every counter.
-    pub fn full(&self) -> ReliabilitySnapshot {
-        ReliabilitySnapshot {
-            wire_drops: self.wire_drops.load(Ordering::Relaxed),
-            ack_drops: self.ack_drops.load(Ordering::Relaxed),
-            retransmissions: self.retransmissions.load(Ordering::Relaxed),
-            naks: self.naks.load(Ordering::Relaxed),
-            repairs: self.repairs.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            dup_injected: self.dup_injected.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            partition_drops: self.partition_drops.load(Ordering::Relaxed),
-            partitions_healed: self.partitions_healed.load(Ordering::Relaxed),
-            peer_closed: self.peer_closed.load(Ordering::Relaxed),
-            peers_declared_dead: self.peers_declared_dead.load(Ordering::Relaxed),
-            corrupt_injected: self.corrupt_injected.load(Ordering::Relaxed),
-            corrupt_dropped: self.corrupt_dropped.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -1744,7 +1689,7 @@ mod tests {
         assert_eq!(unacked(&engine).0, 1, "only the timer spends attempts");
         assert_eq!(unacked(&engine).1, 2);
         assert_eq!(sent(&peer).len(), 2, "one timer copy, one repair");
-        let snap = engine.stats.full();
+        let snap = engine.stats.snapshot();
         assert_eq!((snap.retransmissions, snap.repairs), (1, 2));
         // A NAK acknowledges what it covers.
         engine.handle_wire(
@@ -1792,12 +1737,12 @@ mod tests {
         // A checksum-valid frame that does not decode was not damaged in
         // transit: quarantined, unanswered.
         engine.handle_wire(p1, encode_frame(&[0xFF, 0, 1]));
-        assert_eq!(engine.stats.full().decode_errors, 1);
+        assert_eq!(engine.stats.snapshot().decode_errors, 1);
         // Nor is a peer already declared dead answered.
         engine.dead.insert(p1);
         engine.handle_wire(p1, vec![0; 3]);
         assert!(sent(&peer).is_empty());
-        assert_eq!(engine.stats.full().naks, 3);
+        assert_eq!(engine.stats.snapshot().naks, 3);
     }
 
     #[test]

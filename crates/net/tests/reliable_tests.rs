@@ -60,7 +60,7 @@ fn zero_loss_behaves_like_direct() {
     let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
     send_n(&eps, 0, 1, 50);
     assert_eq!(recv_all(&eps, 1, 50), (0..50).collect::<Vec<_>>());
-    let snap = rstats.full();
+    let snap = rstats.snapshot();
     assert_eq!(
         (snap.wire_drops, snap.retransmissions, snap.duplicates),
         (0, 0, 0)
@@ -88,7 +88,7 @@ fn heavy_loss_still_delivers_everything_in_order() {
         }
         assert_eq!(got0, (0..200).collect::<Vec<_>>(), "seed {seed}");
         assert_eq!(got1, (0..200).collect::<Vec<_>>(), "seed {seed}");
-        let snap = rstats.full();
+        let snap = rstats.snapshot();
         assert!(snap.wire_drops > 0, "the wire must actually drop");
         assert!(
             snap.retransmissions > 0,
@@ -108,7 +108,7 @@ fn duplicates_are_suppressed() {
     std::thread::sleep(std::time::Duration::from_millis(20));
     assert!(eps[1].try_recv().is_err(), "duplicate leaked to the app");
     // (duplicates counts suppressed copies; with 30% ACK loss there are some.)
-    let _ = rstats.full().duplicates;
+    let _ = rstats.snapshot().duplicates;
 }
 
 #[test]
@@ -130,7 +130,7 @@ fn loss_pattern_is_reproducible_per_seed() {
         // Shut the fabric down so the drop count is final.
         drop(eps);
         await_engines(&rstats, 0);
-        rstats.full().wire_drops
+        rstats.snapshot().wire_drops
     };
     // The wire-drop sequence for the initial transmissions is seed-driven;
     // retransmission timing adds wall-clock noise, so compare only that
@@ -169,7 +169,7 @@ fn same_plan_and_seed_reproduce_identical_stats() {
         // the one count shutdown order does not fix.
         ReliabilitySnapshot {
             peer_closed: 0,
-            ..rstats.full()
+            ..rstats.snapshot()
         }
     };
     let first = run(0xFEED);
@@ -199,7 +199,7 @@ fn corruption_is_repaired_by_retransmission() {
             "seed {seed}"
         );
         std::thread::sleep(Duration::from_millis(20));
-        let snap = rstats.full();
+        let snap = rstats.snapshot();
         assert!(snap.corrupt_injected > 0, "seed {seed}: wire must corrupt");
         assert!(
             snap.corrupt_dropped > 0,
@@ -237,7 +237,7 @@ fn scripted_corruption_strikes_exact_frames() {
             .expect("repaired inside the window");
         assert_eq!(pkt.payload, payload(i));
     }
-    let snap = rstats.full();
+    let snap = rstats.snapshot();
     assert_eq!(snap.corrupt_injected, 2, "{snap:?}");
     assert_eq!(snap.corrupt_dropped, 2, "{snap:?}");
     assert_eq!((snap.retransmissions, snap.repairs), (0, 2), "{snap:?}");
@@ -258,7 +258,7 @@ fn gaps_are_repaired_before_any_timer() {
     send_n(&eps, 0, 1, 60);
     assert_eq!(recv_all(&eps, 1, 20), (0..20).collect::<Vec<_>>());
     let elapsed = started.elapsed();
-    let snap = rstats.full();
+    let snap = rstats.snapshot();
     assert!(elapsed < rto / 2, "took {elapsed:?}: {snap:?}");
     assert_eq!(snap.retransmissions, 0, "{snap:?}");
     assert!(
@@ -287,7 +287,7 @@ fn nak_repairs_stay_bounded_under_heavy_corruption() {
     let receiver = eps.remove(1);
     drop(eps);
     await_engines(&rstats, 1);
-    let snap = rstats.full();
+    let snap = rstats.snapshot();
     drop(receiver);
     assert_eq!(snap.peers_declared_dead, 0, "{snap:?}");
     assert!(snap.repairs > 0, "{snap:?}");
@@ -315,7 +315,7 @@ fn lost_ack_copies_do_not_doom_their_resends() {
         let receiver = eps.remove(1);
         drop(eps);
         await_engines(&rstats, 1);
-        let snap = rstats.full();
+        let snap = rstats.snapshot();
         drop(receiver);
         assert_eq!(snap.peers_declared_dead, 0, "seed {seed}: {snap:?}");
     }
@@ -336,7 +336,7 @@ fn killed_node_is_declared_dead_by_its_peers() {
         Err(NetError::PeerDead { peer }) => assert_eq!(peer, ProcId(1)),
         other => panic!("expected peer-dead notification, got {other:?}"),
     }
-    assert!(rstats.full().peers_declared_dead >= 1);
+    assert!(rstats.snapshot().peers_declared_dead >= 1);
     // The killed node's endpoint drains whatever arrived before the kill,
     // then reports its engine gone.
     loop {
@@ -362,7 +362,7 @@ fn partitioned_node_stops_exchanging_datagrams() {
         Err(NetError::PeerDead { peer }) => assert_eq!(peer, ProcId(1)),
         other => panic!("expected peer-dead notification, got {other:?}"),
     }
-    let snap = rstats.full();
+    let snap = rstats.snapshot();
     assert!(snap.partition_drops > 0, "partition must eat datagrams");
     assert!(eps[1].try_recv().is_err(), "nothing crosses the partition");
 }
@@ -379,7 +379,7 @@ fn transient_partition_heals_and_flow_resumes() {
     let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
     send_n(&eps, 0, 1, 30);
     assert_eq!(recv_all(&eps, 1, 30), (0..30).collect::<Vec<_>>());
-    let snap = rstats.full();
+    let snap = rstats.snapshot();
     assert!(snap.partition_drops > 0, "the window must eat datagrams");
     assert_eq!(snap.partitions_healed, 1, "the heal must be observed once");
     assert_eq!(snap.peers_declared_dead, 0, "a healed node is not dead");
@@ -397,7 +397,7 @@ fn multiple_partition_windows_on_one_node_all_apply() {
     let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
     send_n(&eps, 0, 1, 40);
     assert_eq!(recv_all(&eps, 1, 40), (0..40).collect::<Vec<_>>());
-    let snap = rstats.full();
+    let snap = rstats.snapshot();
     assert_eq!(snap.partitions_healed, 2, "both windows must open and heal");
     assert!(snap.partition_drops > 0);
 }
@@ -416,7 +416,7 @@ fn heal_accounting_is_deterministic_per_plan_and_seed() {
         let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
         send_n(&eps, 0, 1, 30);
         assert_eq!(recv_all(&eps, 1, 30), (0..30).collect::<Vec<_>>());
-        rstats.full().partitions_healed
+        rstats.snapshot().partitions_healed
     };
     assert_eq!(run(0xACE), run(0xACE));
     assert_eq!(run(0xACE), 1);
@@ -488,7 +488,7 @@ fn credit_window_is_invisible_to_loss_repair() {
             (0..80).collect::<Vec<_>>(),
             "capacity {capacity}"
         );
-        let snap = rstats.full();
+        let snap = rstats.snapshot();
         assert!(snap.wire_drops > 0, "the wire must actually drop");
         assert!(
             snap.retransmissions > 0,
@@ -525,7 +525,7 @@ fn held_frame_leaves_within_the_window_despite_other_traffic() {
     };
     assert!(arrived >= rto / 2, "seed 3 no longer holds the frame");
     assert_eq!(
-        rstats.full().retransmissions,
+        rstats.snapshot().retransmissions,
         0,
         "released by a retransmission after {arrived:?}, not by the holdback timer"
     );
@@ -561,7 +561,7 @@ fn engines_exit_once_the_last_endpoint_is_dropped() {
     send_n(&eps, 0, 1, 20);
     drop(eps);
     await_engines(&rstats, 0);
-    assert_eq!(rstats.full().peers_declared_dead, 1);
+    assert_eq!(rstats.snapshot().peers_declared_dead, 1);
 }
 
 #[test]
@@ -580,11 +580,11 @@ fn packets_for_a_peer_already_declared_dead_are_dropped_not_kept() {
         eps[0].recv().unwrap_err(),
         NetError::PeerDead { peer: ProcId(1) }
     );
-    let retransmitted = rstats.full().retransmissions;
+    let retransmitted = rstats.snapshot().retransmissions;
     send_n(&eps, 0, 1, 5);
     drop(eps);
     await_engines(&rstats, 0);
-    let snap = rstats.full();
+    let snap = rstats.snapshot();
     assert_eq!(snap.peers_declared_dead, 1);
     assert_eq!(snap.retransmissions, retransmitted);
     assert!(snap.partition_drops >= 5);

@@ -143,18 +143,16 @@ fn main() {
         "drained: {} jobs submitted, {} cancelled at shutdown, {} retries, {} panics caught",
         stats.jobs_submitted, report.jobs_cancelled, stats.pool.retries, stats.pool.panics_caught
     );
-    if stats.persist.journal_records
-        + stats.persist.snapshots_written
-        + stats.persist.recovered_jobs
-        + stats.persist.torn_tail_truncations
-        > 0
-    {
+    let p = stats.persist;
+    if p.values().iter().any(|&v| v > 0) {
         eprintln!(
-            "durable: {} journal records, {} snapshots, {} recovered jobs, {} torn tails truncated",
-            stats.persist.journal_records,
-            stats.persist.snapshots_written,
-            stats.persist.recovered_jobs,
-            stats.persist.torn_tail_truncations
+            "durable: {} journal records, {} snapshots, {} recovered jobs, {} torn tails \
+             truncated, {} I/O errors",
+            p.journal_records,
+            p.snapshots_written,
+            p.recovered_jobs,
+            p.torn_tail_truncations,
+            p.io_errors
         );
     }
     // Exit 0 iff every admitted job is terminal (drain guarantees this

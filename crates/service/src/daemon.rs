@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 
 use crate::job::{JobId, JobSnapshot, JobSpec, JobState};
 use crate::persist::{JournalRecord, OutcomeImage, Persist, PersistConfig, PersistStatsSnapshot};
-use crate::pool::{PoolStatsSnapshot, SeedTask, WorkerPool};
+use crate::pool::{PoolStats, PoolStatsSnapshot, SeedTask, WorkerPool};
 use crate::store::{JobRaces, ResultStore, StoreStats};
 
 /// Daemon sizing knobs.
@@ -117,6 +117,9 @@ struct DaemonInner {
     store: Arc<ResultStore>,
     persist: Arc<Persist>,
     pool: Mutex<WorkerPool>,
+    /// The pool's counters, read without `pool`'s mutex: a drain holds it
+    /// while the workers are joined.
+    pool_stats: Arc<PoolStats>,
     next_id: AtomicU64,
     submitted: AtomicU64,
     rejected: AtomicU64,
@@ -236,6 +239,7 @@ impl Daemon {
                 jobs: Mutex::new(jobs),
                 store,
                 persist,
+                pool_stats: pool.counters(),
                 pool: Mutex::new(pool),
                 submitted: AtomicU64::new(submitted),
                 rejected: AtomicU64::new(0),
@@ -345,7 +349,7 @@ impl Daemon {
             jobs_rejected: inner.rejected.load(Ordering::Relaxed),
             jobs_active: self.active_jobs(),
             draining: inner.draining.load(Ordering::SeqCst),
-            pool: inner.pool.lock().stats(),
+            pool: inner.pool_stats.snapshot(),
             store: inner.store.stats(),
             persist: inner.persist.stats(),
         }
@@ -533,5 +537,19 @@ mod tests {
         let report = daemon.drain(Duration::from_secs(5));
         assert!(report.clean);
         assert_eq!(report.jobs_cancelled, 0);
+    }
+
+    #[test]
+    fn stats_answers_while_the_pool_mutex_is_held() {
+        // A drain holds the pool's mutex across the workers' joins.
+        let daemon = Daemon::start(DaemonConfig::default());
+        let pool = daemon.inner.pool.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = daemon.clone();
+        let handle = std::thread::spawn(move || tx.send(reader.stats().pool).ok());
+        let answered = rx.recv_timeout(Duration::from_secs(10)).is_ok();
+        drop(pool);
+        handle.join().expect("stats thread");
+        assert!(answered, "stats() waited for the pool mutex");
     }
 }

@@ -11,7 +11,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use cvm_dsm::{CancelToken, Protocol, RecoveryPolicy};
+use cvm_dsm::{CancelToken, Protocol, RecoveryPolicy, RecoveryStats};
 use parking_lot::Mutex;
 
 use crate::workload::{FaultSpec, Workload};
@@ -242,10 +242,8 @@ pub(crate) struct JobInner {
     pub(crate) retries: u64,
     pub(crate) deadline_overruns: u64,
     pub(crate) retry_budget_left: u32,
-    pub(crate) partitions_healed: u64,
-    pub(crate) stale_msgs_fenced: u64,
-    pub(crate) quorum_losses: u64,
-    pub(crate) rejoin_restores: u64,
+    /// Recovery telemetry summed over completed runs.
+    pub(crate) recovery: RecoveryStats,
     pub(crate) first_error: Option<String>,
     pub(crate) recovered: bool,
     pub(crate) outcomes: std::collections::BTreeMap<u64, SeedOutcome>,
@@ -282,10 +280,7 @@ impl JobState {
                 retries: 0,
                 deadline_overruns: 0,
                 retry_budget_left: budget,
-                partitions_healed: 0,
-                stale_msgs_fenced: 0,
-                quorum_losses: 0,
-                rejoin_restores: 0,
+                recovery: RecoveryStats::default(),
                 first_error: None,
                 recovered: false,
                 outcomes: std::collections::BTreeMap::new(),
@@ -323,10 +318,10 @@ impl JobState {
             first_error: inner.first_error.clone(),
             recovered: inner.recovered,
             distinct_races: 0,
-            partitions_healed: inner.partitions_healed,
-            stale_msgs_fenced: inner.stale_msgs_fenced,
-            quorum_losses: inner.quorum_losses,
-            rejoin_restores: inner.rejoin_restores,
+            partitions_healed: inner.recovery.partitions_healed,
+            stale_msgs_fenced: inner.recovery.stale_msgs_fenced,
+            quorum_losses: inner.recovery.quorum_losses,
+            rejoin_restores: inner.recovery.rejoin_restores,
         }
     }
 
@@ -418,12 +413,8 @@ impl JobState {
 
     /// Accumulates a completed run's recovery telemetry into the job-wide
     /// totals the status surface reports.
-    pub(crate) fn note_recovery(&self, rec: &cvm_dsm::RecoveryStats) {
-        let mut inner = self.inner.lock();
-        inner.partitions_healed += rec.partitions_healed;
-        inner.stale_msgs_fenced += rec.stale_msgs_fenced;
-        inner.quorum_losses += rec.quorum_losses;
-        inner.rejoin_restores += rec.rejoin_restores;
+    pub(crate) fn note_recovery(&self, rec: &RecoveryStats) {
+        self.inner.lock().recovery.add(rec);
     }
 
     /// Wall-clock time from first seed start to terminal transition.

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -912,34 +912,27 @@ impl Wire for ShadowState {
 // Stats
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct PersistCounters {
-    journal_records: AtomicU64,
-    snapshots_written: AtomicU64,
-    recovered_jobs: AtomicU64,
-    torn_tail_truncations: AtomicU64,
-    fsyncs: AtomicU64,
-    io_errors: AtomicU64,
-}
-
-/// Point-in-time persistence counters, surfaced through daemon stats and
-/// the drain report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PersistStatsSnapshot {
-    /// Records currently live in the journal file (drops to zero at each
-    /// compaction; bounded by `max(compact_every records, snapshot bytes)`).
-    pub journal_records: u64,
-    /// Snapshots written by this process.
-    pub snapshots_written: u64,
-    /// Non-terminal jobs re-admitted at startup.
-    pub recovered_jobs: u64,
-    /// Torn or corrupt journal/snapshot tails truncated at open.
-    pub torn_tail_truncations: u64,
-    /// Journal fsyncs issued.
-    pub fsyncs: u64,
-    /// Persistence I/O failures after open (journaling degrades, the
-    /// daemon keeps serving).
-    pub io_errors: u64,
+cvm_net::counters! {
+    /// Point-in-time persistence counters, surfaced through daemon stats
+    /// and the drain report.
+    pub struct PersistStatsSnapshot {
+        /// Records currently live in the journal file (drops to zero at
+        /// each compaction; bounded by `max(compact_every records, snapshot
+        /// bytes)`).
+        pub journal_records: u64,
+        /// Snapshots written by this process.
+        pub snapshots_written: u64,
+        /// Non-terminal jobs re-admitted at startup.
+        pub recovered_jobs: u64,
+        /// Torn or corrupt journal/snapshot tails truncated at open.
+        pub torn_tail_truncations: u64,
+        /// Journal fsyncs issued.
+        pub fsyncs: u64,
+        /// Persistence I/O failures after open (journaling degrades, the
+        /// daemon keeps serving).
+        pub io_errors: u64,
+    }
+    atomic struct PersistCounters {}
 }
 
 // ---------------------------------------------------------------------------
@@ -1157,14 +1150,7 @@ impl Persist {
 
     /// Point-in-time counters.
     pub fn stats(&self) -> PersistStatsSnapshot {
-        PersistStatsSnapshot {
-            journal_records: self.stats.journal_records.load(Ordering::Relaxed),
-            snapshots_written: self.stats.snapshots_written.load(Ordering::Relaxed),
-            recovered_jobs: self.stats.recovered_jobs.load(Ordering::Relaxed),
-            torn_tail_truncations: self.stats.torn_tail_truncations.load(Ordering::Relaxed),
-            fsyncs: self.stats.fsyncs.load(Ordering::Relaxed),
-            io_errors: self.stats.io_errors.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     fn compact_locked(&self, inner: &mut PersistInner) {
@@ -1356,6 +1342,7 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
     use cvm_net::wire::encode_frame;
+    use std::sync::atomic::AtomicU64;
 
     /// The snapshot file's bytes built in memory: the reference
     /// [`write_snapshot`] must equal byte for byte.

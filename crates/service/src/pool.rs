@@ -52,59 +52,29 @@ pub(crate) struct SeedTask {
     pub(crate) seed: u64,
 }
 
-/// Pool-wide supervision counters.
-#[derive(Debug, Default)]
-pub struct PoolStats {
-    /// Seed tasks brought to a terminal outcome.
-    pub seeds_finished: AtomicU64,
-    /// Run attempts started (including retries).
-    pub attempts: AtomicU64,
-    /// Attempts that ended in a caught panic.
-    pub panics_caught: AtomicU64,
-    /// Attempts cancelled for overrunning their deadline.
-    pub deadline_overruns: AtomicU64,
-    /// Transient failures that were retried.
-    pub retries: AtomicU64,
-    /// Helper threads detached after the drain grace expired.
-    pub detached_helpers: AtomicU64,
-    /// Attempts currently under supervision.  A detached helper leaves
-    /// the gauge when its supervisor gives up on it — its late result is
-    /// discarded anyway — so drain-time accounting can never be pinned by
-    /// a straggler that will not exit.
-    pub active_helpers: AtomicU64,
-}
-
-/// Point-in-time copy of [`PoolStats`], for stats queries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStatsSnapshot {
-    /// Seed tasks brought to a terminal outcome.
-    pub seeds_finished: u64,
-    /// Run attempts started (including retries).
-    pub attempts: u64,
-    /// Attempts that ended in a caught panic.
-    pub panics_caught: u64,
-    /// Attempts cancelled for overrunning their deadline.
-    pub deadline_overruns: u64,
-    /// Transient failures that were retried.
-    pub retries: u64,
-    /// Helper threads detached after the drain grace expired.
-    pub detached_helpers: u64,
-    /// Attempts currently under supervision (detached helpers excluded).
-    pub active_helpers: u64,
-}
-
-impl PoolStats {
-    fn snapshot(&self) -> PoolStatsSnapshot {
-        PoolStatsSnapshot {
-            seeds_finished: self.seeds_finished.load(Ordering::Relaxed),
-            attempts: self.attempts.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            deadline_overruns: self.deadline_overruns.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            detached_helpers: self.detached_helpers.load(Ordering::Relaxed),
-            active_helpers: self.active_helpers.load(Ordering::Relaxed),
-        }
+cvm_net::counters! {
+    /// Point-in-time copy of [`PoolStats`], for stats queries.
+    pub struct PoolStatsSnapshot {
+        /// Seed tasks brought to a terminal outcome.
+        pub seeds_finished: u64,
+        /// Run attempts started (including retries).
+        pub attempts: u64,
+        /// Attempts that ended in a caught panic.
+        pub panics_caught: u64,
+        /// Attempts cancelled for overrunning their deadline.
+        pub deadline_overruns: u64,
+        /// Transient failures that were retried.
+        pub retries: u64,
+        /// Helper threads detached after the drain grace expired.
+        pub detached_helpers: u64,
+        /// Attempts currently under supervision.  A detached helper leaves
+        /// the gauge when its supervisor gives up on it — its late result is
+        /// discarded anyway — so drain-time accounting can never be pinned by
+        /// a straggler that will not exit.
+        pub active_helpers: u64,
     }
+    /// Pool-wide supervision counters.
+    atomic pub struct PoolStats {}
 }
 
 /// Decrements the active-helper gauge on *every* exit from supervision —
@@ -193,7 +163,14 @@ impl WorkerPool {
         }
     }
 
+    /// The supervision counters, shared: they stay readable while the pool
+    /// is locked for a shutdown.
+    pub(crate) fn counters(&self) -> Arc<PoolStats> {
+        Arc::clone(&self.stats)
+    }
+
     /// Supervision counters.
+    #[cfg(test)]
     pub(crate) fn stats(&self) -> PoolStatsSnapshot {
         self.stats.snapshot()
     }

@@ -24,6 +24,8 @@ use cvm_dsm::{Protocol, RecoveryPolicy};
 use crate::daemon::{Daemon, SubmitError};
 use crate::job::{JobId, JobSnapshot, JobSpec};
 use crate::json::{parse, Value};
+use crate::persist::PersistStatsSnapshot;
+use crate::pool::PoolStatsSnapshot;
 use crate::workload::{FaultSpec, KillSpec, PartitionSpec, Workload};
 
 /// Per-connection protection bounds.
@@ -281,43 +283,31 @@ fn dispatch(daemon: &Daemon, request: &Value) -> Result<Value, WireError> {
         }
         "stats" => {
             let stats = daemon.stats();
-            Ok(Value::obj([
+            let fields = [
                 ("ok", Value::Bool(true)),
                 ("jobs_submitted", Value::Int(stats.jobs_submitted as i64)),
                 ("jobs_rejected", Value::Int(stats.jobs_rejected as i64)),
                 ("jobs_active", Value::Int(stats.jobs_active as i64)),
                 ("draining", Value::Bool(stats.draining)),
-                ("attempts", Value::Int(stats.pool.attempts as i64)),
-                ("retries", Value::Int(stats.pool.retries as i64)),
-                ("panics_caught", Value::Int(stats.pool.panics_caught as i64)),
-                (
-                    "deadline_overruns",
-                    Value::Int(stats.pool.deadline_overruns as i64),
-                ),
                 ("store_bytes", Value::Int(stats.store.bytes_live as i64)),
                 ("jobs_evicted", Value::Int(stats.store.jobs_evicted as i64)),
                 (
                     "distinct_races",
                     Value::Int(stats.store.distinct_races as i64),
                 ),
-                (
-                    "journal_records",
-                    Value::Int(stats.persist.journal_records as i64),
-                ),
-                (
-                    "snapshots_written",
-                    Value::Int(stats.persist.snapshots_written as i64),
-                ),
-                (
-                    "recovered_jobs",
-                    Value::Int(stats.persist.recovered_jobs as i64),
-                ),
-                (
-                    "torn_tail_truncations",
-                    Value::Int(stats.persist.torn_tail_truncations as i64),
-                ),
-                ("fsyncs", Value::Int(stats.persist.fsyncs as i64)),
-            ]))
+            ];
+            Ok(Value::obj(
+                fields
+                    .into_iter()
+                    .chain(counter_fields(
+                        PoolStatsSnapshot::NAMES,
+                        stats.pool.values(),
+                    ))
+                    .chain(counter_fields(
+                        PersistStatsSnapshot::NAMES,
+                        stats.persist.values(),
+                    )),
+            ))
         }
         "drain" => {
             let deadline_ms = request
@@ -325,30 +315,29 @@ fn dispatch(daemon: &Daemon, request: &Value) -> Result<Value, WireError> {
                 .and_then(Value::as_u64)
                 .unwrap_or(5_000);
             let report = daemon.drain(Duration::from_millis(deadline_ms));
-            Ok(Value::obj([
+            let fields = [
                 ("ok", Value::Bool(true)),
                 ("clean", Value::Bool(report.clean)),
                 ("jobs_cancelled", Value::Int(report.jobs_cancelled as i64)),
-                (
-                    "journal_records",
-                    Value::Int(report.persist.journal_records as i64),
-                ),
-                (
-                    "snapshots_written",
-                    Value::Int(report.persist.snapshots_written as i64),
-                ),
-                (
-                    "recovered_jobs",
-                    Value::Int(report.persist.recovered_jobs as i64),
-                ),
-                (
-                    "torn_tail_truncations",
-                    Value::Int(report.persist.torn_tail_truncations as i64),
-                ),
-            ]))
+            ];
+            Ok(Value::obj(fields.into_iter().chain(counter_fields(
+                PersistStatsSnapshot::NAMES,
+                report.persist.values(),
+            ))))
         }
         other => Err(("bad_request", format!("unknown op '{other}'"))),
     }
+}
+
+/// A counter set as reply fields, keyed by its declared names.
+fn counter_fields<const N: usize>(
+    names: [&'static str; N],
+    values: [u64; N],
+) -> impl Iterator<Item = (&'static str, Value)> {
+    names
+        .into_iter()
+        .zip(values)
+        .map(|(name, value)| (name, Value::Int(value as i64)))
 }
 
 fn job_id(request: &Value) -> Result<JobId, WireError> {
@@ -710,5 +699,74 @@ mod tests {
             "idle reclaim must not take the full read timeout"
         );
         front.stop();
+    }
+
+    #[test]
+    fn stats_and_drain_replies_carry_every_counter() {
+        let dir = cvm_testkit::scratch_dir("tcp-replies");
+        let daemon = Daemon::start(DaemonConfig {
+            persist: crate::PersistConfig::at(&dir),
+            ..DaemonConfig::default()
+        });
+        daemon
+            .submit(JobSpec::new(Workload::RacyCounter { epochs: 1 }, 2, 1, 2))
+            .expect("admitted");
+        // Drain first: with the pool joined and the journal compacted, no
+        // counter moves between the in-process read and the replies.
+        let drained = handle_line(&daemon, r#"{"op":"drain","deadline_ms":30000}"#);
+        let stats = daemon.stats();
+        assert_eq!(stats.pool.seeds_finished, 2);
+        let reply = handle_line(&daemon, r#"{"op":"stats"}"#);
+        let carries = |reply: &Value, names: &[&str], values: &[u64]| {
+            for (name, value) in names.iter().zip(values) {
+                assert_eq!(
+                    reply.get(name).and_then(Value::as_u64),
+                    Some(*value),
+                    "{name} in {reply}"
+                );
+            }
+        };
+        carries(
+            &drained,
+            &PersistStatsSnapshot::NAMES,
+            &stats.persist.values(),
+        );
+        carries(&reply, &PoolStatsSnapshot::NAMES, &stats.pool.values());
+        carries(
+            &reply,
+            &PersistStatsSnapshot::NAMES,
+            &stats.persist.values(),
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn degraded_durability_is_counted_and_reported() {
+        let dir = cvm_testkit::scratch_dir("tcp-degraded");
+        let daemon = Daemon::start(DaemonConfig {
+            persist: crate::PersistConfig {
+                compact_every: 2,
+                ..crate::PersistConfig::at(&dir)
+            },
+            ..DaemonConfig::default()
+        });
+        // The journal keeps appending to its unlinked file; the compaction
+        // due at the second record cannot create its tmp file.
+        std::fs::remove_dir_all(&dir).expect("remove the data directory");
+        let id = daemon
+            .submit(JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, 1, 1))
+            .expect("admitted");
+        let started = Instant::now();
+        while !daemon.status(id).expect("job known").phase.is_terminal() {
+            assert!(started.elapsed() < Duration::from_secs(30), "job stuck");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(daemon.status(id).unwrap().phase, crate::JobPhase::Done);
+        assert!(daemon.stats().persist.io_errors >= 1);
+        let reply = handle_line(&daemon, r#"{"op":"stats"}"#);
+        assert!(
+            reply.get("io_errors").and_then(Value::as_u64) >= Some(1),
+            "{reply}"
+        );
     }
 }
