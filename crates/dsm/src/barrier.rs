@@ -2,14 +2,22 @@
 //!
 //! Arrival messages carry each worker's interval records since the last
 //! barrier, so the master has "complete and current information on all
-//! intervals in the entire system" (paper §4, step 2).  The master then:
+//! intervals in the entire system" (paper §4, step 2).  One detection epoch
+//! then runs over them:
 //!
-//! 1. enumerates concurrent interval pairs (constant-time vector checks),
-//! 2. builds the check list from page-notice overlaps,
-//! 3. runs the *extra message round* retrieving word bitmaps (mod iii),
-//! 4. compares bitmaps, separating false sharing from true races,
-//! 5. piggybacks race reports and missing consistency records on the
+//! 1. enumerate concurrent interval pairs (constant-time vector checks),
+//! 2. build the check list from page-notice overlaps,
+//! 3. run the *extra message round* retrieving word bitmaps (mod iii,
+//!    [`start_round`] and [`on_bitmap_reply`]),
+//! 4. compare bitmaps, separating false sharing from true races
+//!    ([`Inflight::compare`], [`complete`]),
+//! 5. piggyback race reports and missing consistency records on the
 //!    release messages.
+//!
+//! The epoch has two schedules.  The synchronous master (the paper's) runs
+//! it inline on its service thread and releases after step 5.  The
+//! pipelined master ([`crate::pipeline`]) releases first and runs the same
+//! steps on a stage thread, delivering the reports one release later.
 //!
 //! The barrier implementation creates two interval structures per barrier
 //! (as the paper notes of CVM's): arrival closes the epoch's working
@@ -25,7 +33,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver};
 use cvm_page::PageId;
 use cvm_race::{
-    filter_first_races, BitmapStore, DetectionPlan, EpochArena, EpochDetector, Interval,
+    filter_first_races, BitmapStore, DetectionPlan, EpochArena, EpochDetector, Interval, RaceReport,
 };
 use cvm_vclock::{IntervalId, ProcId, VClock};
 
@@ -42,7 +50,18 @@ use crate::simtime::OverheadCat;
 #[derive(Debug)]
 pub(crate) struct BarrierMaster {
     nprocs: usize,
-    phase: Phase,
+    /// `(worker, clock-at-arrival)` of the barrier being collected.  A
+    /// synchronous master keeps the full vector through its bitmap round,
+    /// until the release goes out.
+    arrived: Vec<(ProcId, VClock)>,
+    /// All interval records of the barrier being collected (shared with
+    /// senders' logs).
+    records: Vec<Arc<Interval>>,
+    /// The epoch whose bitmap round is outstanding, if any.
+    round: Option<Inflight>,
+    /// Reports of completed epochs not yet delivered, in epoch order.
+    /// Always empty on a synchronous master, which delivers on the release.
+    pub(crate) deferred: Vec<RaceReport>,
     /// Planning and comparison scratch, kept across epochs so steady-state
     /// detection does no mid-epoch heap allocation (the pipelined stage
     /// thread owns its own).
@@ -53,36 +72,45 @@ pub(crate) struct BarrierMaster {
     pub(crate) pipe: Option<crate::pipeline::PipelineState>,
 }
 
-#[derive(Debug)]
-enum Phase {
-    /// Waiting for arrivals.
-    Collecting {
-        /// `(worker, clock-at-arrival)`.
-        arrived: Vec<(ProcId, VClock)>,
-        /// All interval records of the epoch (shared with senders' logs).
-        records: Vec<Arc<Interval>>,
-    },
-    /// Check list built; waiting for bitmap replies.
-    AwaitingBitmaps {
-        arrived: Vec<(ProcId, VClock)>,
-        records: Vec<Arc<Interval>>,
-        plan: DetectionPlan,
-        store: BitmapStore,
-        pending: usize,
-    },
-}
-
 impl BarrierMaster {
     pub(crate) fn new(nprocs: usize) -> Self {
         BarrierMaster {
             nprocs,
-            phase: Phase::Collecting {
-                arrived: Vec::new(),
-                records: Vec::new(),
-            },
+            arrived: Vec::new(),
+            records: Vec::new(),
+            round: None,
+            deferred: Vec::new(),
             arena: EpochArena::new(),
             pipe: None,
         }
+    }
+}
+
+/// One detection epoch from its plan to its completion: the check list,
+/// the bitmaps retrieved so far, and how many replies are outstanding.
+#[derive(Debug)]
+pub(crate) struct Inflight {
+    epoch: u64,
+    records: Vec<Arc<Interval>>,
+    plan: DetectionPlan,
+    store: BitmapStore,
+    pending: usize,
+}
+
+impl Inflight {
+    /// Step 4's word-level comparison.  A check-listed bitmap the round did
+    /// not retrieve (a malformed reply) is a protocol error.
+    pub(crate) fn compare(
+        &mut self,
+        detector: &EpochDetector,
+        geometry: cvm_page::Geometry,
+        arena: &mut EpochArena,
+    ) -> Result<Vec<RaceReport>, DsmError> {
+        detector
+            .compare_with(&mut self.plan, &self.store, geometry, self.epoch, arena)
+            .map_err(|_| DsmError::Protocol {
+                context: "check-listed bitmap missing at compare",
+            })
     }
 }
 
@@ -176,12 +204,9 @@ fn await_release(node: &Node, rx: &Receiver<()>, wait: Duration, me: ProcId, mas
 fn missing_arrival(node: &Node) -> Option<ProcId> {
     let st = node.state.lock();
     let master = st.barrier.as_ref()?;
-    let Phase::Collecting { arrived, .. } = &master.phase else {
-        return None;
-    };
     (0..master.nprocs as u16)
         .map(ProcId)
-        .find(|p| !arrived.iter().any(|(a, _)| a == p))
+        .find(|p| !master.arrived.iter().any(|(a, _)| a == p))
 }
 
 fn take_unsent(st: &mut NodeCore) -> Vec<Arc<Interval>> {
@@ -206,40 +231,30 @@ pub(crate) fn on_arrive(
             context: "barrier arrival at non-master",
         });
     };
-    let all_arrived = {
-        let Phase::Collecting {
-            arrived,
-            records: all,
-        } = &mut master.phase
-        else {
-            return Err(DsmError::Protocol {
-                context: "barrier arrival during bitmap round",
-            });
-        };
-        arrived.push((from, vc));
-        all.extend(records);
-        arrived.len() == master.nprocs
-    };
-    if all_arrived {
+    // A synchronous master holds the full arrival vector until it releases.
+    if master.arrived.len() == master.nprocs {
+        return Err(DsmError::Protocol {
+            context: "barrier arrival during bitmap round",
+        });
+    }
+    master.arrived.push((from, vc));
+    master.records.extend(records);
+    if master.arrived.len() == master.nprocs {
         run_detection(st, node)?;
     }
     Ok(())
 }
 
-/// Steps 2–4: plan, then fetch bitmaps (or release immediately).
+/// Every arrival is in: release now (detection off or pipelined), or run
+/// the epoch inline and release after it.
 fn run_detection(st: &mut NodeCore, node: &Node) -> Result<(), DsmError> {
+    let detect = st.cfg.detect;
+    let pipelined = st.detection_pipelined();
+    let epoch = st.epoch;
     let master = st.barrier.as_mut().expect("master only");
-    let Phase::Collecting { arrived, records } = std::mem::replace(
-        &mut master.phase,
-        Phase::Collecting {
-            arrived: Vec::new(),
-            records: Vec::new(),
-        },
-    ) else {
-        unreachable!("run_detection outside Collecting");
-    };
-
-    if !st.cfg.detect.enabled || st.cfg.detect.instrumentation_only {
+    let mut records = std::mem::take(&mut master.records);
+    if !detect.enabled || detect.instrumentation_only {
+        let arrived = std::mem::take(&mut master.arrived);
         return do_release(st, node, arrived, records, Vec::new());
     }
 
@@ -248,21 +263,31 @@ fn run_detection(st: &mut NodeCore, node: &Node) -> Result<(), DsmError> {
     // position, so detection must see a deterministic order for reports to
     // be reproducible run-to-run (and byte-identical between the
     // synchronous and pipelined masters).
-    let mut records = records;
     records.sort_unstable_by_key(|r| r.id());
 
-    // Pipelined mode: release immediately, detect off the critical path.
-    if st
-        .barrier
-        .as_ref()
-        .is_some_and(|master| master.pipe.is_some())
-    {
+    if pipelined {
+        let arrived = std::mem::take(&mut master.arrived);
         return crate::pipeline::pipelined_epoch(st, node, arrived, records);
     }
+    let plan = EpochDetector::from(detect).plan_with(&records, &mut master.arena);
+    match start_round(st, node, epoch, records, plan)? {
+        Some(inflight) => finish_detection(st, node, inflight),
+        None => Ok(()),
+    }
+}
 
+/// The bitmap round of a planned epoch: charge the pair comparisons, gather
+/// the master's own bitmaps and send one `BitmapReq` per owning worker.
+/// Returns the epoch when no reply is outstanding; otherwise parks it for
+/// [`on_bitmap_reply`].
+pub(crate) fn start_round(
+    st: &mut NodeCore,
+    node: &Node,
+    epoch: u64,
+    records: Vec<Arc<Interval>>,
+    plan: DetectionPlan,
+) -> Result<Option<Inflight>, DsmError> {
     st.phase_strike(cvm_net::ProtocolPhase::BitmapRound)?;
-    let master = st.barrier.as_mut().expect("master only");
-    let plan = EpochDetector::from(st.cfg.detect).plan_with(&records, &mut master.arena);
     // "Intervals" overhead: the comparison algorithm, serialized at the
     // master (the effect behind Figure 4's scaling).
     let c = st.cfg.costs;
@@ -270,14 +295,13 @@ fn run_detection(st: &mut NodeCore, node: &Node) -> Result<(), DsmError> {
         OverheadCat::Intervals,
         plan.stats.pair_comparisons * c.vv_compare,
     );
-
-    // Gather bitmap requests per owning process (step 4).
     let mut per_proc: HashMap<ProcId, Vec<(IntervalId, PageId)>> = HashMap::new();
     for (id, page) in plan.bitmap_requests() {
         per_proc.entry(id.proc).or_default().push((id, page));
     }
     let mut store = BitmapStore::new();
-    // The master's own bitmaps are local.
+    // The master's own bitmaps are local (a pipelined master reads them a
+    // release late; the lagged GC in `apply_release` keeps them).
     if let Some(own) = per_proc.remove(&st.proc) {
         for (id, page) in own {
             let bm = st
@@ -288,118 +312,102 @@ fn run_detection(st: &mut NodeCore, node: &Node) -> Result<(), DsmError> {
             store.insert(id, page, bm);
         }
     }
-    let pending = per_proc.len();
-    if pending == 0 {
-        return finish_detection(st, node, arrived, records, plan, store);
-    }
-    let reqs: Vec<(ProcId, Msg)> = per_proc
-        .into_iter()
-        .map(|(p, items)| (p, Msg::BitmapReq { items }))
-        .collect();
-    for (p, msg) in reqs {
-        st.send_msg(&node.sender, p, &msg)?;
-    }
-    let master = st.barrier.as_mut().expect("master only");
-    master.phase = Phase::AwaitingBitmaps {
-        arrived,
+    let inflight = Inflight {
+        epoch,
         records,
         plan,
         store,
-        pending,
+        pending: per_proc.len(),
     };
-    Ok(())
+    if inflight.pending == 0 {
+        return Ok(Some(inflight));
+    }
+    st.barrier.as_mut().expect("master only").round = Some(inflight);
+    for (p, items) in per_proc {
+        st.send_msg(&node.sender, p, &Msg::BitmapReq { items })?;
+    }
+    Ok(None)
 }
 
-/// Master: a bitmap reply from one worker.
+/// Master: a bitmap reply from one worker.  The last one completes the
+/// round: inline on a synchronous master, on the stage thread when
+/// pipelined.
 pub(crate) fn on_bitmap_reply(
     st: &mut NodeCore,
     node: &Node,
     items: Vec<(IntervalId, (PageId, cvm_page::PageBitmaps))>,
 ) -> Result<(), DsmError> {
-    if st
-        .barrier
-        .as_ref()
-        .is_some_and(|master| master.pipe.is_some())
-    {
-        return crate::pipeline::on_bitmap_reply(st, items);
-    }
-    let finished = {
-        let Some(master) = st.barrier.as_mut() else {
-            return Err(DsmError::Protocol {
-                context: "bitmap reply at non-master",
-            });
-        };
-        let Phase::AwaitingBitmaps { store, pending, .. } = &mut master.phase else {
-            return Err(DsmError::Protocol {
-                context: "bitmap reply outside bitmap round",
-            });
-        };
-        for (id, (page, bm)) in items {
-            store.insert(id, page, bm);
-        }
-        *pending -= 1;
-        *pending == 0
+    let Some(master) = st.barrier.as_mut() else {
+        return Err(DsmError::Protocol {
+            context: "bitmap reply at non-master",
+        });
     };
-    if finished {
-        let master = st.barrier.as_mut().expect("master only");
-        let Phase::AwaitingBitmaps {
-            arrived,
-            records,
-            plan,
-            store,
-            ..
-        } = std::mem::replace(
-            &mut master.phase,
-            Phase::Collecting {
-                arrived: Vec::new(),
-                records: Vec::new(),
-            },
-        )
-        else {
-            unreachable!();
-        };
-        finish_detection(st, node, arrived, records, plan, store)?;
+    let Some(round) = master.round.as_mut() else {
+        return Err(DsmError::Protocol {
+            context: "bitmap reply outside bitmap round",
+        });
+    };
+    for (id, (page, bm)) in items {
+        round.store.insert(id, page, bm);
     }
-    Ok(())
+    round.pending -= 1;
+    if round.pending > 0 {
+        return Ok(());
+    }
+    let inflight = master.round.take().expect("checked above");
+    if st.detection_pipelined() {
+        crate::pipeline::post(st, crate::pipeline::Job::Compare(Box::new(inflight)))
+    } else {
+        finish_detection(st, node, inflight)
+    }
 }
 
-/// Step 5: word-level comparison, reporting, release.
+/// Synchronous master: compare on the service thread with the master's
+/// arena, then release with the epoch's reports.
 fn finish_detection(
     st: &mut NodeCore,
     node: &Node,
-    arrived: Vec<(ProcId, VClock)>,
-    records: Vec<Arc<Interval>>,
-    mut plan: DetectionPlan,
-    store: BitmapStore,
+    mut inflight: Inflight,
 ) -> Result<(), DsmError> {
-    let geometry = st.cfg.geometry;
-    let epoch = st.epoch;
+    let detector = EpochDetector::from(st.cfg.detect);
     let master = st.barrier.as_mut().expect("master only");
-    let reports = EpochDetector::from(st.cfg.detect)
-        .compare_with(&mut plan, &store, geometry, epoch, &mut master.arena)
-        .expect("check-listed bitmaps must have been retrieved");
+    let reports = inflight.compare(&detector, st.cfg.geometry, &mut master.arena)?;
+    let reports = complete(st, &inflight, reports);
+    let arrived = std::mem::take(&mut st.barrier.as_mut().expect("master only").arrived);
+    do_release(st, node, arrived, inflight.records, reports)
+}
+
+/// An epoch's comparison is done: charge it, fold its statistics, and
+/// apply the §6.4 first-race filter.  Returns the reports to deliver.
+pub(crate) fn complete(
+    st: &mut NodeCore,
+    inflight: &Inflight,
+    reports: Vec<RaceReport>,
+) -> Vec<RaceReport> {
+    let stats = &inflight.plan.stats;
     let c = st.cfg.costs;
-    let blocks = geometry.page_words.div_ceil(64) as u64;
+    let blocks = st.cfg.geometry.page_words.div_ceil(64) as u64;
     st.clock.add(
         OverheadCat::Bitmaps,
-        plan.stats.bitmap_comparisons * blocks * c.bitmap_block_cmp,
+        stats.bitmap_comparisons * blocks * c.bitmap_block_cmp,
     );
-
-    let reports = if st.cfg.detect.first_races_only {
-        if st.race_log.is_empty() {
-            // All first races live in the earliest racy epoch (§6.4).
-            let stamps: HashMap<IntervalId, cvm_vclock::IntervalStamp> =
-                records.iter().map(|r| (r.id(), r.stamp.clone())).collect();
-            filter_first_races(&reports, &stamps)
-        } else {
-            Vec::new()
-        }
-    } else {
-        reports
-    };
-
-    st.det_stats.add(&plan.stats);
-    do_release(st, node, arrived, records, reports)
+    st.det_stats.add(stats);
+    if !st.cfg.detect.first_races_only {
+        return reports;
+    }
+    // All first races live in the earliest racy epoch (§6.4): once the log
+    // holds a report, later epochs report nothing.  A pipelined master's
+    // log is as complete here: the release that started this epoch
+    // delivered every report deferred before it.
+    if !st.race_log.is_empty() {
+        return Vec::new();
+    }
+    let stamps: HashMap<IntervalId, cvm_vclock::IntervalStamp> = inflight
+        .records
+        .iter()
+        .map(|r| (r.id(), r.stamp.clone()))
+        .collect();
+    filter_first_races(&reports, &stamps)
 }
 
 /// Sends releases and completes the barrier at the master itself.

@@ -723,29 +723,36 @@ pub(crate) fn on_ckpt_ack(st: &mut NodeCore, node: &Node, epoch: u64) -> Result<
         return Ok(());
     }
     st.ckpt_acks.remove(&epoch);
-    // Pipelined detection: the cut must not commit before its epoch's
-    // detection drains — the commit then carries the drained reports so
-    // every image matches the synchronous run's race log at this cut.
-    if st
-        .barrier
-        .as_ref()
-        .is_some_and(|master| master.pipe.is_some())
-    {
-        return crate::pipeline::commit_or_gate(st, node, epoch);
+    // A pipelined cut must not commit before its epoch's detection drains;
+    // the stage commits it then.
+    if st.detection_pipelined() && crate::pipeline::gate_cut(st, epoch)? {
+        return Ok(());
     }
+    commit_cut(st, node, epoch)
+}
+
+/// Master: commits the cut at `epoch`.  The broadcast carries whatever
+/// reports are deferred — none on a synchronous master, on a pipelined one
+/// those that completed after their release went out — so every image
+/// carries the race log a synchronous run would have at this cut.
+pub(crate) fn commit_cut(st: &mut NodeCore, node: &Node, epoch: u64) -> Result<(), DsmError> {
+    let races = st
+        .barrier
+        .as_mut()
+        .map_or_else(Vec::new, |m| std::mem::take(&mut m.deferred));
     let me = st.proc;
-    for p in (0..nprocs as u16).map(ProcId).filter(|p| *p != me) {
+    for p in (0..st.cfg.nprocs as u16).map(ProcId).filter(|p| *p != me) {
         st.send_msg(
             &node.sender,
             p,
             &Msg::CkptGo {
                 epoch,
-                races: Vec::new(),
+                races: races.clone(),
                 term: st.seat_term,
             },
         )?;
     }
-    on_ckpt_go(st, epoch, Vec::new())
+    on_ckpt_go(st, epoch, races)
 }
 
 /// The commit: every node is quiescent, so snapshot this node's image

@@ -260,7 +260,6 @@ where
     let ctl = Arc::new(ClusterCtl::new());
     // Pipelined detection: the master's barrier feeds a dedicated stage
     // thread (spawned below) through this channel.
-    let pipelined = cfg.detect.pipelined && cfg.detect.enabled && !cfg.detect.instrumentation_only;
     let mut stage_rx = None;
     let mut rejoin_restores = 0u64;
     let nodes: Vec<Arc<Node>> = endpoints
@@ -271,7 +270,7 @@ where
             let mut core = NodeCore::new(cfg.clone(), proc);
             if i == mi {
                 let mut bm = BarrierMaster::new(nprocs);
-                if pipelined {
+                if core.detection_pipelined() {
                     let (tx, rx) = crossbeam::channel::unbounded();
                     bm.pipe = Some(crate::pipeline::PipelineState::new(tx));
                     stage_rx = Some(rx);
@@ -327,6 +326,7 @@ where
             })
         })
         .collect();
+    let pipelined = stage_rx.is_some();
 
     let genuine_panic: Option<Box<dyn Any + Send>> = std::thread::scope(|scope| {
         // Service threads own their endpoints.

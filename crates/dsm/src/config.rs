@@ -1,7 +1,6 @@
 //! Run configuration.
 
-use cvm_net::reliable::LossConfig;
-use cvm_net::NetConfig;
+use cvm_net::{FaultPlan, NetConfig};
 use cvm_page::{GAddr, Geometry};
 use cvm_race::{EpochDetector, OverlapStrategy, PairEnumeration};
 
@@ -233,10 +232,9 @@ pub struct DsmConfig {
     /// Network limits.
     pub net: NetConfig,
     /// Run over a faulty wire with the reliability protocol (CVM's UDP
-    /// deployment) instead of perfect channels.  The
-    /// [`FaultPlan`](cvm_net::FaultPlan) ranges from plain Bernoulli loss
-    /// to scripted partitions and kills.
-    pub net_loss: Option<LossConfig>,
+    /// deployment) instead of perfect channels.  The plan ranges from
+    /// plain Bernoulli loss to scripted partitions and kills.
+    pub net_loss: Option<FaultPlan>,
     /// Deadline for any single blocking protocol operation (a lock
     /// acquire, a page fetch, a barrier arrival round).  When a node dies
     /// or partitions, waiting peers convert the would-be deadlock into a

@@ -1,6 +1,6 @@
 //! End-to-end cluster tests: coherence, synchronization, and detection.
 
-use cvm_dsm::{Cluster, DetectConfig, DsmConfig, Protocol, WriteDetection};
+use cvm_dsm::{Cluster, DetectConfig, DsmConfig, OverheadCat, Protocol, WriteDetection};
 use cvm_net::TrafficClass;
 use cvm_page::GAddr;
 use cvm_race::RaceKind;
@@ -332,8 +332,9 @@ fn barrier_only_app_has_two_intervals_per_barrier() {
 
 #[test]
 fn first_races_only_reports_earliest_epoch() {
-    let run = |first_only| {
+    let run_with = |detect: DetectConfig, first_only| {
         let mut c = cfg(2);
+        c.detect = detect;
         c.detect.first_races_only = first_only;
         Cluster::run(
             c,
@@ -349,6 +350,7 @@ fn first_races_only_reports_earliest_epoch() {
         )
         .expect("cluster run")
     };
+    let run = |first_only| run_with(DetectConfig::on(), first_only);
     let all = run(false);
     let epochs_all: std::collections::BTreeSet<u64> =
         all.races.reports().iter().map(|r| r.epoch).collect();
@@ -367,6 +369,10 @@ fn first_races_only_reports_earliest_epoch() {
         epochs_first.into_iter().next(),
         epochs_all.into_iter().next()
     );
+    // Pipelined, the first epoch's reports arrive one release late; the
+    // same "already raced" rule must still silence the second epoch.
+    let pipelined = run_with(DetectConfig::pipelined(), true);
+    assert_eq!(pipelined.races.reports(), first.races.reports());
 }
 
 #[test]
@@ -658,7 +664,7 @@ fn full_stack_over_lossy_wire() {
     // the bitmap round — over a 10%-loss wire with the reliability layer
     // underneath: same answers, same races.
     let mut c = cfg(3);
-    c.net_loss = Some(cvm_net::reliable::LossConfig::new(0.10, 1996));
+    c.net_loss = Some(cvm_net::FaultPlan::new(0.10, 1996));
     let report = Cluster::run(
         c,
         |alloc| {
@@ -759,6 +765,12 @@ fn lock_storm_is_invariant_across_workers_and_pipelining() {
     // Every lock interval of an epoch is concurrent with every remote one,
     // and nearly all of those pairs share no page.
     assert!(reference.det_stats.pairs_concurrent >= EPOCHS * pairs * LOCK_OPS * LOCK_OPS);
+    // The master's detection charges: `det_stats` times the cost
+    // constants, plus the bitmap round's message bytes.
+    let charges = |report: &cvm_dsm::RunReport| {
+        let cats = report.nodes[0].cats;
+        [OverheadCat::Intervals, OverheadCat::Bitmaps].map(|c| cats[c as usize])
+    };
     for (workers, pipelined) in [(0, false), (4, false), (0, true), (1, true), (4, true)] {
         let report = run(workers, pipelined);
         assert_eq!(
@@ -768,6 +780,11 @@ fn lock_storm_is_invariant_across_workers_and_pipelining() {
         );
         assert_eq!(
             report.det_stats, reference.det_stats,
+            "workers {workers}, pipelined {pipelined}"
+        );
+        assert_eq!(
+            charges(&report),
+            charges(&reference),
             "workers {workers}, pipelined {pipelined}"
         );
     }

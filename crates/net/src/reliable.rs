@@ -207,9 +207,7 @@ impl FaultEvent {
 }
 
 /// Wire fault model: seeded, deterministic fault injection plus the
-/// retransmission-policy knobs of the reliability protocol.
-///
-/// The historical name [`LossConfig`] remains as an alias; a plain
+/// retransmission-policy knobs of the reliability protocol.  A plain
 /// Bernoulli loss model is `FaultPlan::new(rate, seed)`.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
@@ -253,9 +251,6 @@ pub struct FaultPlan {
     /// Scripted partition/kill events.
     pub events: Vec<FaultEvent>,
 }
-
-/// Historical name of [`FaultPlan`], kept for the plain-loss call sites.
-pub type LossConfig = FaultPlan;
 
 impl FaultPlan {
     /// A pure Bernoulli loss model with the given rate and seed: 2 ms

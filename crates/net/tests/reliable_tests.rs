@@ -3,7 +3,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cvm_net::reliable::LossConfig;
 use cvm_net::{
     ByteBreakdown, CorruptKind, FaultPlan, NetConfig, NetError, Network, ReliabilitySnapshot,
     ReliabilityStats, TrafficClass,
@@ -56,7 +55,7 @@ fn await_engines(rstats: &Arc<ReliabilityStats>, live: usize) {
 fn zero_loss_behaves_like_direct() {
     // An RTO no scheduler stall reaches: with nothing lost, no timer fires.
     let rto = Duration::from_secs(60);
-    let plan = LossConfig::new(0.0, 1).with_rto(rto, rto);
+    let plan = FaultPlan::new(0.0, 1).with_rto(rto, rto);
     let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), plan);
     send_n(&eps, 0, 1, 50);
     assert_eq!(recv_all(&eps, 1, 50), (0..50).collect::<Vec<_>>());
@@ -71,7 +70,7 @@ fn zero_loss_behaves_like_direct() {
 fn heavy_loss_still_delivers_everything_in_order() {
     for seed in [1u64, 2, 3] {
         let (eps, _, rstats) =
-            Network::with_loss(3, NetConfig::default(), LossConfig::new(0.4, seed));
+            Network::with_loss(3, NetConfig::default(), FaultPlan::new(0.4, seed));
         send_n(&eps, 0, 2, 200);
         send_n(&eps, 1, 2, 200);
         // Per-flow FIFO must survive 40% wire loss.
@@ -101,7 +100,7 @@ fn heavy_loss_still_delivers_everything_in_order() {
 fn duplicates_are_suppressed() {
     // With ACK loss, data gets retransmitted after delivery: the receiver
     // must not see it twice.
-    let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), LossConfig::new(0.3, 99));
+    let (eps, _, rstats) = Network::with_loss(2, NetConfig::default(), FaultPlan::new(0.3, 99));
     send_n(&eps, 0, 1, 100);
     assert_eq!(recv_all(&eps, 1, 100), (0..100).collect::<Vec<_>>());
     // Nothing further arrives even after retransmission windows pass.
@@ -113,7 +112,7 @@ fn duplicates_are_suppressed() {
 
 #[test]
 fn bidirectional_flows_are_independent() {
-    let (eps, _, _) = Network::with_loss(2, NetConfig::default(), LossConfig::new(0.2, 7));
+    let (eps, _, _) = Network::with_loss(2, NetConfig::default(), FaultPlan::new(0.2, 7));
     send_n(&eps, 0, 1, 64);
     send_n(&eps, 1, 0, 64);
     assert_eq!(recv_all(&eps, 1, 64), (0..64).collect::<Vec<_>>());
@@ -124,7 +123,7 @@ fn bidirectional_flows_are_independent() {
 fn loss_pattern_is_reproducible_per_seed() {
     let run = |seed| {
         let (eps, _, rstats) =
-            Network::with_loss(2, NetConfig::default(), LossConfig::new(0.25, seed));
+            Network::with_loss(2, NetConfig::default(), FaultPlan::new(0.25, seed));
         send_n(&eps, 0, 1, 100);
         let _ = recv_all(&eps, 1, 100);
         // Shut the fabric down so the drop count is final.
@@ -535,7 +534,7 @@ fn held_frame_leaves_within_the_window_despite_other_traffic() {
 fn packets_sent_before_the_last_sender_drops_all_arrive() {
     // The close notice queues behind the 100 packets in node 0's inbox, and
     // the engine keeps repairing losses until every one is acknowledged.
-    let (mut eps, _, _) = Network::with_loss(2, NetConfig::default(), LossConfig::new(0.25, 31));
+    let (mut eps, _, _) = Network::with_loss(2, NetConfig::default(), FaultPlan::new(0.25, 31));
     send_n(&eps, 0, 1, 100);
     drop(eps.remove(0));
     // Node 1's endpoint is now `eps[0]`.
