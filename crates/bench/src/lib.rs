@@ -229,12 +229,13 @@ pub fn wire_summary(r: &RunReport) -> String {
     };
     format!(
         "{} frames corrupted / {} dropped by checksum / {} quarantined by decode / \
-         {} NAKs / {} repairs / {} retransmissions",
+         {} NAKs / {} repairs / {} probes / {} retransmissions",
         s.corrupt_injected,
         s.corrupt_dropped,
         s.decode_errors,
         s.naks,
         s.repairs,
+        s.probes,
         s.retransmissions
     )
 }
@@ -319,6 +320,11 @@ mod tests {
         let snap = on.reliability.expect("faulty wire keeps stats");
         let repair = format!("{} NAKs / {} repairs", snap.naks, snap.repairs);
         assert!(line.contains(&repair), "{line}");
+        let timers = format!(
+            "{} probes / {} retransmissions",
+            snap.probes, snap.retransmissions
+        );
+        assert!(line.contains(&timers), "{line}");
         assert!(snap.corrupt_injected > 0, "{snap:?}");
         assert_eq!(snap.decode_errors, 0, "{snap:?}");
     }

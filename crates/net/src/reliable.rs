@@ -29,11 +29,28 @@
 //!   once per retransmission-timer period, without spending its
 //!   retransmit budget — and re-sends its own ACK of the NAKer's flow, in
 //!   case that was the damaged frame.  One round trip instead of one RTO;
-//! * timer-driven retransmission with exponential backoff, jitter, and a
-//!   cap, plus a max-retransmit threshold that declares the peer *dead*
-//!   (surfaced as [`NetEvent::PeerDead`](crate::NetEvent)) instead of
-//!   retrying forever.  The timer is the backstop NAKs cannot replace: a
-//!   lost tail datagram reveals no gap.
+//! * an adaptive retransmission timer: each flow keeps an RFC 6298
+//!   smoothed round-trip estimate (SRTT/RTTVAR), sampled only from
+//!   datagrams whose original copy was acknowledged (Karn's rule), and
+//!   times its datagrams with `SRTT + 4·RTTVAR` clamped to
+//!   `rto ..= max_rto` — the plan's `rto` is also the timeout until the
+//!   first sample (RFC 6298's initial and minimum RTO) — backed off
+//!   exponentially with keyed jitter.  On a loaded host the estimate
+//!   lengthens the timer; it never shortens it below what the plan chose;
+//! * a tail-loss probe (RFC 8985 §7): a lost *tail* datagram reveals no
+//!   gap, so each time a flow's ACK point moves or it sends a new
+//!   datagram, a deadline `max(2·SRTT, 200 µs, rto/32)` is armed; when it
+//!   passes, the newest unacknowledged datagram is resent once as a
+//!   repair that spends no attempt — at most one probe per ACK advance.
+//!   A descheduled peer looks exactly like a lost tail, so the floor is
+//!   about what a healthy engine waits for a core on a loaded host
+//!   (200 µs), or a fraction of a plan sized against longer host stalls;
+//! * death by silence: a peer is declared *dead* (surfaced as
+//!   [`NetEvent::PeerDead`](crate::NetEvent)) only once one datagram has
+//!   spent `max_retransmits` *and* nothing valid has arrived from the peer
+//!   for as long as the fixed schedule `Σ min(rto·2^k, max_rto)` took to
+//!   spend them, so no timer detects a death sooner than that schedule,
+//!   and a peer that still answers is never dead.
 //!
 //! The application-facing API is unchanged: [`Network::with_loss`] hands
 //! out the same [`Endpoint`]s/[`NetSender`]s, so the whole DSM (and the
@@ -54,8 +71,9 @@
 //! detector epoch intact.  *Which* copies exist is another matter:
 //! retransmissions fire on wall-clock timers, and repairs and re-sent
 //! ACKs follow NAKs that race them, so their counts are timing-dependent.
-//! A wire with no loss, corruption, delay or reordering sends no NAK and,
-//! within the RTO, no retransmission; determinism tests pin that regime.
+//! A wire with no loss, corruption, delay or reordering sends no NAK, and
+//! a peer that answers within the probe and retransmission timeouts draws
+//! no probe and no retransmission; determinism tests pin that regime.
 //!
 //! [`Endpoint`]: crate::Endpoint
 //! [`NetSender`]: crate::NetSender
@@ -222,7 +240,7 @@ pub struct FaultPlan {
     /// Probability in `[0, 1)` that a datagram is held back and swapped
     /// with the next datagram on the same link (a reordering window of
     /// one; a held datagram with no swap partner is released after half
-    /// an RTO).
+    /// the shortest timer that could resend it, `min(rto, probe floor)`).
     pub reorder_rate: f64,
     /// Probability in `[0, 1)` that a datagram's bytes are mutated on the
     /// wire (seeded bit-flip, truncation, or garbage tail, chosen per
@@ -233,13 +251,20 @@ pub struct FaultPlan {
     pub delay: Option<(Duration, Duration)>,
     /// Seed for all fault decisions.
     pub seed: u64,
-    /// Initial retransmission timeout (doubles per attempt).
+    /// Retransmission timeout of a flow before its first round-trip
+    /// sample, and the floor under its estimate after (doubles per
+    /// attempt).  A thirty-second of it floors the tail-loss probe.  With
+    /// `max_rto` and `max_retransmits` it also fixes the silence budget,
+    /// `Σ_{k=0..=max_retransmits} min(rto·2^k, max_rto)`.
     pub rto: Duration,
-    /// Upper bound on the backed-off retransmission timeout.
+    /// Upper bound on the estimated and on the backed-off retransmission
+    /// timeout.
     pub max_rto: Duration,
-    /// Retransmissions of one datagram before the peer is declared dead
-    /// and a [`NetEvent::PeerDead`](crate::NetEvent) is delivered instead
-    /// of retrying forever.  `u32::MAX` disables the threshold.
+    /// Retransmissions one datagram must spend before its peer can be
+    /// declared dead: a floor that the silence budget (see `rto`) joins —
+    /// the peer must also have sent nothing valid for that long.  Then a
+    /// [`NetEvent::PeerDead`](crate::NetEvent) is delivered instead of
+    /// retrying forever.  `u32::MAX` disables death.
     pub max_retransmits: u32,
     /// Per-link credit window: the maximum number of unacknowledged data
     /// datagrams a sender may have in flight to one peer.  Each ACK
@@ -253,9 +278,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A pure Bernoulli loss model with the given rate and seed: 2 ms
-    /// initial RTO backed off to 64 ms, peers declared dead after 64
-    /// retransmissions, no other faults.
+    /// A pure Bernoulli loss model with the given rate and seed: a 2 ms
+    /// RTO (the floor under each flow's estimate), 64 ms cap, peers
+    /// declared dead after 64 retransmissions and ≈ 3.9 s of silence, no
+    /// other faults.
     pub fn new(drop_rate: f64, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&drop_rate), "drop rate out of range");
         FaultPlan {
@@ -279,7 +305,9 @@ impl FaultPlan {
         FaultPlan::new(0.0, seed)
     }
 
-    /// Sets the initial retransmission timeout and its backoff cap.
+    /// Sets the retransmission timeout (before the first round-trip sample,
+    /// and the floor under the estimate after) and the cap on every
+    /// timeout.
     #[must_use]
     pub fn with_rto(mut self, rto: Duration, max_rto: Duration) -> Self {
         assert!(max_rto >= rto, "max_rto below initial rto");
@@ -466,6 +494,9 @@ crate::counters! {
         pub naks: u64,
         /// Data datagrams resent in answer to a NAK.
         pub repairs: u64,
+        /// Tail-loss probes: a flow's newest unacknowledged datagram resent
+        /// because no ACK advanced within the probe timeout.
+        pub probes: u64,
         /// Duplicate data datagrams suppressed at receivers.
         pub duplicates: u64,
         /// Duplicate datagrams injected by the fault plan.
@@ -483,7 +514,8 @@ crate::counters! {
         /// Datagrams lost because the peer's wire endpoint had closed
         /// (shutdown in progress) — distinguishable from wire loss.
         pub peer_closed: u64,
-        /// Peers declared dead after exhausting the retransmit budget.
+        /// Peers declared dead after spending the retransmit budget in
+        /// silence.
         pub peers_declared_dead: u64,
         /// Frames mutated by the fault plan before transmission.
         pub corrupt_injected: u64,
@@ -651,11 +683,14 @@ fn apply_corruption(frame: &mut Vec<u8>, kind: CorruptKind, roll: u64) {
 struct Unacked {
     seq: u64,
     packet: Packet,
+    /// When the original copy was sent: the start of its round-trip
+    /// sample and of the silence its peer is measured by.
+    sent: Instant,
     /// Timer retransmissions performed so far: the backoff exponent and
-    /// the death budget.  NAK repairs never advance it.
+    /// the death budget.  NAK repairs and probes never advance it.
     attempts: u32,
-    /// NAK repairs performed so far (the repair ordinal in each repair
-    /// copy's dice key; never reset).
+    /// NAK repairs and probes performed so far (the repair ordinal in each
+    /// such copy's dice key; never reset).
     repairs: u32,
     /// Whether a NAK has repaired it since its last timer (re)transmission:
     /// the one-repair-per-timer-period limit that bounds NAK cascades.
@@ -670,6 +705,75 @@ fn copy_key(attempt: u32, repair: u32) -> u64 {
     u64::from(attempt) | (u64::from(repair) << 32)
 }
 
+/// However short its round trips, a flow's probe timeout never drops
+/// below `max(PROBE_FLOOR, rto / PROBE_FLOOR_DIV)`: a healthy peer's
+/// engine can wait that long for a core on a loaded host, and a plan whose
+/// `rto` is sized against longer host stalls keeps a probe that outlasts
+/// them.
+const PROBE_FLOOR: Duration = Duration::from_micros(200);
+const PROBE_FLOOR_DIV: u32 = 32;
+
+fn probe_floor(plan: &FaultPlan) -> Duration {
+    PROBE_FLOOR.max(plan.rto / PROBE_FLOOR_DIV)
+}
+
+/// One flow's smoothed round-trip estimate (RFC 6298 §2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Rtt {
+    srtt: Duration,
+    rttvar: Duration,
+}
+
+impl Rtt {
+    /// The estimate after the first sample `r`.
+    fn first(r: Duration) -> Self {
+        Rtt {
+            srtt: r,
+            rttvar: r / 2,
+        }
+    }
+
+    /// Folds in a later sample `r` (α = 1/8, β = 1/4).
+    fn update(&mut self, r: Duration) {
+        let err = self.srtt.abs_diff(r);
+        self.rttvar = self.rttvar * 3 / 4 + err / 4;
+        self.srtt = self.srtt * 7 / 8 + r / 8;
+    }
+
+    /// `SRTT + 4·RTTVAR`, clamped to `[rto, max_rto]`.
+    fn rto(&self, plan: &FaultPlan) -> Duration {
+        (self.srtt + self.rttvar * 4)
+            .max(plan.rto)
+            .min(plan.max_rto)
+    }
+
+    /// How long a flow's newest datagram waits for an ACK to move before
+    /// it is probed: `max(2·SRTT, probe floor)`.
+    fn probe_timeout(&self, plan: &FaultPlan) -> Duration {
+        (self.srtt * 2).max(probe_floor(plan))
+    }
+}
+
+/// A flow's tail-loss probe: one per ACK advance.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Probe {
+    /// Not armed; the next new datagram arms it.
+    Ready,
+    /// Due at this instant.
+    Armed(Instant),
+    /// Sent since the last ACK advance.
+    Spent,
+}
+
+impl Probe {
+    fn deadline(self) -> Option<Instant> {
+        match self {
+            Probe::Armed(at) => Some(at),
+            Probe::Ready | Probe::Spent => None,
+        }
+    }
+}
+
 /// Sending-half state for one flow (this node → one peer).
 struct FlowTx {
     next_seq: u64,
@@ -679,6 +783,11 @@ struct FlowTx {
     /// (it sits in `unacked`), which is what keeps a lossy capacity-1 link
     /// from deadlocking.
     pending: VecDeque<Packet>,
+    /// Round-trip estimate; `None` until the first sample.
+    rtt: Option<Rtt>,
+    probe: Probe,
+    /// When the last valid frame (data, ACK or NAK) arrived from the peer.
+    heard: Instant,
 }
 
 impl FlowTx {
@@ -687,6 +796,23 @@ impl FlowTx {
             next_seq: 1,
             unacked: Vec::new(),
             pending: VecDeque::new(),
+            rtt: None,
+            probe: Probe::Ready,
+            heard: Instant::now(),
+        }
+    }
+
+    /// The un-backed-off timeout: the estimate, or `plan.rto` before the
+    /// first sample.
+    fn base_rto(&self, plan: &FaultPlan) -> Duration {
+        self.rtt.map_or(plan.rto, |r| r.rto(plan))
+    }
+
+    /// Arms the probe `now`, unless it is spent or there is no estimate
+    /// to time it by.
+    fn arm_probe(&mut self, now: Instant, plan: &FaultPlan) {
+        if let (Some(rtt), false) = (self.rtt, self.probe == Probe::Spent) {
+            self.probe = Probe::Armed(now + rtt.probe_timeout(plan));
         }
     }
 }
@@ -785,17 +911,45 @@ fn threshold(rate: f64) -> u64 {
     (rate * u64::MAX as f64) as u64
 }
 
+/// `min(base << attempt, max_rto)`.
+fn backed_off(base: Duration, attempt: u32, max_rto: Duration) -> Duration {
+    let backed = (base.as_nanos() as u64).saturating_shl(attempt.min(20));
+    Duration::from_nanos(backed).min(max_rto)
+}
+
 /// Backed-off, jittered retransmission timeout for timer attempt
-/// `attempt`: `min(rto << attempt, max_rto)` plus a deterministic jitter
-/// of up to 25% of the base RTO (keyed per `(peer, seq, attempt)`).
-fn rto_for(plan: &FaultPlan, dice: FaultDice, dst: ProcId, seq: u64, attempt: u32) -> Duration {
-    let base = plan.rto.as_nanos() as u64;
-    let backed = base.saturating_shl(attempt.min(20));
-    let capped = backed.min(plan.max_rto.as_nanos() as u64);
-    let jitter = (base / 4)
+/// `attempt` from the flow's un-backed-off timeout `base`:
+/// [`backed_off`] plus a deterministic jitter of up to 25% of `base`
+/// (keyed per `(peer, seq, attempt)`).
+fn rto_for(
+    base: Duration,
+    max_rto: Duration,
+    dice: FaultDice,
+    dst: ProcId,
+    seq: u64,
+    attempt: u32,
+) -> Duration {
+    let jitter = (base.as_nanos() as u64 / 4)
         .wrapping_mul(dice.mix(TAG_JITTER, dst.0 as u64, seq, u64::from(attempt)) & 0xFF)
         / 256;
-    Duration::from_nanos(capped + jitter)
+    backed_off(base, attempt, max_rto) + Duration::from_nanos(jitter)
+}
+
+/// How long a peer must stay silent before it can be declared dead: what
+/// the fixed schedule takes to spend the retransmit budget,
+/// `Σ_{k=0..=max_retransmits} min(rto·2^k, max_rto)` (jitter aside).
+fn silence_budget(plan: &FaultPlan) -> Duration {
+    let mut total = Duration::ZERO;
+    for k in 0..=plan.max_retransmits {
+        let step = backed_off(plan.rto, k, plan.max_rto);
+        if step == plan.max_rto || k >= 20 {
+            // Every later term equals this one.
+            let rest = (plan.max_retransmits - k).saturating_add(1);
+            return total.saturating_add(step.checked_mul(rest).unwrap_or(Duration::MAX));
+        }
+        total += step;
+    }
+    total
 }
 
 /// SplitMix64 finalizer, the mixing step of the dice above on its own: one
@@ -900,8 +1054,10 @@ pub(crate) struct ReliabilityEngine {
     frames_sent: u64,
     partitioned: bool,
     killed: bool,
-    /// Peers declared dead (retransmit budget exhausted).
+    /// Peers declared dead (retransmit budget spent in silence).
     dead: HashSet<ProcId>,
+    /// [`silence_budget`] of the plan.
+    silence: Duration,
     /// Frames held back by the delay distribution, with their release
     /// times.
     delayed: Vec<(Instant, ProcId, Vec<u8>)>,
@@ -990,6 +1146,7 @@ impl ReliabilityEngine {
             partitioned: false,
             killed: false,
             dead: HashSet::new(),
+            silence: silence_budget(plan),
             delayed: Vec::new(),
             holdback: HashMap::new(),
             stats,
@@ -1138,10 +1295,12 @@ impl ReliabilityEngine {
         self.raw_send(dst, frame);
     }
 
-    /// How long a held datagram waits for a swap partner: half an RTO, so
-    /// the reordering is over before the retransmit timer could mask it.
+    /// How long a held datagram waits for a swap partner: half the
+    /// shortest timer that could resend it — the probe floor, or `rto` if
+    /// that is shorter — so the reordering is over before a probe or the
+    /// retransmit timer could mask it.
     fn holdback_window(&self) -> Duration {
-        (self.plan.rto / 2).max(Duration::from_micros(200))
+        probe_floor(&self.plan).min(self.plan.rto) / 2
     }
 
     fn raw_send(&self, dst: ProcId, frame: Vec<u8>) {
@@ -1227,17 +1386,21 @@ impl ReliabilityEngine {
     /// and therefore `queue_high_water` — at most the configured capacity
     /// by construction.
     fn admit(&mut self, dst: ProcId, packet: Packet) {
+        let now = Instant::now();
         let flow = self.tx_flows.get_mut(&dst).expect("flow exists");
         let seq = flow.next_seq;
         flow.next_seq += 1;
+        let base = flow.base_rto(&self.plan);
         flow.unacked.push(Unacked {
             seq,
             packet: packet.clone(),
+            sent: now,
             attempts: 0,
             repairs: 0,
             repaired: false,
-            due: Instant::now() + rto_for(&self.plan, self.dice, dst, seq, 0),
+            due: now + rto_for(base, self.plan.max_rto, self.dice, dst, seq, 0),
         });
+        flow.arm_probe(now, &self.plan);
         let inflight = flow.unacked.len() as u64;
         debug_assert!(inflight <= self.window, "credit window overrun");
         self.stats
@@ -1319,6 +1482,9 @@ impl ReliabilityEngine {
             self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        if let Some(flow) = self.tx_flows.get_mut(&src) {
+            flow.heard = Instant::now();
+        }
         match dgram {
             Dgram::Data {
                 flow_src,
@@ -1366,10 +1532,29 @@ impl ReliabilityEngine {
 
     /// Retires `dst`'s datagrams up to `upto` and spends the credits that
     /// frees on the flow's stalled packets: the cumulative ACK is the
-    /// credit grant.
+    /// credit grant.  An ACK that moves the ACK point re-arms the flow's
+    /// probe and samples the round trip of the datagram it names if only
+    /// that datagram's original was ever sent (Karn's rule: otherwise the
+    /// ACK may be a later copy's).
     fn acknowledged(&mut self, dst: ProcId, upto: u64) {
         if let Some(flow) = self.tx_flows.get_mut(&dst) {
-            flow.unacked.retain(|u| u.seq > upto);
+            let retired = flow.unacked.partition_point(|u| u.seq <= upto);
+            if retired > 0 {
+                let now = Instant::now();
+                let named = &flow.unacked[retired - 1];
+                if named.seq == upto && named.attempts == 0 && named.repairs == 0 {
+                    let r = now - named.sent;
+                    match &mut flow.rtt {
+                        Some(rtt) => rtt.update(r),
+                        None => flow.rtt = Some(Rtt::first(r)),
+                    }
+                }
+                flow.unacked.drain(..retired);
+                flow.probe = Probe::Ready;
+                if !flow.unacked.is_empty() {
+                    flow.arm_probe(now, &self.plan);
+                }
+            }
         }
         self.admit_pending(dst);
     }
@@ -1385,6 +1570,7 @@ impl ReliabilityEngine {
         let Some(flow) = self.tx_flows.get_mut(&dst) else {
             return;
         };
+        let base = flow.base_rto(&self.plan);
         let mut resend = Vec::new();
         for u in flow.unacked.iter_mut() {
             if u.seq <= upto || u.repaired {
@@ -1392,7 +1578,7 @@ impl ReliabilityEngine {
             }
             u.repaired = true;
             u.repairs += 1;
-            u.due = now + rto_for(&self.plan, self.dice, dst, u.seq, u.attempts);
+            u.due = now + rto_for(base, self.plan.max_rto, self.dice, dst, u.seq, u.attempts);
             resend.push((u.seq, copy_key(u.attempts, u.repairs), u.packet.clone()));
         }
         self.stats
@@ -1403,34 +1589,62 @@ impl ReliabilityEngine {
         }
     }
 
-    /// Retransmits the datagrams due at `now`; declares a peer dead once
-    /// one datagram exhausts the retransmit budget.  Returns the earliest
-    /// `due` still pending.
+    /// Fires the flow timers due at `now`: retransmits each datagram whose
+    /// timeout passed and probes each flow whose probe deadline passed.  A
+    /// peer is declared dead once one of its datagrams has spent the
+    /// retransmit budget and nothing valid has arrived from it — since
+    /// that datagram's original send — for the silence budget; until then
+    /// a spent datagram keeps retransmitting, and its timer never runs
+    /// past the moment the silence would be complete.  Returns the
+    /// earliest timer still armed.
     fn retransmit_due(&mut self, now: Instant) -> Option<Instant> {
-        let max = self.plan.max_retransmits;
-        let mut resend: Vec<(ProcId, u64, u32, Packet)> = Vec::new();
+        let (max, max_rto, silence) = (self.plan.max_retransmits, self.plan.max_rto, self.silence);
+        // (peer, seq, copy key, packet, whether the copy is a probe)
+        let mut resend: Vec<(ProcId, u64, u64, Packet, bool)> = Vec::new();
         let mut died: Vec<ProcId> = Vec::new();
-        for (&dst, flow) in &mut self.tx_flows {
+        'flows: for (&dst, flow) in &mut self.tx_flows {
+            let base = flow.base_rto(&self.plan);
+            let heard = flow.heard;
             for u in &mut flow.unacked {
                 if now < u.due {
                     continue;
                 }
-                if u.attempts >= max {
+                // `None`: a budget past the end of time (death disabled).
+                let silent_at = heard.max(u.sent).checked_add(silence);
+                if u.attempts >= max && silent_at.is_some_and(|at| now >= at) {
                     died.push(dst);
-                    break;
+                    continue 'flows;
                 }
-                u.attempts += 1;
+                u.attempts = u.attempts.saturating_add(1);
                 u.repaired = false;
-                u.due = now + rto_for(&self.plan, self.dice, dst, u.seq, u.attempts);
-                resend.push((dst, u.seq, u.attempts, u.packet.clone()));
+                u.due = now + rto_for(base, max_rto, self.dice, dst, u.seq, u.attempts);
+                if let Some(at) = silent_at.filter(|_| u.attempts >= max) {
+                    u.due = u.due.min(at);
+                }
+                let key = copy_key(u.attempts, 0);
+                resend.push((dst, u.seq, key, u.packet.clone(), false));
+            }
+            if flow.probe.deadline().is_some_and(|at| now >= at) {
+                flow.probe = Probe::Spent;
+                // Once the timer has resent the tail, a probe adds nothing.
+                if let Some(u) = flow.unacked.last_mut().filter(|u| u.attempts == 0) {
+                    u.repairs += 1;
+                    let key = copy_key(0, u.repairs);
+                    resend.push((dst, u.seq, key, u.packet.clone(), true));
+                }
             }
         }
-        for (dst, seq, attempt, packet) in resend {
+        for (dst, seq, key, packet, probe) in resend {
             if died.contains(&dst) {
                 continue;
             }
-            self.stats.retransmissions.fetch_add(1, Ordering::Relaxed);
-            self.send_data(dst, seq, copy_key(attempt, 0), packet);
+            let counter = if probe {
+                &self.stats.probes
+            } else {
+                &self.stats.retransmissions
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            self.send_data(dst, seq, key, packet);
         }
         for dst in died {
             if self.dead.insert(dst) {
@@ -1442,6 +1656,7 @@ impl ReliabilityEngine {
                 // forever.
                 if let Some(flow) = self.tx_flows.get_mut(&dst) {
                     flow.unacked.clear();
+                    flow.probe = Probe::Ready;
                     if !flow.pending.is_empty() {
                         flow.pending.clear();
                         self.stats
@@ -1454,8 +1669,7 @@ impl ReliabilityEngine {
         }
         self.tx_flows
             .values()
-            .flat_map(|f| &f.unacked)
-            .map(|u| u.due)
+            .flat_map(|f| f.unacked.iter().map(|u| u.due).chain(f.probe.deadline()))
             .min()
     }
 
@@ -1493,9 +1707,10 @@ impl ReliabilityEngine {
     }
 
     /// Fires every timer that is due and returns the earliest one still
-    /// armed: an unacked datagram's `due`, a delayed frame's release, or a
-    /// holdback slot's release.  Retransmissions go first because they can
-    /// arm the other two.
+    /// armed: an unacked datagram's `due`, a flow's probe deadline, a
+    /// delayed frame's release, or a holdback slot's release.
+    /// Retransmissions and probes go first because they can arm the other
+    /// two.
     fn fire_timers(&mut self) -> Option<Instant> {
         let now = Instant::now();
         let retransmit = self.retransmit_due(now);
@@ -2013,5 +2228,244 @@ mod tests {
     #[should_panic(expected = "link capacity below 1")]
     fn zero_link_capacity_rejected() {
         let _ = FaultPlan::clean(1).with_link_capacity(0);
+    }
+
+    fn ack(upto: u64) -> Vec<u8> {
+        encode_framed(&Dgram::Ack {
+            flow_dst: ProcId(1),
+            upto,
+        })
+    }
+
+    /// Node 0's flow to node 1, created with round-trip estimate `rtt`.
+    fn warm(engine: &mut ReliabilityEngine, rtt: Rtt) {
+        engine.tx_flows.insert(
+            ProcId(1),
+            FlowTx {
+                rtt: Some(rtt),
+                ..FlowTx::new()
+            },
+        );
+    }
+
+    #[test]
+    fn rtt_estimate_follows_rfc6298() {
+        let (ms, us) = (Duration::from_millis, Duration::from_micros);
+        let plan = FaultPlan::clean(1).with_rto(ms(2), ms(64));
+        let mut rtt = Rtt::first(ms(4));
+        assert_eq!((rtt.srtt, rtt.rttvar), (ms(4), ms(2)));
+        assert_eq!(rtt.rto(&plan), ms(12), "SRTT + 4·RTTVAR");
+        // RTTVAR ← ¾·2 + ¼·|4 − 8| = 2.5; SRTT ← ⅞·4 + ⅛·8 = 4.5.
+        rtt.update(ms(8));
+        assert_eq!((rtt.srtt, rtt.rttvar), (us(4500), us(2500)));
+        assert_eq!(rtt.rto(&plan), us(14_500));
+        let capped = plan.clone().with_rto(ms(2), ms(10));
+        assert_eq!(rtt.rto(&capped), ms(10), "capped at max_rto");
+        assert_eq!(rtt.probe_timeout(&plan), ms(9), "2·SRTT");
+        // RTTVAR ← ¾·2.5 + ¼·|4.5 − 4.5| = 1.875; SRTT stays 4.5.
+        rtt.update(us(4500));
+        assert_eq!((rtt.srtt, rtt.rttvar), (us(4500), us(1875)));
+        // A fabric hop of tens of microseconds meets both floors: the
+        // configured rto, and max(200 µs, rto/32) for the probe.
+        let fast = Rtt::first(us(20));
+        assert_eq!(fast.rto(&plan), ms(2));
+        assert_eq!(fast.probe_timeout(&plan), us(200));
+        let slow = plan.clone().with_rto(ms(1000), ms(2000));
+        assert_eq!(fast.rto(&slow), ms(1000));
+        assert_eq!(fast.probe_timeout(&slow), us(31_250));
+        // The flow's timeout: the plan's until the first sample, the
+        // estimate once it is longer.
+        let mut flow = FlowTx::new();
+        assert_eq!(flow.base_rto(&plan), ms(2));
+        flow.rtt = Some(fast);
+        assert_eq!(flow.base_rto(&plan), ms(2));
+        flow.rtt = Some(rtt);
+        assert_eq!(flow.base_rto(&plan), us(12_000));
+    }
+
+    #[test]
+    fn only_an_acked_original_times_a_round_trip() {
+        let (mut engine, peer) = engine_for_node0(&FaultPlan::clean(5));
+        let p1 = ProcId(1);
+        let rtt = |e: &ReliabilityEngine| e.tx_flows[&p1].rtt;
+        // Timer-retransmitted, then acknowledged: no sample.
+        engine.handle_outbound(p1, packet(1));
+        let due = engine.tx_flows[&p1].unacked[0].due;
+        engine.retransmit_due(due);
+        engine.handle_wire(p1, ack(1));
+        assert_eq!(rtt(&engine), None, "retransmitted");
+        // NAK-repaired, then acknowledged: no sample.
+        engine.handle_outbound(p1, packet(1));
+        engine.handle_wire(
+            p1,
+            encode_framed(&Dgram::Nak {
+                flow_dst: p1,
+                upto: 1,
+            }),
+        );
+        engine.handle_wire(p1, ack(2));
+        assert_eq!(rtt(&engine), None, "repaired");
+        // A clean original: the first sample.
+        engine.handle_outbound(p1, packet(1));
+        engine.handle_wire(p1, ack(3));
+        assert!(rtt(&engine).is_some(), "clean original");
+        // Probed, then acknowledged: no sample.
+        let known = Rtt {
+            srtt: Duration::from_millis(1),
+            rttvar: Duration::from_millis(1),
+        };
+        engine.tx_flows.get_mut(&p1).expect("flow").rtt = Some(known);
+        engine.handle_outbound(p1, packet(1));
+        let Probe::Armed(at) = engine.tx_flows[&p1].probe else {
+            panic!("a new datagram arms the probe");
+        };
+        engine.retransmit_due(at);
+        assert_eq!(engine.stats.snapshot().probes, 1);
+        engine.handle_wire(p1, ack(4));
+        assert_eq!(rtt(&engine), Some(known), "probed");
+        // A duplicate ACK retires nothing and times nothing.
+        engine.handle_wire(p1, ack(4));
+        assert_eq!(rtt(&engine), Some(known), "duplicate ACK");
+        engine.handle_outbound(p1, packet(1));
+        engine.handle_wire(p1, ack(5));
+        assert_ne!(rtt(&engine), Some(known), "clean original");
+        assert_eq!(
+            sent(&peer).len(),
+            8,
+            "five originals, a resend, a repair, a probe"
+        );
+    }
+
+    #[test]
+    fn a_tail_probe_fires_once_per_ack_advance_and_spends_no_attempt() {
+        // A seed whose dice drop seq 1's original (key (0, 0)) but not its
+        // first repair-ordinal copy (key (0, 1)).
+        let (t, p1) = (threshold(0.5), ProcId(1));
+        let seed = (0..)
+            .find(|&s| {
+                let dice = FaultDice { seed: s };
+                dice.hit(TAG_DATA_DROP, 1, 1, copy_key(0, 0), t)
+                    && !dice.hit(TAG_DATA_DROP, 1, 1, copy_key(0, 1), t)
+            })
+            .expect("some seed");
+        let (mut engine, peer) = engine_for_node0(&FaultPlan::new(0.5, seed));
+        let srtt = Duration::from_millis(1);
+        warm(
+            &mut engine,
+            Rtt {
+                srtt,
+                rttvar: Duration::from_millis(1),
+            },
+        );
+        engine.handle_outbound(p1, packet(1));
+        assert!(sent(&peer).is_empty(), "the original is lost");
+        let (sent_at, due) = {
+            let u = &engine.tx_flows[&p1].unacked[0];
+            (u.sent, u.due)
+        };
+        assert_eq!(
+            engine.tx_flows[&p1].probe,
+            Probe::Armed(sent_at + 2 * srtt),
+            "max(2·SRTT, probe floor)"
+        );
+        assert!(due > sent_at + 2 * srtt, "the probe goes before the timer");
+        assert!(engine
+            .retransmit_due(sent_at + 2 * srtt - Duration::from_nanos(1))
+            .is_some());
+        assert!(sent(&peer).is_empty(), "not yet due");
+        engine.retransmit_due(sent_at + 2 * srtt);
+        assert!(matches!(sent(&peer)[..], [Dgram::Data { seq: 1, .. }]));
+        let u = &engine.tx_flows[&p1].unacked[0];
+        assert_eq!(
+            (u.attempts, u.repairs),
+            (0, 1),
+            "a repair ordinal, no attempt"
+        );
+        assert_eq!(engine.tx_flows[&p1].probe, Probe::Spent);
+        // Spent until the ACK point moves: neither a later deadline nor a
+        // new datagram re-arms it.
+        engine.retransmit_due(due - Duration::from_nanos(1));
+        engine.handle_outbound(p1, packet(1));
+        assert_eq!(engine.tx_flows[&p1].probe, Probe::Spent);
+        sent(&peer);
+        let snap = engine.stats.snapshot();
+        assert_eq!((snap.probes, snap.retransmissions, snap.repairs), (1, 0, 0));
+        // ACK(1) moves the ACK point: the newest datagram, seq 2, is probed
+        // next, once.
+        engine.handle_wire(p1, ack(1));
+        let Probe::Armed(at) = engine.tx_flows[&p1].probe else {
+            panic!("an ACK advance re-arms the probe");
+        };
+        engine.retransmit_due(at);
+        engine.retransmit_due(at + srtt);
+        assert_eq!(engine.stats.snapshot().probes, 2);
+        assert_eq!(engine.tx_flows[&p1].unacked[0].repairs, 1);
+    }
+
+    #[test]
+    fn silence_budget_is_the_fixed_schedule() {
+        let ms = Duration::from_millis;
+        let plan = FaultPlan::clean(1)
+            .with_rto(ms(2), ms(16))
+            .with_max_retransmits(8);
+        assert_eq!(silence_budget(&plan), ms(2 + 4 + 8 + 16 * 6));
+        assert_eq!(silence_budget(&plan.with_max_retransmits(0)), ms(2));
+        let endless = FaultPlan::clean(1).with_max_retransmits(u32::MAX);
+        assert!(silence_budget(&endless) > Duration::from_secs(3600 * 24 * 365));
+    }
+
+    #[test]
+    fn a_silent_peer_dies_on_the_fixed_schedule_not_sooner() {
+        let ms = Duration::from_millis;
+        let plan = FaultPlan::clean(6)
+            .with_rto(ms(2), ms(16))
+            .with_max_retransmits(8);
+        let budget = silence_budget(&plan);
+        let fast = Rtt::first(Duration::from_micros(20));
+        for rtt in [None, Some(fast)] {
+            let (mut engine, _peer) = engine_for_node0(&plan);
+            if let Some(rtt) = rtt {
+                warm(&mut engine, rtt);
+            }
+            engine.handle_outbound(ProcId(1), packet(1));
+            let sent_at = engine.tx_flows[&ProcId(1)].unacked[0].sent;
+            // Fire every timer at its deadline until none is left: the
+            // peer is dead and its flow abandoned.
+            let mut now = sent_at;
+            while let Some(next) = engine.retransmit_due(now) {
+                now = next;
+            }
+            assert_eq!(engine.stats.snapshot().peers_declared_dead, 1);
+            let died = now - sent_at;
+            assert!(died >= budget, "{rtt:?}: dead after {died:?}");
+            assert!(
+                died <= budget + plan.max_rto,
+                "{rtt:?}: dead after {died:?}"
+            );
+            assert!(engine.dead.contains(&ProcId(1)));
+        }
+    }
+
+    #[test]
+    fn a_peer_still_acknowledging_is_not_declared_dead() {
+        // The timer spends the budget of three within ≈ 7 ms, but the peer
+        // keeps acknowledging (its cumulative point, 0) every millisecond,
+        // so it is never silent for the 11 ms budget.
+        let ms = Duration::from_millis;
+        let plan = FaultPlan::clean(8)
+            .with_rto(ms(1), ms(4))
+            .with_max_retransmits(3);
+        let (mut engine, _peer) = engine_for_node0(&plan);
+        let p1 = ProcId(1);
+        engine.handle_outbound(p1, packet(1));
+        let until = Instant::now() + 4 * silence_budget(&plan);
+        while Instant::now() < until {
+            engine.handle_wire(p1, ack(0));
+            engine.retransmit_due(Instant::now());
+            std::thread::sleep(ms(1));
+        }
+        assert!(engine.tx_flows[&p1].unacked[0].attempts > plan.max_retransmits);
+        assert_eq!(engine.stats.snapshot().peers_declared_dead, 0);
+        assert!(engine.dead.is_empty());
     }
 }
