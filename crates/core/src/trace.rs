@@ -6,7 +6,7 @@
 //! information to derive their relative order) and computation events
 //! (with READ/WRITE attributes); an offline pass reconstructs the ordering
 //! and compares accesses.  The paper's pitch is that LRC metadata makes
-//! the same analysis possible *online*, "do[ing] away with trace logs,
+//! the same analysis possible *online*, "do\[ing\] away with trace logs,
 //! post-mortem analysis, and much of the overhead".
 //!
 //! To measure that claim rather than assert it, this module implements the

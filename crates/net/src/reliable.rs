@@ -15,7 +15,7 @@
 //! * checksummed wire frames — every datagram crosses the wire as bytes
 //!   behind a magic/length/CRC-32C header
 //!   ([`encode_frame`](crate::wire::encode_frame)/
-//!   [`decode_frame`](crate::wire::decode_frame)), so corruption is
+//!   [`decode_frame`]), so corruption is
 //!   *detected* at the receiver, which discards the frame and asks its
 //!   sender for a repair;
 //! * per-flow sequence numbers with cumulative ACKs;

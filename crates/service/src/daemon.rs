@@ -1,9 +1,10 @@
 //! The race-hunt daemon: admission, lifecycle, queries, graceful drain.
 //!
 //! A [`Daemon`] owns the job table, the bounded [`ResultStore`], and the
-//! supervised [`WorkerPool`].  It is cheaply cloneable — every front end
-//! (in-process handles, the TCP listener's connection threads) holds a
-//! clone and the shared interior does the synchronization.
+//! supervised worker [`pool`](crate::pool).  It is cheaply cloneable —
+//! every front end (in-process handles, the TCP listener's connection
+//! threads) holds a clone and the shared interior does the
+//! synchronization.
 //!
 //! Admission is *bounded*: at most `queue_capacity` jobs may be
 //! non-terminal at once; excess submissions are rejected with
@@ -20,7 +21,7 @@ use cvm_dsm::DsmError;
 use parking_lot::Mutex;
 
 use crate::job::{JobId, JobSnapshot, JobSpec, JobState};
-use crate::persist::{JournalRecord, OutcomeImage, Persist, PersistConfig, PersistStatsSnapshot};
+use crate::persist::{JournalRecord, Persist, PersistConfig, PersistStatsSnapshot};
 use crate::pool::{PoolStats, PoolStatsSnapshot, SeedTask, WorkerPool};
 use crate::store::{JobRaces, ResultStore, StoreStats};
 
@@ -145,11 +146,16 @@ impl Daemon {
     }
 
     /// Opens a daemon, recovering durable state when `cfg.persist` names
-    /// a data directory: the snapshot is loaded, the journal replayed
-    /// (torn tails truncated and counted, never panicked on), sealed
-    /// results are restored byte-identical from their journaled
-    /// fingerprints, and jobs that were still running at crash time are
-    /// re-admitted through the normal pool path — only their seeds
+    /// a data directory.  The snapshot is loaded and the journal replayed
+    /// (torn tails truncated and counted, never panicked on).  Each job's
+    /// journaled seed outcomes then go, in journal order, through the
+    /// calls the pool made for them — one `try_consume_retry` per retry,
+    /// the store's `merge` (not for evicted jobs) and the job's `settle` —
+    /// so results come back byte-identical, never recomputed.  Sealed jobs
+    /// are sealed again in journal order: the eviction queue comes back as
+    /// it was, and a store over its budget evicts and journals as a live
+    /// seal does.  Jobs that went terminal unsealed are sealed next; jobs
+    /// still running are re-admitted to the pool, and only their seeds
     /// *without* a journaled outcome run again.
     ///
     /// # Errors
@@ -158,67 +164,37 @@ impl Daemon {
     /// be created or opened.
     pub fn open(cfg: DaemonConfig) -> Result<Daemon, DsmError> {
         let (persist, shadow) = Persist::open(&cfg.persist)?;
-        let store = Arc::new(ResultStore::new(cfg.store_budget_bytes));
-
-        // Restore sealed (and partially-merged) results from journaled
-        // fingerprints: completed seeds are never recomputed.
-        for (&id, sj) in &shadow.jobs {
-            if sj.evicted || !sj.has_store_entry() {
-                continue;
-            }
-            let (races, merged) = sj.replay_races();
-            store.restore_job(JobId(id), races, merged, sj.sealed);
-        }
-        store.restore_meta(
-            shadow.sealed_order.iter().map(|&id| JobId(id)).collect(),
+        let store = Arc::new(ResultStore::reopened(
+            cfg.store_budget_bytes,
             shadow.jobs_evicted,
-        );
-
+        ));
         let pool = WorkerPool::new(cfg.workers, Arc::clone(&store), Arc::clone(&persist));
         let mut jobs = BTreeMap::new();
 
-        // Rebuild job lifecycle state and collect the seeds still owed.
+        // Replay each job's outcomes through the calls the pool made for
+        // them, and collect the seeds still owed.
         let mut pending: Vec<SeedTask> = Vec::new();
-        let mut recovered_jobs = 0u64;
+        let mut unsealed = Vec::new();
         for (&id, sj) in &shadow.jobs {
             let id = JobId(id);
             let job = Arc::new(JobState::new(id, sj.spec.clone()));
             jobs.insert(id, Arc::clone(&job));
             job.mark_recovered();
-            if !sj.order.is_empty() {
+            for &seed in &sj.order {
+                let image = &sj.outcomes[&seed];
                 job.note_started();
-            }
-            let mut retries_consumed = 0u64;
-            for seed in &sj.order {
-                let img = &sj.outcomes[seed];
-                retries_consumed += img.retries();
-                if let OutcomeImage::Done { recovery, .. } = img {
-                    let stats = cvm_dsm::RecoveryStats {
-                        partitions_healed: recovery[0],
-                        stale_msgs_fenced: recovery[1],
-                        quorum_losses: recovery[2],
-                        rejoin_restores: recovery[3],
-                        ..cvm_dsm::RecoveryStats::default()
-                    };
-                    job.note_recovery(&stats);
+                for _ in 0..image.retries() {
+                    job.try_consume_retry();
                 }
-                job.record_outcome(*seed, img.to_outcome());
+                if !sj.evicted {
+                    persist.record_evictions(store.merge(id, seed, image));
+                }
+                job.settle(seed, image);
             }
-            job.restore_retries(retries_consumed);
             if sj.cancelled {
                 job.cancel();
             }
-            if job.is_terminal() {
-                // Terminal but never sealed: the crash hit between the
-                // last outcome record and the seal.  Finish the seal now.
-                if !sj.sealed {
-                    persist.record(&JournalRecord::Sealed { job: id });
-                    for evicted in store.seal(id) {
-                        persist.record(&JournalRecord::Evicted { job: evicted });
-                    }
-                }
-            } else {
-                recovered_jobs += 1;
+            if !job.is_terminal() {
                 for seed in job.spec.seeds() {
                     if !sj.outcomes.contains_key(&seed) {
                         pending.push(SeedTask {
@@ -227,9 +203,21 @@ impl Daemon {
                         });
                     }
                 }
+            } else if !sj.sealed {
+                // The crash hit between the last outcome record and the seal.
+                unsealed.push(id);
             }
         }
-        persist.note_recovered_jobs(recovered_jobs);
+        // Seal in journal order: the eviction queue the live store had.
+        for &id in &shadow.sealed_order {
+            persist.record_evictions(store.seal(JobId(id)));
+        }
+        for id in unsealed {
+            persist.record(&JournalRecord::Sealed { job: id });
+            persist.record_evictions(store.seal(id));
+        }
+        let recovered_jobs = jobs.values().filter(|j| !j.is_terminal()).count();
+        persist.note_recovered_jobs(recovered_jobs as u64);
 
         let submitted = shadow.jobs.len() as u64;
         let daemon = Daemon {

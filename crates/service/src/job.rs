@@ -11,9 +11,10 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use cvm_dsm::{CancelToken, Protocol, RecoveryPolicy, RecoveryStats};
+use cvm_dsm::{CancelToken, Protocol, RecoveryPolicy};
 use parking_lot::Mutex;
 
+use crate::persist::OutcomeImage;
 use crate::workload::{FaultSpec, Workload};
 
 /// Identifier of one submitted job (daemon-assigned, monotonically
@@ -242,8 +243,10 @@ pub(crate) struct JobInner {
     pub(crate) retries: u64,
     pub(crate) deadline_overruns: u64,
     pub(crate) retry_budget_left: u32,
-    /// Recovery telemetry summed over completed runs.
-    pub(crate) recovery: RecoveryStats,
+    /// Recovery telemetry summed over completed runs, in
+    /// [`OutcomeImage::Done`]'s order: partitions healed, stale messages
+    /// fenced, quorum losses, rejoin restores.
+    pub(crate) recovery: [u64; 4],
     pub(crate) first_error: Option<String>,
     pub(crate) recovered: bool,
     pub(crate) outcomes: std::collections::BTreeMap<u64, SeedOutcome>,
@@ -280,7 +283,7 @@ impl JobState {
                 retries: 0,
                 deadline_overruns: 0,
                 retry_budget_left: budget,
-                recovery: RecoveryStats::default(),
+                recovery: [0; 4],
                 first_error: None,
                 recovered: false,
                 outcomes: std::collections::BTreeMap::new(),
@@ -306,6 +309,7 @@ impl JobState {
     /// (the store owns dedup state); this method reports zero.
     pub fn snapshot(&self) -> JobSnapshot {
         let inner = self.inner.lock();
+        let [partitions_healed, stale_msgs_fenced, quorum_losses, rejoin_restores] = inner.recovery;
         JobSnapshot {
             id: self.id,
             phase: inner.phase,
@@ -318,10 +322,10 @@ impl JobState {
             first_error: inner.first_error.clone(),
             recovered: inner.recovered,
             distinct_races: 0,
-            partitions_healed: inner.recovery.partitions_healed,
-            stale_msgs_fenced: inner.recovery.stale_msgs_fenced,
-            quorum_losses: inner.recovery.quorum_losses,
-            rejoin_restores: inner.recovery.rejoin_restores,
+            partitions_healed,
+            stale_msgs_fenced,
+            quorum_losses,
+            rejoin_restores,
         }
     }
 
@@ -344,25 +348,31 @@ impl JobState {
         }
     }
 
-    /// Records `seed`'s terminal outcome; when it is the last one, the job
-    /// transitions to its terminal phase.  Returns `true` exactly once,
-    /// for the recording that completed the job.
-    pub(crate) fn record_outcome(&self, seed: u64, outcome: SeedOutcome) -> bool {
+    /// Settles `seed` from its journaled image: records the outcome and
+    /// adds a completed run's recovery counters to the job's totals.  When
+    /// it is the last seed, the job transitions to its terminal phase.
+    /// Returns `true` exactly once, for the settle that completed the job.
+    pub(crate) fn settle(&self, seed: u64, image: &OutcomeImage) -> bool {
         let mut inner = self.inner.lock();
         if inner.phase.is_terminal() {
             return false; // Late result of a detached overrun attempt.
         }
-        match &outcome {
-            SeedOutcome::Done { .. } => inner.seeds_done += 1,
-            SeedOutcome::Failed { error, .. } => {
+        match image {
+            OutcomeImage::Done { recovery, .. } => {
+                inner.seeds_done += 1;
+                for (total, n) in inner.recovery.iter_mut().zip(recovery) {
+                    *total += n;
+                }
+            }
+            OutcomeImage::Failed { error, .. } => {
                 inner.seeds_failed += 1;
                 if inner.first_error.is_none() {
                     inner.first_error = Some(error.clone());
                 }
             }
-            SeedOutcome::Cancelled => inner.seeds_cancelled += 1,
+            OutcomeImage::Cancelled => inner.seeds_cancelled += 1,
         }
-        inner.outcomes.insert(seed, outcome);
+        inner.outcomes.insert(seed, image.to_outcome());
         let all = inner.outcomes.len() as u32 >= self.spec.seed_count;
         if all {
             inner.phase = if inner.seeds_cancelled > 0 {
@@ -399,24 +409,6 @@ impl JobState {
         self.inner.lock().recovered = true;
     }
 
-    /// Restores retry accounting replayed from the journal: the budget
-    /// shrinks by what past attempts consumed (saturating — a spec edit
-    /// between runs must not underflow) and the job-wide counter reflects
-    /// them.
-    pub(crate) fn restore_retries(&self, consumed: u64) {
-        let mut inner = self.inner.lock();
-        inner.retry_budget_left = inner
-            .retry_budget_left
-            .saturating_sub(consumed.min(u64::from(u32::MAX)) as u32);
-        inner.retries += consumed;
-    }
-
-    /// Accumulates a completed run's recovery telemetry into the job-wide
-    /// totals the status surface reports.
-    pub(crate) fn note_recovery(&self, rec: &RecoveryStats) {
-        self.inner.lock().recovery.add(rec);
-    }
-
     /// Wall-clock time from first seed start to terminal transition.
     pub fn elapsed(&self) -> Option<Duration> {
         let inner = self.inner.lock();
@@ -434,6 +426,16 @@ mod tests {
 
     fn spec(seeds: u32) -> JobSpec {
         JobSpec::new(Workload::RacyCounter { epochs: 1 }, 2, 7, seeds)
+    }
+
+    /// A completed run's image with `races` (pre-dedup) reports.
+    fn done(races: usize, retries: u32) -> OutcomeImage {
+        OutcomeImage::Done {
+            retries,
+            occurrences: vec![0; races],
+            rendered: Vec::new(),
+            recovery: [0; 4],
+        }
     }
 
     #[test]
@@ -462,21 +464,9 @@ mod tests {
         assert_eq!(job.snapshot().phase, JobPhase::Queued);
         job.note_started();
         assert_eq!(job.snapshot().phase, JobPhase::Running);
-        assert!(!job.record_outcome(
-            7,
-            SeedOutcome::Done {
-                races: 0,
-                retries: 0
-            }
-        ));
+        assert!(!job.settle(7, &done(0, 0)));
         assert_eq!(job.snapshot().phase, JobPhase::Running);
-        assert!(job.record_outcome(
-            8,
-            SeedOutcome::Done {
-                races: 2,
-                retries: 1
-            }
-        ));
+        assert!(job.settle(8, &done(2, 1)));
         let snap = job.snapshot();
         assert_eq!(snap.phase, JobPhase::Done);
         assert!(snap.phase.is_terminal());
@@ -488,21 +478,15 @@ mod tests {
     fn one_failed_seed_fails_the_job_but_not_the_others() {
         let job = JobState::new(JobId(2), spec(2));
         job.note_started();
-        job.record_outcome(
+        job.settle(
             7,
-            SeedOutcome::Failed {
+            &OutcomeImage::Failed {
                 error: "boom".into(),
                 transient: false,
                 retries: 0,
             },
         );
-        job.record_outcome(
-            8,
-            SeedOutcome::Done {
-                races: 1,
-                retries: 0,
-            },
-        );
+        job.settle(8, &done(1, 0));
         let snap = job.snapshot();
         assert_eq!(snap.phase, JobPhase::Failed);
         assert_eq!(snap.seeds_done, 1);
@@ -514,14 +498,8 @@ mod tests {
     fn any_cancelled_seed_makes_the_job_cancelled() {
         let job = JobState::new(JobId(3), spec(2));
         job.note_started();
-        job.record_outcome(
-            7,
-            SeedOutcome::Done {
-                races: 0,
-                retries: 0,
-            },
-        );
-        job.record_outcome(8, SeedOutcome::Cancelled);
+        job.settle(7, &done(0, 0));
+        job.settle(8, &OutcomeImage::Cancelled);
         assert_eq!(job.snapshot().phase, JobPhase::Cancelled);
     }
 
@@ -529,16 +507,10 @@ mod tests {
     fn terminal_jobs_ignore_late_results() {
         let job = JobState::new(JobId(4), spec(1));
         job.note_started();
-        assert!(job.record_outcome(7, SeedOutcome::Cancelled));
+        assert!(job.settle(7, &OutcomeImage::Cancelled));
         // A detached overrun attempt finishing late must not resurrect
         // the job or double-count the seed.
-        assert!(!job.record_outcome(
-            7,
-            SeedOutcome::Done {
-                races: 5,
-                retries: 0
-            }
-        ));
+        assert!(!job.settle(7, &done(5, 0)));
         let snap = job.snapshot();
         assert_eq!(snap.phase, JobPhase::Cancelled);
         assert_eq!(snap.seeds_done, 0);

@@ -13,7 +13,8 @@
 //!   ([`FsyncPolicy`]): per record, every N records, or never.
 //! * **Shadow** — each record is also applied to an in-memory
 //!   [`ShadowState`], a compact image of everything recovery needs: specs,
-//!   per-seed outcome images (fingerprints and rendered text included, so
+//!   each seed's [`OutcomeImage`] in journal order (the value the pool
+//!   merges and settles, fingerprints and rendered text included, so
 //!   completed seeds are never recomputed), seal order, and evictions.
 //! * **Snapshot** — once the journal holds at least `compact_every`
 //!   records *and* as many bytes as the live snapshot, the shadow is
@@ -30,7 +31,9 @@
 //!   counted, never panicked on (PR 4's trust-boundary discipline: decode
 //!   failures steer to the previous good record).  Replay is idempotent,
 //!   which closes the crash window between writing a snapshot and
-//!   trimming the journal.
+//!   trimming the journal.  [`Daemon::open`](crate::Daemon::open) then
+//!   rebuilds the store and job table by passing the shadow's images
+//!   through the live `merge`, `settle` and `seal` calls.
 //!
 //! Crash windows are exercised deterministically through
 //! [`CrashPoint`]: a seeded hook that kills the daemon (or, for
@@ -53,7 +56,6 @@ use cvm_net::wire::{
 use parking_lot::Mutex;
 
 use crate::job::{JobId, JobSpec, SeedOutcome};
-use crate::store::DedupedRace;
 use crate::workload::{FaultSpec, KillSpec, PartitionSpec, Workload};
 
 /// Journal file name inside the data directory.
@@ -255,9 +257,9 @@ impl CrashSpec {
 
 /// Everything recovery needs from one seed's terminal outcome.
 ///
-/// A `Done` image carries the run's race fingerprints *and* rendered text,
-/// so a recovered daemon reconstructs the store entry byte-for-byte
-/// without re-running the seed.
+/// A `Done` image carries the run's race fingerprints *and* rendered text:
+/// the store merges it, live and at recovery alike, so a recovered daemon
+/// reconstructs the store entry byte-for-byte without re-running the seed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OutcomeImage {
     /// The seed completed; the store merge is replayable from the image.
@@ -311,7 +313,7 @@ impl OutcomeImage {
         }
     }
 
-    /// The [`SeedOutcome`] this image replays into.
+    /// The [`SeedOutcome`] this image settles into.
     pub(crate) fn to_outcome(&self) -> SeedOutcome {
         match self {
             OutcomeImage::Done {
@@ -710,57 +712,6 @@ impl ShadowJob {
     pub fn is_terminal(&self) -> bool {
         self.outcomes.len() as u32 >= self.spec.seed_count
     }
-
-    /// Whether the live store had an entry for this job (any completed
-    /// seed creates one, and sealing creates one even for empty jobs).
-    pub fn has_store_entry(&self) -> bool {
-        self.sealed
-            || self
-                .outcomes
-                .values()
-                .any(|o| matches!(o, OutcomeImage::Done { .. }))
-    }
-
-    /// Replays the store merge sequence of this job's journaled outcomes:
-    /// deduplicated races (in fingerprint order) plus the pre-dedup merge
-    /// count, exactly as the live [`ResultStore`](crate::store::ResultStore)
-    /// accumulated them.
-    pub fn replay_races(&self) -> (Vec<DedupedRace>, u64) {
-        let mut by_print: BTreeMap<u64, DedupedRace> = BTreeMap::new();
-        let mut merged = 0u64;
-        for seed in &self.order {
-            let Some(OutcomeImage::Done {
-                occurrences,
-                rendered,
-                ..
-            }) = self.outcomes.get(seed)
-            else {
-                continue;
-            };
-            for print in occurrences {
-                merged += 1;
-                if let Some(entry) = by_print.get_mut(print) {
-                    entry.hits += 1;
-                } else {
-                    let text = rendered
-                        .iter()
-                        .find(|(p, _)| p == print)
-                        .map(|(_, t)| t.clone())
-                        .unwrap_or_default();
-                    by_print.insert(
-                        *print,
-                        DedupedRace {
-                            fingerprint: *print,
-                            rendered: text,
-                            hits: 1,
-                            first_seed: *seed,
-                        },
-                    );
-                }
-            }
-        }
-        (by_print.into_values().collect(), merged)
-    }
 }
 
 /// The replayable image of the daemon: what a snapshot serializes and
@@ -1129,6 +1080,14 @@ impl Persist {
         if inner.since_compact >= inner.compact_every && inner.journal_bytes >= inner.snapshot_bytes
         {
             self.compact_locked(&mut inner);
+        }
+    }
+
+    /// Journals the jobs a store [`merge`](crate::store::ResultStore::merge)
+    /// or [`seal`](crate::store::ResultStore::seal) evicted.
+    pub(crate) fn record_evictions(&self, evicted: Vec<JobId>) {
+        for job in evicted {
+            self.record(&JournalRecord::Evicted { job });
         }
     }
 
@@ -1627,34 +1586,6 @@ mod tests {
             .collect();
         let restarted = compaction_points("restarted", &records, &reopen_after);
         assert_eq!(restarted, uninterrupted);
-    }
-
-    #[test]
-    fn replay_races_mirrors_store_merge_semantics() {
-        let mut shadow = ShadowState::default();
-        shadow.apply(&JournalRecord::Submitted {
-            job: JobId(1),
-            spec: spec(),
-        });
-        // Seed 8 lands first (journal order), seed 7 second.
-        shadow.apply(&JournalRecord::SeedDone {
-            job: JobId(1),
-            seed: 8,
-            outcome: done_image(),
-        });
-        shadow.apply(&JournalRecord::SeedDone {
-            job: JobId(1),
-            seed: 7,
-            outcome: done_image(),
-        });
-        let job = &shadow.jobs[&1];
-        let (races, merged) = job.replay_races();
-        assert_eq!(merged, 6, "three occurrences per seed, two seeds");
-        assert_eq!(races.len(), 2);
-        let ten = races.iter().find(|r| r.fingerprint == 10).unwrap();
-        assert_eq!(ten.hits, 4, "duplicate occurrence folds per seed too");
-        assert_eq!(ten.first_seed, 8, "first in arrival order, not value");
-        assert_eq!(ten.rendered, "race ten");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   `run_deadline` has its per-attempt [`CancelToken`] fired, which
 //!   drains the in-flight cluster; the overrun is counted and classified
 //!   as *transient* (a retry may land under the deadline).
-//! * **Retries** — transient failures ([`RunError::is_transient`]) retry
+//! * **Retries** — transient failures
+//!   ([`RunError::is_transient`](cvm_dsm::RunError::is_transient)) retry
 //!   under the job-wide budget with capped exponential backoff and
 //!   seeded jitter (the same splitmix64 dice as the transport's fault
 //!   injection, so reruns are reproducible).
@@ -30,7 +31,7 @@ use cvm_dsm::{CancelToken, DsmError};
 use cvm_net::{backoff_delay, splitmix64};
 use parking_lot::Mutex;
 
-use crate::job::{JobState, SeedOutcome};
+use crate::job::JobState;
 use crate::persist::{JournalRecord, OutcomeImage, Persist};
 use crate::store::ResultStore;
 use crate::workload::{build_config, run_with_config};
@@ -46,7 +47,7 @@ const SUPERVISE_TICK: Duration = Duration::from_millis(10);
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// One unit of pool work: run `seed` of `job` to a terminal
-/// [`SeedOutcome`].
+/// [`OutcomeImage`].
 pub(crate) struct SeedTask {
     pub(crate) job: Arc<JobState>,
     pub(crate) seed: u64,
@@ -221,11 +222,12 @@ enum Attempt {
 
 /// Runs `task.seed` to a terminal outcome: attempts, retries, recording.
 ///
-/// Persistence is write-ahead throughout: the `SeedDone` record (with the
-/// full outcome image — fingerprints and rendered text for a completed
-/// run) is journaled *before* the in-memory store merge and the job's
-/// outcome recording, so a crash at any point leaves the journal at least
-/// as informed as the state it shadows.
+/// The outcome is one [`OutcomeImage`] — fingerprints and rendered text
+/// for a completed run — and every effect follows from it, in the order
+/// recovery replays them: the `SeedDone` record is journaled first
+/// (write-ahead: a crash at any point leaves the journal at least as
+/// informed as the state it shadows), then the store merges the image and
+/// the job settles it, and the seed that completes the job seals it.
 fn run_seed(task: &SeedTask, ctx: &WorkerCtx) {
     let (store, stats) = (&ctx.store, &ctx.stats);
     let job = &task.job;
@@ -234,9 +236,9 @@ fn run_seed(task: &SeedTask, ctx: &WorkerCtx) {
 
     let mut retries: u32 = 0;
     let mut synthetic_left = job.spec.flaky_first;
-    let (outcome, image) = loop {
+    let image = loop {
         if job.cancel_requested() {
-            break (SeedOutcome::Cancelled, OutcomeImage::Cancelled);
+            break OutcomeImage::Cancelled;
         }
         if retries > 0 {
             // Capped exponential backoff with seeded jitter, keyed so
@@ -259,66 +261,35 @@ fn run_seed(task: &SeedTask, ctx: &WorkerCtx) {
         };
 
         match attempt {
-            Attempt::Done(report) => {
-                let image = OutcomeImage::from_report(&report, retries);
-                ctx.persist.record(&JournalRecord::SeedDone {
-                    job: job.id,
-                    seed,
-                    outcome: image.clone(),
-                });
-                job.note_recovery(&report.recovery);
-                for evicted in store.merge(job.id, seed, &report) {
-                    ctx.persist.record(&JournalRecord::Evicted { job: evicted });
-                }
-                break (
-                    SeedOutcome::Done {
-                        races: report.races.len(),
-                        retries,
-                    },
-                    image,
-                );
-            }
-            Attempt::Cancelled => break (SeedOutcome::Cancelled, OutcomeImage::Cancelled),
+            Attempt::Done(report) => break OutcomeImage::from_report(&report, retries),
+            Attempt::Cancelled => break OutcomeImage::Cancelled,
             Attempt::Failed { error, transient } => {
                 if transient && job.try_consume_retry() {
                     stats.retries.fetch_add(1, Ordering::Relaxed);
                     retries += 1;
                     continue;
                 }
-                let image = OutcomeImage::Failed {
-                    error: error.clone(),
+                break OutcomeImage::Failed {
+                    error,
                     transient,
                     retries,
                 };
-                break (
-                    SeedOutcome::Failed {
-                        error,
-                        transient,
-                        retries,
-                    },
-                    image,
-                );
             }
         }
     };
 
-    // The `Done` arm already journaled its record (ahead of the merge);
-    // failure and cancellation images are journaled here.
-    if !matches!(outcome, SeedOutcome::Done { .. }) {
-        ctx.persist.record(&JournalRecord::SeedDone {
-            job: job.id,
-            seed,
-            outcome: image,
-        });
-    }
-
+    ctx.persist.record(&JournalRecord::SeedDone {
+        job: job.id,
+        seed,
+        outcome: image.clone(),
+    });
+    ctx.persist
+        .record_evictions(store.merge(job.id, seed, &image));
     stats.seeds_finished.fetch_add(1, Ordering::Relaxed);
-    if job.record_outcome(seed, outcome) {
-        // Last seed recorded: the job just went terminal.
+    if job.settle(seed, &image) {
+        // Last seed settled: the job just went terminal.
         ctx.persist.record(&JournalRecord::Sealed { job: job.id });
-        for evicted in store.seal(job.id) {
-            ctx.persist.record(&JournalRecord::Evicted { job: evicted });
-        }
+        ctx.persist.record_evictions(store.seal(job.id));
     }
 }
 
@@ -424,7 +395,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobId, JobPhase, JobSpec};
+    use crate::job::{JobId, JobPhase, JobSpec, SeedOutcome};
     use crate::workload::Workload;
 
     fn pool_and_store(workers: usize) -> (WorkerPool, Arc<ResultStore>) {

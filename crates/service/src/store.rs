@@ -1,20 +1,24 @@
 //! Bounded, deduplicating result store.
 //!
-//! Every completed seed run merges its race reports here, keyed by the
-//! stable [`RaceReport::fingerprint`](cvm_race::RaceReport::fingerprint):
-//! across a job's whole seed range each distinct race is stored once, with
-//! a hit count, a representative rendered report, and the first seed that
-//! produced it.  Retention is bounded in *bytes* (the PR 5 budget
-//! philosophy applied to results): when the store crosses its budget, the
-//! oldest terminal jobs' entries are evicted whole — never a partial job —
-//! and the eviction is counted, not silent.
+//! Every seed's [`OutcomeImage`] — the value the pool journals as its
+//! `SeedDone` record — merges here through [`ResultStore::merge`], the one
+//! dedup fold, keyed by the stable
+//! [`RaceReport::fingerprint`](cvm_race::RaceReport::fingerprint): across a
+//! job's whole seed range each distinct race is stored once, with a hit
+//! count, the rendered report the image carries, and the first seed that
+//! produced it.  A running daemon and [`Daemon::open`](crate::Daemon::open)
+//! call the same `merge` and [`seal`](ResultStore::seal), so restored
+//! results cannot drift from live ones.  Retention is bounded in *bytes*:
+//! when the store crosses its budget, the oldest sealed jobs' entries are
+//! evicted whole — never a partial job — and the eviction is counted, not
+//! silent.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use cvm_dsm::RunReport;
 use parking_lot::Mutex;
 
 use crate::job::JobId;
+use crate::persist::OutcomeImage;
 
 /// One deduplicated race across a job's seed range.
 #[derive(Clone, Debug)]
@@ -47,28 +51,27 @@ struct JobEntry {
 }
 
 impl JobEntry {
-    fn merge(&mut self, seed: u64, report: &RunReport) {
-        for race in report.races.reports() {
-            self.reports_merged += 1;
-            let print = race.fingerprint();
-            if let Some(entry) = self.by_print.get_mut(&print) {
-                entry.hits += 1;
-            } else {
-                let rendered = race.render(&report.segments);
+    /// A run's new races enter with no hits; then each occurrence counts.
+    fn merge(&mut self, seed: u64, occurrences: &[u64], rendered: &[(u64, String)]) {
+        for (print, text) in rendered {
+            self.by_print.entry(*print).or_insert_with(|| {
                 // Entry overhead: fingerprint + counters + map node, called
                 // 48 bytes, plus the rendered text.
-                self.bytes += 48 + rendered.len() as u64;
-                self.by_print.insert(
-                    print,
-                    DedupedRace {
-                        fingerprint: print,
-                        rendered,
-                        hits: 1,
-                        first_seed: seed,
-                    },
-                );
+                self.bytes += 48 + text.len() as u64;
+                DedupedRace {
+                    fingerprint: *print,
+                    rendered: text.clone(),
+                    hits: 0,
+                    first_seed: seed,
+                }
+            });
+        }
+        for print in occurrences {
+            if let Some(race) = self.by_print.get_mut(print) {
+                race.hits += 1;
             }
         }
+        self.reports_merged += occurrences.len() as u64;
     }
 }
 
@@ -102,18 +105,41 @@ struct StoreInner {
 impl ResultStore {
     /// A store retaining at most `budget_bytes` of deduplicated results.
     pub fn new(budget_bytes: u64) -> Self {
+        ResultStore::reopened(budget_bytes, 0)
+    }
+
+    /// [`new`](Self::new) for a reopened data directory, whose journal has
+    /// already counted `jobs_evicted` evictions.
+    pub(crate) fn reopened(budget_bytes: u64, jobs_evicted: u64) -> Self {
         ResultStore {
-            inner: Mutex::new(StoreInner::default()),
+            inner: Mutex::new(StoreInner {
+                jobs_evicted,
+                ..StoreInner::default()
+            }),
             budget_bytes,
         }
     }
 
-    /// Merges one seed run's reports into `job`'s entry.  Returns the
-    /// jobs the byte budget evicted to make room (so a durable daemon can
-    /// journal the evictions).
-    pub fn merge(&self, job: JobId, seed: u64, report: &RunReport) -> Vec<JobId> {
+    /// Merges one seed's outcome into `job`'s entry.  A `Done` image
+    /// creates the entry even when its run found no races; `Failed` and
+    /// `Cancelled` images change nothing.  Returns the jobs the byte budget
+    /// evicted to make room (so a durable daemon can journal the
+    /// evictions).
+    pub fn merge(&self, job: JobId, seed: u64, image: &OutcomeImage) -> Vec<JobId> {
+        let OutcomeImage::Done {
+            occurrences,
+            rendered,
+            ..
+        } = image
+        else {
+            return Vec::new();
+        };
         let mut inner = self.inner.lock();
-        inner.jobs.entry(job).or_default().merge(seed, report);
+        inner
+            .jobs
+            .entry(job)
+            .or_default()
+            .merge(seed, occurrences, rendered);
         self.enforce_budget(&mut inner)
     }
 
@@ -145,39 +171,6 @@ impl ResultStore {
             inner.sealed_order.push_back(job);
         }
         self.enforce_budget(&mut inner)
-    }
-
-    /// Rebuilds one job's entry from journaled state (recovery path): the
-    /// deduplicated races, pre-dedup merge count, and seal flag are
-    /// restored verbatim; bytes are re-derived from the rendered text the
-    /// same way live merging derives them.  The caller restores the
-    /// eviction queue separately through [`restore_meta`](Self::restore_meta)
-    /// — sealing here must not re-enqueue in recovered order.
-    pub(crate) fn restore_job(
-        &self,
-        job: JobId,
-        races: Vec<DedupedRace>,
-        reports_merged: u64,
-        sealed: bool,
-    ) {
-        let mut entry = JobEntry {
-            reports_merged,
-            sealed,
-            ..JobEntry::default()
-        };
-        for race in races {
-            entry.bytes += 48 + race.rendered.len() as u64;
-            entry.by_print.insert(race.fingerprint, race);
-        }
-        self.inner.lock().jobs.insert(job, entry);
-    }
-
-    /// Restores the eviction queue (journal seal order) and the historic
-    /// eviction count after [`restore_job`](Self::restore_job) calls.
-    pub(crate) fn restore_meta(&self, sealed_order: Vec<JobId>, jobs_evicted: u64) {
-        let mut inner = self.inner.lock();
-        inner.sealed_order = sealed_order.into();
-        inner.jobs_evicted = jobs_evicted;
     }
 
     /// The deduplicated result set of `job`: `None` when the job is
@@ -226,7 +219,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvm_dsm::{Cluster, DsmConfig};
+    use cvm_dsm::{Cluster, DsmConfig, RunReport};
 
     fn racy_report(seed: u64) -> RunReport {
         let mut cfg = DsmConfig::new(2);
@@ -242,14 +235,19 @@ mod tests {
         .expect("healthy run")
     }
 
+    /// The image the pool journals for a completed run.
+    fn image(report: &RunReport) -> OutcomeImage {
+        OutcomeImage::from_report(report, 0)
+    }
+
     #[test]
     fn dedups_across_seeds() {
         let store = ResultStore::new(u64::MAX);
         let job = JobId(1);
         let a = racy_report(1);
         let b = racy_report(2);
-        store.merge(job, 1, &a);
-        store.merge(job, 2, &b);
+        store.merge(job, 1, &image(&a));
+        store.merge(job, 2, &image(&b));
         store.seal(job);
         let races = store.races(job).expect("sealed job retained");
         // Deterministic workload: both seeds produce the same race set,
@@ -272,7 +270,7 @@ mod tests {
 
     #[test]
     fn budget_evicts_oldest_sealed_jobs_whole() {
-        let report = racy_report(1);
+        let report = image(&racy_report(1));
         let store = ResultStore::new(u64::MAX);
         store.merge(JobId(1), 1, &report);
         let one_job_bytes = store.stats().bytes_live;
@@ -293,7 +291,7 @@ mod tests {
 
     #[test]
     fn in_flight_jobs_are_never_evicted() {
-        let report = racy_report(1);
+        let report = image(&racy_report(1));
         let probe = ResultStore::new(u64::MAX);
         probe.merge(JobId(1), 1, &report);
         let one_job_bytes = probe.stats().bytes_live;
@@ -308,5 +306,61 @@ mod tests {
         store.seal(JobId(1));
         assert!(store.races(JobId(1)).is_none());
         assert_eq!(store.stats().jobs_evicted, 1);
+    }
+
+    /// Two distinct races, one of them occurring twice in the run.
+    fn done_image() -> OutcomeImage {
+        OutcomeImage::Done {
+            retries: 1,
+            occurrences: vec![10, 11, 10],
+            rendered: vec![(10, "race ten".into()), (11, "race eleven".into())],
+            recovery: [1, 2, 3, 4],
+        }
+    }
+
+    #[test]
+    fn image_merges_fold_in_arrival_order() {
+        let store = ResultStore::new(u64::MAX);
+        // Seed 8 lands first (journal order), seed 7 second.
+        store.merge(JobId(1), 8, &done_image());
+        store.merge(JobId(1), 7, &done_image());
+        let races = store.races(JobId(1)).expect("entry created");
+        assert_eq!(
+            races.reports_merged, 6,
+            "three occurrences per seed, two seeds"
+        );
+        assert_eq!(races.races.len(), 2);
+        let ten = races.races.iter().find(|r| r.fingerprint == 10).unwrap();
+        assert_eq!(ten.hits, 4, "duplicate occurrence folds per seed too");
+        assert_eq!(ten.first_seed, 8, "first in arrival order, not value");
+        assert_eq!(ten.rendered, "race ten");
+    }
+
+    #[test]
+    fn only_done_images_create_entries() {
+        let store = ResultStore::new(u64::MAX);
+        let race_free = OutcomeImage::Done {
+            retries: 0,
+            occurrences: Vec::new(),
+            rendered: Vec::new(),
+            recovery: [0; 4],
+        };
+        store.merge(JobId(1), 1, &race_free);
+        let races = store
+            .races(JobId(1))
+            .expect("a race-free run creates the entry");
+        assert!(races.races.is_empty());
+        assert_eq!(races.reports_merged, 0);
+
+        let failed = OutcomeImage::Failed {
+            error: "boom".into(),
+            transient: false,
+            retries: 0,
+        };
+        store.merge(JobId(2), 1, &failed);
+        store.merge(JobId(3), 1, &OutcomeImage::Cancelled);
+        assert!(store.races(JobId(2)).is_none(), "failed seed: no entry");
+        assert!(store.races(JobId(3)).is_none(), "cancelled seed: no entry");
+        assert_eq!(store.stats().bytes_live, 0);
     }
 }

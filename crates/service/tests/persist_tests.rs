@@ -275,6 +275,7 @@ fn clean_restart_restores_results_without_recomputing() {
         .map(|&id| (job_image(&daemon, id), daemon.races(id).unwrap()))
         .collect();
     assert!(before[0].0.races.iter().any(|(_, hits)| *hits > 0));
+    let store_before = daemon.stats().store;
     let report = daemon.drain(Duration::from_secs(30));
     assert!(report.clean);
     assert!(report.persist.snapshots_written >= 1, "drain compacts");
@@ -287,6 +288,10 @@ fn clean_restart_restores_results_without_recomputing() {
     assert_eq!(stats.persist.journal_records, 0, "snapshot covers it all");
     assert_eq!(stats.persist.recovered_jobs, 0, "nothing was in flight");
     assert_eq!(stats.jobs_submitted, 2);
+    assert_eq!(
+        stats.store, store_before,
+        "the store's counters are restored"
+    );
     for (i, &id) in [a, b].iter().enumerate() {
         assert_eq!(job_image(&daemon, id), before[i].0);
         // Byte-identical: the rendered race text survives too.
@@ -351,6 +356,106 @@ fn evictions_survive_restart() {
     assert!(daemon.races(a).is_none(), "evicted results stay evicted");
     assert!(daemon.races(b).is_some());
     assert_eq!(daemon.stats().store.jobs_evicted, evicted_live);
+    drop(daemon);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_over_budget_store_evicts_at_open() {
+    let dir = scratch_dir("evict-at-open");
+    let seed = seed().max(1);
+    let cfg = DaemonConfig {
+        workers: 2,
+        persist: PersistConfig::at(&dir),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(cfg.clone());
+    let a = daemon.submit(racy_spec(seed, 2)).expect("admitted");
+    wait_all_terminal(&daemon, Duration::from_secs(60));
+    let b = daemon.submit(racy_spec(seed + 7, 2)).expect("admitted");
+    wait_all_terminal(&daemon, Duration::from_secs(60));
+    let bytes_both = daemon.stats().store.bytes_live;
+    assert!(daemon.races(a).is_some() && daemon.races(b).is_some());
+    daemon.drain(Duration::from_secs(30));
+    drop(daemon);
+
+    // Reopen under a budget fitting either job alone but not both: the
+    // store is over budget at open, and evicts the oldest sealed job there,
+    // as a live seal would.
+    let budget = bytes_both - 1;
+    let cfg = DaemonConfig {
+        store_budget_bytes: budget,
+        ..cfg
+    };
+    let daemon = Daemon::start(cfg.clone());
+    let store = daemon.stats().store;
+    assert!(
+        store.bytes_live <= budget,
+        "over budget after open: {store:?}"
+    );
+    assert_eq!(store.jobs_evicted, 1);
+    assert!(daemon.races(a).is_none(), "oldest sealed job evicted");
+    assert!(daemon.races(b).is_some(), "newest sealed job retained");
+    drop(daemon);
+
+    // The eviction was journaled: a second reopen agrees.
+    let daemon = Daemon::start(cfg);
+    assert_eq!(daemon.stats().store, store);
+    assert!(daemon.races(a).is_none());
+    assert!(daemon.races(b).is_some());
+    drop(daemon);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn eviction_queue_survives_restart_in_journal_order() {
+    let dir = scratch_dir("seal-order");
+    let seed = seed().max(1);
+    let cfg = DaemonConfig {
+        workers: 2,
+        persist: PersistConfig::at(&dir),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(cfg.clone());
+    // A lower-id job that cannot finish until it is cancelled (every
+    // attempt is an injected transient fault, retried without end): it
+    // seals after the higher-id racy job, so the journal's seal order is
+    // not job-id order.
+    let mut endless = JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, seed, 1);
+    endless.flaky_first = u32::MAX;
+    endless.retry_budget = u32::MAX;
+    let low = daemon.submit(endless).expect("admitted");
+    let high = daemon.submit(racy_spec(seed, 2)).expect("admitted");
+    let start = Instant::now();
+    while !daemon.status(high).unwrap().phase.is_terminal() {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "{high} never sealed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(!daemon.status(low).unwrap().phase.is_terminal());
+    assert!(daemon.cancel(low));
+    wait_all_terminal(&daemon, Duration::from_secs(60));
+    // The cancelled job retains an empty entry: the bytes are the racy job's.
+    let one_job = daemon.stats().store.bytes_live;
+    assert!(one_job > 0);
+    daemon.drain(Duration::from_secs(30));
+    drop(daemon);
+
+    // Reopen under a budget fitting one racy job, then seal another: the
+    // oldest sealed job, the higher-id one, is evicted, and nothing else.
+    let daemon = Daemon::start(DaemonConfig {
+        store_budget_bytes: one_job,
+        ..cfg
+    });
+    assert_eq!(daemon.stats().store.jobs_evicted, 0);
+    let newest = daemon.submit(racy_spec(seed, 2)).expect("admitted");
+    wait_all_terminal(&daemon, Duration::from_secs(60));
+    assert!(daemon.races(high).is_none(), "first sealed, first evicted");
+    assert!(daemon.races(low).is_some(), "sealed second, still retained");
+    assert!(daemon.races(newest).is_some());
+    assert_eq!(daemon.stats().store.jobs_evicted, 1);
     drop(daemon);
     std::fs::remove_dir_all(&dir).ok();
 }
