@@ -25,6 +25,32 @@ use crate::{DetectorStats, Interval, RaceKind, RaceReport};
 /// materialises because both paths allocate the same output vector.
 pub const AUTO_OVERLAP_CUTOVER: usize = 1;
 
+/// Planned pairs each shard of an auto-sized (`workers = 0`) plan phase
+/// must carry: a plan whose work — the concurrent-pair upper bound
+/// Σ|A|·|B| over process pairs, `n(n−1)/2` under
+/// [`PairEnumeration::Naive`] — is below this runs on the calling thread.
+///
+/// Calibrated against the cost of the thread a shard spawns, measured on a
+/// 2-core x86-64 box: one scoped spawn+join costs ≈ 41 µs, and a serial
+/// plan of an all-concurrent epoch of 4 processes × k one-page intervals
+/// costs 46 ns/pair at k = 4, 21 at k = 16, 18 at k = 32 and 17 at
+/// k = 97.  A 4 096-pair shard is ≈ 75 µs of planning, so every spawned
+/// shard does at least ≈ 1.8× its own spawn+join in work.  A 2–4-node
+/// service epoch (tens of pairs) stays on one thread; `lock_storm`'s
+/// ≈ 55 k-pair plan still takes every core.
+pub const AUTO_PLAN_PAIRS_PER_SHARD: u64 = 4096;
+
+/// Compared pages each shard of an auto-sized (`workers = 0`) compare
+/// phase must carry: a compare whose work — Σ pages over the check
+/// entries — is below this runs on the calling thread.
+///
+/// Calibrated beside [`AUTO_PLAN_PAIRS_PER_SHARD`] on the same box: the
+/// word-level comparison of one 512-word page pair costs 69 ns with
+/// disjoint-summary bitmaps and 98–139 ns with a few racing words, so a
+/// 512-page shard is ≈ 50 µs of comparison, ≈ 1.2× the ≈ 41 µs spawn+join
+/// it pays for.
+pub const AUTO_COMPARE_PAGES_PER_SHARD: u64 = 512;
+
 /// Strategy for intersecting two intervals' page notice lists.
 ///
 /// The paper uses a naive `O(n^2)` scan because lists are "usually very
@@ -269,10 +295,14 @@ pub struct EpochDetector {
     pub overlap: OverlapStrategy,
     /// Concurrent-pair enumeration strategy.
     pub enumeration: PairEnumeration,
-    /// Worker threads for planning and word-level comparison: `0` resolves
-    /// to the host's available parallelism, `1` is the paper's serial
-    /// master.  The calling thread is one of the workers: `n` shards cost
-    /// `n - 1` thread spawns.
+    /// Worker threads for planning and word-level comparison.  `1` is the
+    /// paper's serial master and any `n` is honoured as given (down to one
+    /// item per shard).  `0` sizes each phase by its work: one shard per
+    /// [`AUTO_PLAN_PAIRS_PER_SHARD`] planned pairs or
+    /// [`AUTO_COMPARE_PAGES_PER_SHARD`] compared pages, capped at the
+    /// host's available parallelism, so a small phase runs on the calling
+    /// thread alone.  The calling thread is one of the workers: `n` shards
+    /// cost `n - 1` thread spawns.
     ///
     /// Every worker count produces **bit-identical** plans, reports, and
     /// statistics: work is split into contiguous shards of the serial
@@ -297,17 +327,16 @@ impl EpochDetector {
         EpochDetector::default()
     }
 
-    /// Resolves the configured worker count against the number of work
-    /// items (shards are never smaller than one item).
-    fn effective_workers(&self, items: usize) -> usize {
-        if items == 0 {
-            return 1;
-        }
+    /// Resolves the configured worker count for one phase of `items` work
+    /// items totalling `work` units: an explicit count as given, `0` as
+    /// one shard per `per_shard` units up to the host's parallelism.
+    /// Shards are never smaller than one item.
+    fn effective_workers(&self, items: usize, work: u64, per_shard: u64) -> usize {
         let cap = match self.workers {
-            0 => host_parallelism(),
+            0 => (work / per_shard).min(host_parallelism() as u64) as usize,
             n => n,
         };
-        cap.clamp(1, items)
+        cap.clamp(1, items.max(1))
     }
 
     /// Steps 2–3: enumerate concurrent interval pairs among `intervals`
@@ -317,11 +346,12 @@ impl EpochDetector {
     /// already orders them — so the version-vector comparison count is
     /// bounded by `O(i^2 p^2)` exactly as in the paper.
     ///
-    /// With [`EpochDetector::workers`] above one, pair enumeration is
-    /// sharded across threads by contiguous ranges of the serial iteration
-    /// order (outer interval index for [`PairEnumeration::Naive`], process
-    /// pairs for [`PairEnumeration::Pruned`]); the merged check list,
-    /// request set, and statistics are identical to the serial ones.
+    /// When [`EpochDetector::workers`] resolves to more than one shard,
+    /// pair enumeration is sharded across threads by contiguous ranges of
+    /// the serial iteration order (outer interval index for
+    /// [`PairEnumeration::Naive`], process pairs for
+    /// [`PairEnumeration::Pruned`]); the merged check list, request set,
+    /// and statistics are identical to the serial ones.
     pub fn plan<I: std::borrow::Borrow<Interval>>(&self, intervals: &[I]) -> DetectionPlan {
         self.plan_with(intervals, &mut EpochArena::new())
     }
@@ -352,7 +382,8 @@ impl EpochDetector {
                 // Outer index i is compared against everything after it.
                 let n = intervals.len();
                 let weights: Vec<u64> = (0..n).map(|i| (n - 1 - i) as u64).collect();
-                self.run_plan_shards(arena, &weights, |planner, scratch, range| {
+                let work = weights.iter().sum();
+                self.run_plan_shards(arena, &weights, work, |planner, scratch, range| {
                     planner.naive(scratch, intervals, range);
                 })
             }
@@ -367,7 +398,11 @@ impl EpochDetector {
                 }
                 let weights: Vec<u64> =
                     pairs.iter().map(|(p, _)| by_proc[p].len() as u64).collect();
-                self.run_plan_shards(arena, &weights, |planner, scratch, range| {
+                let work = pairs
+                    .iter()
+                    .map(|(p, q)| (by_proc[p].len() * by_proc[q].len()) as u64)
+                    .sum();
+                self.run_plan_shards(arena, &weights, work, |planner, scratch, range| {
                     planner.pruned(scratch, &by_proc, &pairs[range]);
                 })
             }
@@ -392,19 +427,21 @@ impl EpochDetector {
     }
 
     /// Runs `fill` over contiguous weight-balanced shards of the serial
-    /// iteration order and returns the per-shard planners **in shard
-    /// order**, so concatenating their outputs reproduces the serial
-    /// result exactly.
+    /// iteration order, as many as `work` planned pairs pay for, and
+    /// returns the per-shard planners **in shard order**, so concatenating
+    /// their outputs reproduces the serial result exactly.
     fn run_plan_shards<F>(
         &self,
         arena: &mut EpochArena,
         weights: &[u64],
+        work: u64,
         fill: F,
     ) -> Vec<Planner<'_>>
     where
         F: Fn(&mut Planner<'_>, &mut WorkerScratch, Range<usize>) + Sync,
     {
-        let ranges = balanced_ranges(weights, self.effective_workers(weights.len()));
+        let shards = self.effective_workers(weights.len(), work, AUTO_PLAN_PAIRS_PER_SHARD);
+        let ranges = balanced_ranges(weights, shards);
         run_sharded(ranges, arena, |range, scratch| {
             let mut p = Planner::new(self);
             fill(&mut p, scratch, range);
@@ -479,10 +516,10 @@ impl EpochDetector {
     /// `epoch` tags the resulting reports.  Updates `plan.stats` with the
     /// comparison and race counters.
     ///
-    /// With [`EpochDetector::workers`] above one, check entries are
-    /// sharded across threads by contiguous ranges; merging shard outputs
-    /// in shard order reproduces the serial report order, counters, and
-    /// (on failure) the serial first error exactly.
+    /// When [`EpochDetector::workers`] resolves to more than one shard,
+    /// check entries are sharded across threads by contiguous ranges;
+    /// merging shard outputs in shard order reproduces the serial report
+    /// order, counters, and (on failure) the serial first error exactly.
     ///
     /// # Errors
     ///
@@ -517,7 +554,9 @@ impl EpochDetector {
     ) -> Result<Vec<RaceReport>, DetectError> {
         let entries = &plan.check.entries;
         let weights: Vec<u64> = entries.iter().map(|e| e.pages.len() as u64).collect();
-        let ranges = balanced_ranges(&weights, self.effective_workers(entries.len()));
+        let work = weights.iter().sum();
+        let count = self.effective_workers(entries.len(), work, AUTO_COMPARE_PAGES_PER_SHARD);
+        let ranges = balanced_ranges(&weights, count);
         let shards = run_sharded(ranges, arena, |range, scratch| {
             compare_entries(&entries[range], bitmaps, geometry, epoch, scratch)
         });
@@ -1131,20 +1170,42 @@ mod tests {
         assert!(balanced_ranges(&[], 4).is_empty());
     }
 
-    /// An explicit worker count is honoured whatever the host has (down to
-    /// one item per shard); `0` takes the host's parallelism.
+    /// An explicit worker count is honoured whatever the work (down to one
+    /// item per shard); `0` takes one shard per `per_shard` units of work,
+    /// at most the host's parallelism, and a phase below one shard's work
+    /// stays on the calling thread.
     #[test]
-    fn worker_count_resolves_against_items_and_host() {
+    fn worker_count_resolves_against_work_and_host() {
         let with = |workers| EpochDetector {
             workers,
             ..EpochDetector::new()
         };
-        assert_eq!(with(1).effective_workers(1000), 1);
-        assert_eq!(with(4).effective_workers(1000), 4);
-        assert_eq!(with(64).effective_workers(28), 28);
-        assert_eq!(with(4).effective_workers(0), 1);
-        assert_eq!(with(0).effective_workers(1000), host_parallelism());
-        assert_eq!(with(0).effective_workers(1), 1);
+        let per = AUTO_PLAN_PAIRS_PER_SHARD;
+        // Explicit counts ignore the work.
+        assert_eq!(with(1).effective_workers(1000, u64::MAX, per), 1);
+        assert_eq!(with(4).effective_workers(1000, 0, per), 4);
+        assert_eq!(with(4).effective_workers(1000, per - 1, per), 4);
+        assert_eq!(with(64).effective_workers(28, 1, per), 28);
+        // Zero items is one (empty) shard, whatever the setting.
+        for workers in [0, 1, 4] {
+            assert_eq!(with(workers).effective_workers(0, 0, per), 1);
+            assert_eq!(with(workers).effective_workers(0, 10 * per, per), 1);
+        }
+        // Auto: below one shard's work runs serially ...
+        assert_eq!(with(0).effective_workers(1000, 0, per), 1);
+        assert_eq!(with(0).effective_workers(1000, per - 1, per), 1);
+        assert_eq!(with(0).effective_workers(1000, per, per), 1);
+        // ... above it, one shard per `per` units up to the host's cores.
+        let host = host_parallelism();
+        assert_eq!(with(0).effective_workers(1000, 2 * per, per), 2.min(host));
+        assert_eq!(with(0).effective_workers(1000, u64::MAX, per), host);
+        assert_eq!(with(0).effective_workers(1, u64::MAX, per), 1);
+        let compare = AUTO_COMPARE_PAGES_PER_SHARD;
+        assert_eq!(with(0).effective_workers(6, 6, compare), 1);
+        assert_eq!(
+            with(0).effective_workers(1000, 1000 * compare, compare),
+            host
+        );
     }
 
     /// The calling thread is a worker: it runs the first shard itself, so

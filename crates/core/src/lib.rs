@@ -67,7 +67,8 @@ pub mod trace;
 
 pub use detector::{
     BitmapStore, CheckEntry, CheckList, DetectError, DetectionPlan, EpochArena, EpochDetector,
-    OverlapStrategy, PairClass, PairEnumeration, AUTO_OVERLAP_CUTOVER,
+    OverlapStrategy, PairClass, PairEnumeration, AUTO_COMPARE_PAGES_PER_SHARD,
+    AUTO_OVERLAP_CUTOVER, AUTO_PLAN_PAIRS_PER_SHARD,
 };
 pub use first::filter_first_races;
 pub use interval::{make_interval, Interval};

@@ -497,7 +497,7 @@ proptest! {
                 OverlapStrategy::SortedMerge,
                 OverlapStrategy::PageBitmap,
             ] {
-                for workers in [1, 2, 4] {
+                for workers in [1, 2, 4, 0] {
                     let d = EpochDetector { overlap, enumeration, workers };
                     let mut plan = d.plan(&intervals);
                     prop_assert_eq!(&plan.check.entries, &want.entries, "{:?}", d);

@@ -116,6 +116,7 @@ impl Inflight {
 
 /// Application-thread `barrier()`.
 pub(crate) fn app_barrier(node: &Node, consolidation: bool) {
+    fault::halt_if_stopped(&node.ctl);
     let mut st = node.state.lock();
     if consolidation {
         st.stats.consolidations += 1;

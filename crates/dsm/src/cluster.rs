@@ -257,7 +257,7 @@ where
     let shutdown_txs: Vec<cvm_net::NetSender> = endpoints.iter().map(Endpoint::sender).collect();
 
     let resume = store.and_then(|s| s.last_complete_epoch(nprocs));
-    let ctl = Arc::new(ClusterCtl::new());
+    let ctl = Arc::new(ClusterCtl::watching(cfg.cancel.clone()));
     // Pipelined detection: the master's barrier feeds a dedicated stage
     // thread (spawned below) through this channel.
     let mut stage_rx = None;
@@ -574,11 +574,10 @@ where
 /// [`DsmError::Timeout`] instead of hanging until some blocked operation's
 /// own deadline fires anonymously.
 fn service_loop(node: &Node, ep: Endpoint, rstats: Option<Arc<ReliabilityStats>>) {
-    let (op_deadline, cancel, segment_pages, page_words) = {
+    let (op_deadline, segment_pages, page_words) = {
         let st = node.state.lock();
         (
             st.cfg.op_deadline,
-            st.cfg.cancel.clone(),
             st.pages.segment_pages(),
             st.cfg.geometry.page_words,
         )
@@ -587,11 +586,7 @@ fn service_loop(node: &Node, ep: Endpoint, rstats: Option<Arc<ReliabilityStats>>
     loop {
         // External cancellation: checked every dispatch iteration (not just
         // idle polls) so a busy node still drains within one message.
-        if let Some(token) = &cancel {
-            if token.is_cancelled() && !node.ctl.tearing_down() {
-                node.ctl.fail(DsmError::Cancelled);
-            }
-        }
+        node.ctl.observe_cancel();
         let pkt = match ep.recv_timeout(SERVICE_POLL) {
             Ok(pkt) => pkt,
             Err(NetError::Empty) => {
@@ -1047,7 +1042,7 @@ mod tests {
         let node = Node {
             state: Mutex::new(NodeCore::new(DsmConfig::new(2), ProcId(0))),
             sender: eps[0].sender(),
-            ctl: Arc::new(ClusterCtl::new()),
+            ctl: Arc::new(ClusterCtl::default()),
         };
         (node, eps)
     }
@@ -1126,7 +1121,7 @@ mod tests {
         let node = Node {
             state: Mutex::new(NodeCore::new(DsmConfig::new(2), ProcId(0))),
             sender: ep0.sender(),
-            ctl: Arc::new(ClusterCtl::new()),
+            ctl: Arc::new(ClusterCtl::default()),
         };
         node.state.lock().seat_term = 2;
         let mut peer = NodeCore::new(DsmConfig::new(2), ProcId(1));
@@ -1181,7 +1176,7 @@ mod tests {
         let node = Node {
             state: Mutex::new(NodeCore::new(cfg.clone(), ProcId(0))),
             sender: ep0.sender(),
-            ctl: Arc::new(ClusterCtl::new()),
+            ctl: Arc::new(ClusterCtl::default()),
         };
         let mut peer = NodeCore::new(cfg, ProcId(1));
         std::thread::scope(|s| {

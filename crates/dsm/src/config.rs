@@ -130,12 +130,18 @@ pub struct DetectConfig {
     /// the binary-search pruning its discussion alludes to).
     pub enumeration: PairEnumeration,
     /// Worker threads for the barrier master's planning and word-level
-    /// comparison phases: `0` (the default) uses the host's available
-    /// parallelism, `1` is the paper's serial master.  The master's own
-    /// thread is one of the workers, so `n` shards cost `n - 1` thread
-    /// spawns per phase.  Race reports and detector statistics are
-    /// bit-identical for every worker count (and therefore so is the
-    /// simulated cost accounting); only wall-clock time changes.
+    /// comparison phases.  `1` is the paper's serial master; any other
+    /// `n` is used as given.  `0` (the default) sizes each phase by its
+    /// work: a phase below
+    /// [`AUTO_PLAN_PAIRS_PER_SHARD`](cvm_race::AUTO_PLAN_PAIRS_PER_SHARD)
+    /// planned pairs or
+    /// [`AUTO_COMPARE_PAGES_PER_SHARD`](cvm_race::AUTO_COMPARE_PAGES_PER_SHARD)
+    /// compared pages runs on the master's thread, a larger one gets one
+    /// shard per that much work, up to the host's available parallelism.
+    /// The master's own thread is one of the workers, so `n` shards cost
+    /// `n - 1` thread spawns per phase.  Race reports and detector
+    /// statistics are bit-identical for every worker count (and therefore
+    /// so is the simulated cost accounting); only wall-clock time changes.
     pub workers: usize,
     /// Source of write-access information.
     pub write_detection: WriteDetection,

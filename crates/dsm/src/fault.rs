@@ -47,12 +47,14 @@ pub(crate) const SERVICE_POLL: Duration = Duration::from_millis(5);
 /// Clone the token, stash it in
 /// [`DsmConfig::cancel`](crate::DsmConfig::cancel), and call
 /// [`cancel`](CancelToken::cancel) from any thread: every node's service
-/// loop polls the flag and routes [`DsmError::Cancelled`] through the
-/// run-wide first-error cell, so blocked application threads unwind within
-/// one poll interval and `Cluster::run` returns the structured error with
-/// a drained partial report — the same orderly path a fault takes, minus
-/// the fault.  Cancellation is level-triggered and idempotent; a token
-/// cancelled before the run starts stops it at the first service poll.
+/// loop and every application op's entry check read the flag and route
+/// [`DsmError::Cancelled`] through the run-wide first-error cell, so a
+/// running application thread unwinds at its next barrier, lock or page
+/// fault, a blocked one within one poll interval, and `Cluster::run`
+/// returns the structured error with a drained partial report — the same
+/// orderly path a fault takes, minus the fault.  Cancellation is
+/// level-triggered and idempotent; a token cancelled before the run starts
+/// stops it at the first op or service poll.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -73,16 +75,26 @@ impl CancelToken {
     }
 }
 
-/// Shared run-wide control block: first-failure cell + teardown flag.
+/// Shared run-wide control block: first-failure cell + teardown flag, and
+/// the run's external cancel token.
 #[derive(Debug, Default)]
 pub(crate) struct ClusterCtl {
     failure: Mutex<Option<DsmError>>,
+    /// Set once `failure` holds an error: the lock-free read behind every
+    /// application op's entry check.
+    failed: AtomicBool,
     teardown: AtomicBool,
+    cancel: Option<CancelToken>,
 }
 
 impl ClusterCtl {
-    pub(crate) fn new() -> Self {
-        ClusterCtl::default()
+    /// A control block that also watches `cancel` (see
+    /// [`ClusterCtl::stopped`]).
+    pub(crate) fn watching(cancel: Option<CancelToken>) -> Self {
+        ClusterCtl {
+            cancel,
+            ..ClusterCtl::default()
+        }
     }
 
     /// Records `err` if no failure is recorded yet (first error wins —
@@ -91,7 +103,26 @@ impl ClusterCtl {
         let mut cell = self.failure.lock();
         if cell.is_none() {
             *cell = Some(err);
+            self.failed.store(true, Ordering::SeqCst);
         }
+    }
+
+    /// Routes a fired cancel token into the failure cell as
+    /// [`DsmError::Cancelled`] (outside teardown, where a late cancel
+    /// changes nothing).
+    pub(crate) fn observe_cancel(&self) {
+        if let Some(token) = &self.cancel {
+            if token.is_cancelled() && !self.tearing_down() {
+                self.fail(DsmError::Cancelled);
+            }
+        }
+    }
+
+    /// Whether the run must stop: it has failed, or its cancel token has
+    /// fired (which this records as the failure).
+    pub(crate) fn stopped(&self) -> bool {
+        self.observe_cancel();
+        self.failed()
     }
 
     /// During the seat-announcement round a peer death is a symptom, not
@@ -112,7 +143,7 @@ impl ClusterCtl {
     }
 
     pub(crate) fn failed(&self) -> bool {
-        self.failure.lock().is_some()
+        self.failed.load(Ordering::SeqCst)
     }
 
     /// Marks the start of orderly shutdown: send errors after this point
@@ -150,6 +181,17 @@ fn install_quiet_hook() {
 pub(crate) fn unwind() -> ! {
     install_quiet_hook();
     std::panic::panic_any(DsmUnwind);
+}
+
+/// Unwinds the calling application thread if the run has failed or been
+/// cancelled.  Every application protocol op (`barrier`, `lock`, a page
+/// fault) checks on entry, so a stopped run ends at each thread's next op
+/// — not at the next wait that happens to outlast [`APP_POLL`], which a
+/// barrier whose processes arrive together never does.
+pub(crate) fn halt_if_stopped(ctl: &ClusterCtl) {
+    if ctl.stopped() {
+        unwind();
+    }
 }
 
 /// Records `err` as the cluster failure and unwinds the calling thread.
@@ -226,7 +268,7 @@ mod tests {
 
     #[test]
     fn first_failure_wins() {
-        let ctl = ClusterCtl::new();
+        let ctl = ClusterCtl::default();
         assert!(!ctl.failed());
         assert_eq!(ctl.failure(), None);
         ctl.fail(DsmError::NodeFailed { proc: 2 });
@@ -236,7 +278,7 @@ mod tests {
 
     #[test]
     fn teardown_flag_latches() {
-        let ctl = ClusterCtl::new();
+        let ctl = ClusterCtl::default();
         assert!(!ctl.tearing_down());
         ctl.begin_teardown();
         assert!(ctl.tearing_down());

@@ -44,6 +44,7 @@ impl NodeCore {
 
 /// Application-thread `lock()`.
 pub(crate) fn app_lock(node: &Node, lock: u32) {
+    fault::halt_if_stopped(&node.ctl);
     let mut st = node.state.lock();
     let c = st.cfg.costs;
     st.clock.add(OverheadCat::Base, c.lock_handling);
@@ -357,7 +358,7 @@ mod tests {
         let node = Node {
             state: Mutex::new(NodeCore::new(DsmConfig::new(nprocs), ProcId(0))),
             sender: eps[0].sender(),
-            ctl: Arc::new(ClusterCtl::new()),
+            ctl: Arc::new(ClusterCtl::default()),
         };
         (node, eps)
     }

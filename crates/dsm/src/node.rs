@@ -1261,7 +1261,7 @@ mod tests {
             let node = crate::pages::Node {
                 state: parking_lot::Mutex::new(NodeCore::new(cfg, ProcId(0))),
                 sender: eps[0].sender(),
-                ctl: Arc::new(crate::fault::ClusterCtl::new()),
+                ctl: Arc::new(crate::fault::ClusterCtl::default()),
             };
             let mut intervals = intervals;
             while near_wrap && intervals.len() < 4 {

@@ -205,6 +205,7 @@ fn fault<'a>(
     page: PageId,
     write: bool,
 ) -> MutexGuard<'a, NodeCore> {
+    fault::halt_if_stopped(&node.ctl);
     let c = st.cfg.costs;
     st.clock.add(OverheadCat::Base, c.fault);
     if write {
@@ -577,12 +578,12 @@ mod tests {
         let n0 = Node {
             state: Mutex::new(NodeCore::new(cfg.clone(), ProcId(0))),
             sender: eps[0].sender(),
-            ctl: Arc::new(ClusterCtl::new()),
+            ctl: Arc::new(ClusterCtl::default()),
         };
         let n1 = Node {
             state: Mutex::new(NodeCore::new(cfg, ProcId(1))),
             sender: eps[1].sender(),
-            ctl: Arc::new(ClusterCtl::new()),
+            ctl: Arc::new(ClusterCtl::default()),
         };
         (n0, n1, eps)
     }
@@ -738,7 +739,7 @@ mod mw_tests {
         let node = Node {
             state: Mutex::new(NodeCore::new(cfg, ProcId(proc))),
             sender: eps[proc as usize].sender(),
-            ctl: Arc::new(ClusterCtl::new()),
+            ctl: Arc::new(ClusterCtl::default()),
         };
         (node, eps)
     }

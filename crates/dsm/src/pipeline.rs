@@ -316,7 +316,7 @@ mod tests {
         let node = Node {
             state: Mutex::new(core),
             sender: ep0.sender(),
-            ctl: Arc::new(ClusterCtl::new()),
+            ctl: Arc::new(ClusterCtl::default()),
         };
         // Two concurrent writes of page 0 by the workers: both bitmaps are
         // remote, so the round must send before it can compare.
@@ -354,7 +354,7 @@ mod tests {
             let node = Node {
                 state: Mutex::new(core),
                 sender: eps[0].sender(),
-                ctl: Arc::new(ClusterCtl::new()),
+                ctl: Arc::new(ClusterCtl::default()),
             };
             let mut st = node.state.lock();
             crate::barrier::on_arrive(&mut st, &node, ProcId(0), VClock::new(3), Vec::new())

@@ -3,6 +3,7 @@
 //! never a hang, never a panic — and the same `(FaultPlan, seed)` must
 //! reproduce the same outcome.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use cvm_dsm::{Cluster, DsmConfig, DsmError, FaultPlan, Protocol, RunError};
@@ -255,4 +256,41 @@ fn pre_cancelled_token_stops_the_run_at_first_poll() {
     )
     .expect_err("a pre-cancelled run must not complete");
     assert_eq!(err.error, DsmError::Cancelled);
+}
+
+/// A cancel stops each application thread at its next protocol op, even
+/// when no wait ever outlasts a poll interval: two processes that dwell
+/// alike reach every barrier together, so no wait times out and the run's
+/// stop must be read on entry.  Proc 0 cancels right after its `k`-th
+/// barrier and must complete no other.
+#[test]
+fn cancel_stops_the_canceller_at_its_next_op() {
+    for k in [2u64, 4, 8] {
+        let token = cvm_dsm::CancelToken::new();
+        let mut cfg = DsmConfig::new(2);
+        cfg.cancel = Some(token.clone());
+        let completed = AtomicU64::new(0);
+        let err = Cluster::run(
+            cfg,
+            |alloc| alloc.alloc("w", 16).unwrap(),
+            |h, &w| {
+                let me = h.proc();
+                for e in 0..100u64 {
+                    std::thread::sleep(Duration::from_millis(10));
+                    h.write(w.word(me as u64), e);
+                    h.barrier();
+                    if me == 0 && completed.fetch_add(1, Ordering::SeqCst) + 1 == k {
+                        token.cancel();
+                    }
+                }
+            },
+        )
+        .expect_err("a cancelled run must not complete");
+        assert_eq!(err.error, DsmError::Cancelled, "k = {k}");
+        assert_eq!(
+            completed.load(Ordering::SeqCst),
+            k,
+            "proc 0 ran past the barrier after its cancel"
+        );
+    }
 }

@@ -10,8 +10,9 @@
 //! The robustness contract, end to end:
 //!
 //! * **Crash isolation** ([`pool`]) — a panicking run (app bug, injected
-//!   detector-stage panic) is caught on its helper thread and becomes a
-//!   terminal seed outcome; the worker and the daemon keep serving.
+//!   detector-stage panic) is caught on its worker's run thread and
+//!   becomes a terminal seed outcome; the worker, its run thread and the
+//!   daemon keep serving.
 //! * **Deadlines** ([`pool`]) — attempts overrunning the job's per-run
 //!   deadline are cancelled through the cluster's own
 //!   [`CancelToken`](cvm_dsm::CancelToken) path and classified transient.

@@ -3,9 +3,11 @@
 //! Workers pull per-seed tasks off a shared queue and run each one under
 //! full supervision:
 //!
-//! * **Crash isolation** — the attempt executes inside `catch_unwind` on a
-//!   helper thread; a panicking run (or detector stage) becomes that
-//!   seed's terminal `Failed` outcome, never a dead worker.
+//! * **Crash isolation** — the attempt executes inside `catch_unwind` on
+//!   the worker's run thread, a long-lived helper each worker starts on
+//!   its first attempt and reuses for every later one; a panicking run (or
+//!   detector stage) becomes that seed's terminal `Failed` outcome, never a
+//!   dead worker or a dead run thread.
 //! * **Deadlines** — an attempt still executing past the job's
 //!   `run_deadline` has its per-attempt [`CancelToken`] fired, which
 //!   drains the in-flight cluster; the overrun is counted and classified
@@ -15,9 +17,12 @@
 //!   under the job-wide budget with capped exponential backoff and
 //!   seeded jitter (the same splitmix64 dice as the transport's fault
 //!   injection, so reruns are reproducible).
-//! * **Cancellation** — the job's token is observed between attempts and
-//!   propagated into running clusters, so cancel latency is bounded by
-//!   the cluster's own poll interval, not by run length.
+//! * **Cancellation** — the job's token is observed between attempts and,
+//!   within one supervision tick, fired into the running cluster's
+//!   per-attempt token; every process then stops at its next barrier,
+//!   lock or page fault (a blocked one within the cluster's poll
+//!   interval), so cancel latency is bounded by the tick plus one epoch of
+//!   application work, not by run length.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,23 +32,23 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use cvm_dsm::{CancelToken, DsmError};
+use cvm_dsm::{CancelToken, DsmConfig, DsmError, RunError, RunReport};
 use cvm_net::{backoff_delay, splitmix64};
 use parking_lot::Mutex;
 
-use crate::job::JobState;
+use crate::job::{JobSpec, JobState};
 use crate::persist::{JournalRecord, OutcomeImage, Persist};
 use crate::store::ResultStore;
 use crate::workload::{build_config, run_with_config};
 
 /// How often a supervising worker wakes to check deadline and
-/// cancellation while its helper thread runs an attempt.
+/// cancellation while its run thread runs an attempt.
 const SUPERVISE_TICK: Duration = Duration::from_millis(10);
 
 /// Grace period after firing an attempt's cancel token before the worker
-/// detaches the helper thread and moves on.  Covers the cluster's drain
-/// path with wide margin; a helper that outlives it keeps running detached
-/// and its (late) result is discarded by the job's terminal-state guard.
+/// detaches its run thread and moves on.  Covers the cluster's drain path
+/// with wide margin; a run thread that outlives it keeps running detached,
+/// and its late result goes to a channel nobody reads.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// One unit of pool work: run `seed` of `job` to a terminal
@@ -66,12 +71,12 @@ cvm_net::counters! {
         pub deadline_overruns: u64,
         /// Transient failures that were retried.
         pub retries: u64,
-        /// Helper threads detached after the drain grace expired.
+        /// Run threads detached after the drain grace expired.
         pub detached_helpers: u64,
-        /// Attempts currently under supervision.  A detached helper leaves
-        /// the gauge when its supervisor gives up on it — its late result is
-        /// discarded anyway — so drain-time accounting can never be pinned by
-        /// a straggler that will not exit.
+        /// Attempts currently under supervision.  A detached run thread
+        /// leaves the gauge when its supervisor gives up on it — its late
+        /// result is discarded anyway — so drain-time accounting can never be
+        /// pinned by a straggler that will not exit.
         pub active_helpers: u64,
     }
     /// Pool-wide supervision counters.
@@ -100,10 +105,56 @@ impl Drop for ActiveGuard<'_> {
 
 /// Everything a worker thread needs to supervise attempts.
 struct WorkerCtx {
+    index: usize,
     store: Arc<ResultStore>,
     stats: Arc<PoolStats>,
     persist: Arc<Persist>,
     drain_grace: Duration,
+}
+
+/// What one attempt's run returned, or the panic it unwound with.
+type RunResult = std::thread::Result<Result<RunReport, RunError>>;
+
+/// A worker's run thread: it takes one attempt at a time over `orders`,
+/// runs it under `catch_unwind` and sends the result back over `results`.
+///
+/// Each `Runner` has channels of its own, so a worker that detaches a
+/// stuck run drops the whole `Runner` and the next attempt gets a fresh
+/// one: the late result goes to a dropped receiver, never to a later
+/// attempt, and the stuck thread exits once that send fails.
+struct Runner {
+    orders: Sender<(JobSpec, DsmConfig)>,
+    results: Receiver<RunResult>,
+    thread: JoinHandle<()>,
+}
+
+impl Runner {
+    fn spawn(worker: usize) -> Self {
+        let (orders, order_rx) = unbounded::<(JobSpec, DsmConfig)>();
+        let (result_tx, results) = unbounded();
+        let thread = std::thread::Builder::new()
+            .name(format!("svc-run-{worker}"))
+            .spawn(move || {
+                for (spec, cfg) in order_rx {
+                    let result = catch_unwind(AssertUnwindSafe(|| run_with_config(&spec, cfg)));
+                    if result_tx.send(result).is_err() {
+                        return; // Detached: nobody reads this result.
+                    }
+                }
+            })
+            .expect("spawn run thread");
+        Runner {
+            orders,
+            results,
+            thread,
+        }
+    }
+
+    /// Stops an idle run thread and joins it.
+    fn close(self) {
+        drop(self.orders);
+        let _ = self.thread.join();
+    }
 }
 
 /// The pool: a fixed set of supervising workers over a shared task queue.
@@ -137,6 +188,7 @@ impl WorkerPool {
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let ctx = WorkerCtx {
+                    index: i,
                     store: Arc::clone(&store),
                     stats: Arc::clone(&stats),
                     persist: Arc::clone(&persist),
@@ -193,18 +245,20 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Dequeues under the lock and runs without it.  An idle worker blocks in
+/// `recv` holding the lock while the others wait for it; shutdown's
+/// disconnect ends that `recv`, and each waiting worker then takes the
+/// lock and sees the disconnect in turn.
 fn worker_loop(rx: &Mutex<Receiver<SeedTask>>, ctx: &WorkerCtx) {
+    let mut runner = None;
     loop {
-        // Dequeue under the lock, run without it.
-        let task = {
-            let guard = rx.lock();
-            guard.recv_timeout(Duration::from_millis(20))
-        };
-        match task {
-            Ok(task) => run_seed(&task, ctx),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+        // Its own statement, so the guard drops before the run.
+        let task = rx.lock().recv();
+        let Ok(task) = task else { break };
+        run_seed(&task, ctx, &mut runner);
+    }
+    if let Some(runner) = runner {
+        runner.close();
     }
 }
 
@@ -228,7 +282,7 @@ enum Attempt {
 /// (write-ahead: a crash at any point leaves the journal at least as
 /// informed as the state it shadows), then the store merges the image and
 /// the job settles it, and the seed that completes the job seals it.
-fn run_seed(task: &SeedTask, ctx: &WorkerCtx) {
+fn run_seed(task: &SeedTask, ctx: &WorkerCtx, runner: &mut Option<Runner>) {
     let (store, stats) = (&ctx.store, &ctx.stats);
     let job = &task.job;
     let seed = task.seed;
@@ -257,7 +311,7 @@ fn run_seed(task: &SeedTask, ctx: &WorkerCtx) {
                 transient: true,
             }
         } else {
-            run_attempt(task, ctx)
+            run_attempt(task, ctx, runner)
         };
 
         match attempt {
@@ -293,8 +347,9 @@ fn run_seed(task: &SeedTask, ctx: &WorkerCtx) {
     }
 }
 
-/// One crash-isolated, deadline-supervised attempt.
-fn run_attempt(task: &SeedTask, ctx: &WorkerCtx) -> Attempt {
+/// One crash-isolated, deadline-supervised attempt on the worker's run
+/// thread (started here on first use, and dropped here on detach).
+fn run_attempt(task: &SeedTask, ctx: &WorkerCtx, runner: &mut Option<Runner>) -> Attempt {
     let stats = &ctx.stats;
     let job = &task.job;
     let seed = task.seed;
@@ -303,23 +358,18 @@ fn run_attempt(task: &SeedTask, ctx: &WorkerCtx) -> Attempt {
     let mut cfg = build_config(&job.spec, seed);
     cfg.cancel = Some(attempt_cancel.clone());
 
-    let (tx, rx) = std::sync::mpsc::channel();
-    let spec = job.spec.clone();
-    let helper = std::thread::Builder::new()
-        .name(format!("svc-run-{}-s{seed}", job.id))
-        .spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| run_with_config(&spec, cfg)));
-            let _ = tx.send(result);
-        })
-        .expect("spawn attempt helper");
+    let run = runner.get_or_insert_with(|| Runner::spawn(ctx.index));
+    // The run thread only exits once its orders channel closes, so this
+    // send fails only if it died outright, as the `Disconnected` arm below
+    // then reports.
+    let _ = run.orders.send((job.spec.clone(), cfg));
 
     let started = Instant::now();
     let deadline = job.spec.run_deadline;
     let mut cancelled_for = None::<Attempt>; // Why we fired the token.
     loop {
-        match rx.recv_timeout(SUPERVISE_TICK) {
+        match run.results.recv_timeout(SUPERVISE_TICK) {
             Ok(result) => {
-                let _ = helper.join();
                 let outcome = match result {
                     Ok(Ok(report)) => Attempt::Done(Box::new(report)),
                     Ok(Err(err)) => {
@@ -347,10 +397,11 @@ fn run_attempt(task: &SeedTask, ctx: &WorkerCtx) -> Attempt {
             Err(RecvTimeoutError::Timeout) => {
                 if let Some(why) = cancelled_for.take() {
                     if started.elapsed() > deadline + ctx.drain_grace {
-                        // The cluster refused to drain: detach the helper
-                        // and report; a late duplicate recording is
-                        // rejected by the job's terminal-state guard.
+                        // The cluster refused to drain: detach the run
+                        // thread with its channels, so its late result
+                        // has nowhere to go, and report.
                         stats.detached_helpers.fetch_add(1, Ordering::Relaxed);
+                        *runner = None;
                         return why;
                     }
                     cancelled_for = Some(why);
@@ -370,11 +421,12 @@ fn run_attempt(task: &SeedTask, ctx: &WorkerCtx) -> Attempt {
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
-                // The helper died without sending: catch_unwind makes
+                // The run thread died without sending: catch_unwind makes
                 // this unreachable short of an abort, but classify it
                 // terminally rather than looping forever.
+                *runner = None;
                 return Attempt::Failed {
-                    error: "attempt helper vanished".into(),
+                    error: "run thread vanished".into(),
                     transient: false,
                 };
             }
@@ -631,5 +683,106 @@ mod tests {
             stats.active_helpers, 0,
             "a detached helper must still release the active gauge"
         );
+    }
+
+    /// A worker holds the queue's lock only to dequeue: an idle worker
+    /// takes the next task while another is still running one.
+    #[test]
+    fn idle_worker_dequeues_while_another_runs() {
+        let (pool, _store) = pool_and_store(2);
+        let slow = JobSpec::new(
+            Workload::SleepyGrid {
+                epochs: 1,
+                dwell_ms: 1000,
+            },
+            2,
+            1,
+            1,
+        );
+        let slow = Arc::new(JobState::new(JobId(13), slow));
+        let quick = JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, 2, 1);
+        let quick = Arc::new(JobState::new(JobId(14), quick));
+        for (job, seed) in [(&slow, 1), (&quick, 2)] {
+            pool.submit(SeedTask {
+                job: Arc::clone(job),
+                seed,
+            });
+        }
+        wait_terminal(&quick, Duration::from_secs(30));
+        assert!(!slow.is_terminal(), "the quick job waited for the slow one");
+    }
+
+    /// After a detach the worker's next attempt runs on a fresh run
+    /// thread: it gets its own result, not the detached run's late one,
+    /// and gets it while the detached run is still dwelling.
+    #[test]
+    fn next_job_after_a_detach_gets_its_own_result_first() {
+        let store = Arc::new(ResultStore::new(u64::MAX));
+        let pool = WorkerPool::with_grace(
+            1,
+            Arc::clone(&store),
+            Persist::disabled(),
+            Duration::from_millis(50),
+        );
+        let dwell = Duration::from_millis(2000);
+        let mut stuck = JobSpec::new(
+            Workload::SleepyGrid {
+                epochs: 1,
+                dwell_ms: dwell.as_millis() as u64,
+            },
+            2,
+            3,
+            1,
+        );
+        stuck.run_deadline = Duration::from_millis(50);
+        stuck.retry_budget = 0;
+        let stuck = Arc::new(JobState::new(JobId(9), stuck));
+        let next = JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, 4, 1);
+        let next = Arc::new(JobState::new(JobId(10), next));
+        let submitted = Instant::now();
+        for (job, seed) in [(&stuck, 3), (&next, 4)] {
+            pool.submit(SeedTask {
+                job: Arc::clone(job),
+                seed,
+            });
+        }
+        wait_terminal(&next, Duration::from_secs(30));
+        assert!(
+            submitted.elapsed() < dwell,
+            "the next job waited for the detached run to end"
+        );
+        assert_eq!(stuck.snapshot().phase, JobPhase::Failed);
+        assert_eq!(next.snapshot().phase, JobPhase::Done);
+        assert_eq!(
+            next.outcome(4),
+            Some(SeedOutcome::Done {
+                races: 0,
+                retries: 0
+            })
+        );
+        assert_eq!(pool.stats().detached_helpers, 1);
+    }
+
+    /// A panicking attempt is caught on the run thread, which stays the
+    /// worker's run thread and runs the next job.
+    #[test]
+    fn panicking_attempt_leaves_the_run_thread_usable() {
+        let (pool, _store) = pool_and_store(1);
+        let panicky = JobSpec::new(Workload::PanickyApp { epochs: 1 }, 2, 5, 1);
+        let panicky = Arc::new(JobState::new(JobId(11), panicky));
+        let next = JobSpec::new(Workload::DisjointGrid { epochs: 2 }, 2, 6, 1);
+        let next = Arc::new(JobState::new(JobId(12), next));
+        for (job, seed) in [(&panicky, 5), (&next, 6)] {
+            pool.submit(SeedTask {
+                job: Arc::clone(job),
+                seed,
+            });
+        }
+        wait_terminal(&next, Duration::from_secs(30));
+        assert_eq!(panicky.snapshot().phase, JobPhase::Failed);
+        assert_eq!(next.snapshot().phase, JobPhase::Done);
+        let stats = pool.stats();
+        assert_eq!(stats.panics_caught, 1);
+        assert_eq!(stats.detached_helpers, 0, "the run thread was kept");
     }
 }

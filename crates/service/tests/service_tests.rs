@@ -134,6 +134,39 @@ fn cancellation_mid_job_is_prompt_and_terminal() {
     assert!(snap.seeds_cancelled > 0);
 }
 
+/// Cancelling a seed mid-run ends it at its processes' next protocol op:
+/// a 256-epoch, 200 ms-dwell grid (51 s of dwell) is terminal within 5 s,
+/// though its two processes reach every barrier together and so never
+/// wait long enough to poll for the failure.
+#[test]
+fn cancelling_a_running_sleepy_grid_is_terminal_within_five_seconds() {
+    let daemon = Daemon::start(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let spec = JobSpec::new(
+        Workload::SleepyGrid {
+            epochs: 256,
+            dwell_ms: 200,
+        },
+        2,
+        1,
+        1,
+    );
+    let id = daemon.submit(spec).expect("admitted");
+    let start = Instant::now();
+    while daemon.status(id).expect("job known").phase != JobPhase::Running {
+        assert!(start.elapsed() < Duration::from_secs(10), "seed never ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Some epochs into the run.
+    std::thread::sleep(Duration::from_millis(700));
+    assert!(daemon.cancel(id));
+    let snap = wait_terminal(&daemon, id, Duration::from_secs(5));
+    assert_eq!(snap.phase, JobPhase::Cancelled);
+    assert_eq!(snap.seeds_cancelled, 1);
+}
+
 #[test]
 fn multiple_jobs_interleave_without_cross_talk() {
     let daemon = Daemon::start(DaemonConfig {
