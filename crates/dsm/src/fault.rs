@@ -89,7 +89,7 @@ pub(crate) struct ClusterCtl {
 
 impl ClusterCtl {
     /// A control block that also watches `cancel` (see
-    /// [`ClusterCtl::stopped`]).
+    /// [`ClusterCtl::observe_cancel`]).
     pub(crate) fn watching(cancel: Option<CancelToken>) -> Self {
         ClusterCtl {
             cancel,
@@ -116,13 +116,6 @@ impl ClusterCtl {
                 self.fail(DsmError::Cancelled);
             }
         }
-    }
-
-    /// Whether the run must stop: it has failed, or its cancel token has
-    /// fired (which this records as the failure).
-    pub(crate) fn stopped(&self) -> bool {
-        self.observe_cancel();
-        self.failed()
     }
 
     /// During the seat-announcement round a peer death is a symptom, not
@@ -189,7 +182,8 @@ pub(crate) fn unwind() -> ! {
 /// — not at the next wait that happens to outlast [`APP_POLL`], which a
 /// barrier whose processes arrive together never does.
 pub(crate) fn halt_if_stopped(ctl: &ClusterCtl) {
-    if ctl.stopped() {
+    ctl.observe_cancel();
+    if ctl.failed() {
         unwind();
     }
 }
