@@ -302,7 +302,8 @@ mod tests {
                 let bits = |grid: &[f64]| grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&by_runs.grid), bits(&by_words.grid), "{what}: grid");
                 assert_eq!(bits(&by_runs.grid), bits(&reference(params)), "{what}");
-                cvm_testkit::assert_same_report(&what, &runs, &words, true);
+                // Rows are padded to whole pages: no page has two writers.
+                cvm_testkit::assert_same_report(&what, &runs, &words, false);
             }
         }
     }

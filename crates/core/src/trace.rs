@@ -28,7 +28,7 @@ use cvm_vclock::{IntervalId, ProcId, VClock};
 use crate::{RaceKind, RaceReport};
 
 /// One record in a process's trace log.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A computation event: the shared accesses performed since the
     /// previous synchronization event, as per-page read/write bitmaps

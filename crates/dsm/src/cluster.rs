@@ -520,8 +520,8 @@ where
     }
 
     // Transport- and store-side marks (read before `rstats` moves into the
-    // report).  These counters are timing-dependent, which is why they live
-    // here and not in the deterministic snapshots.
+    // report).  Host scheduling moves them, so they go to `ResourceStats`,
+    // which `RunReport::schedule_free` leaves out, and not to a counter set.
     resources.link_high_water = net_stats.link_high_water();
     if let Some(rs) = &rstats {
         use std::sync::atomic::Ordering;

@@ -82,5 +82,5 @@ pub use handle::{EpochStepper, ProcHandle};
 pub use msg::Msg;
 pub use node::NodeStats;
 pub use replay::SyncSchedule;
-pub use report::{NodeReport, RecoveryStats, ResourceStats, RunReport, WatchHit};
+pub use report::{NodeReport, RecoveryStats, ResourceStats, RunReport, ScheduleFree, WatchHit};
 pub use simtime::{CostModel, OverheadCat, VirtualClock, CLOCK_HZ, NCATS};

@@ -216,7 +216,9 @@ pub(crate) struct MwHome {
 }
 
 cvm_net::counters! {
-    /// Plain counters of protocol activity.
+    /// Plain counters of protocol activity.  Fault and page counts move
+    /// where processes write one page in one epoch: which writer gets the
+    /// page first, and what a fetched copy already holds, is host timing.
     pub struct NodeStats {
         /// Intervals closed.
         pub intervals: u64,
@@ -229,14 +231,18 @@ cvm_net::counters! {
         /// Lock acquisitions requiring messages.
         pub locks_remote: u64,
         /// Read faults taken.
+        #[sharing]
         pub read_faults: u64,
         /// Write faults taken.
+        #[sharing]
         pub write_faults: u64,
         /// Pages sent to other nodes (copies or ownership transfers).
+        #[sharing]
         pub pages_sent: u64,
         /// Diffs created (multi-writer).
         pub diffs_made: u64,
         /// Total words across created diffs.
+        #[sharing]
         pub diff_words: u64,
         /// Remote interval records applied.
         pub records_applied: u64,
@@ -249,7 +255,10 @@ cvm_net::counters! {
         /// High-water mark of retained access bitmaps (GC boundedness).
         pub bitmap_high_water: u64,
         /// High-water mark of estimated retained bytes across all metered
-        /// classes (records, bitmaps, twins, checkpoint images).
+        /// classes (records, bitmaps, twins, checkpoint images).  Peers evict
+        /// checkpoint images on their own schedule, so a run that takes
+        /// checkpoints drops it from [`crate::RunReport::schedule_free`].
+        #[sharing]
         pub retained_bytes_high_water: u64,
         /// Soft-budget crossings that triggered proactive GC.
         pub soft_gcs: u64,
@@ -258,6 +267,7 @@ cvm_net::counters! {
         pub pipelined_epochs: u64,
         /// Barriers that stalled waiting for the previous epoch's detection to
         /// drain (master only; the depth-1 pipeline was full).
+        #[timing]
         pub pipeline_stalls: u64,
     }
 }

@@ -2,14 +2,15 @@
 
 use std::time::Duration;
 
-use cvm_net::StatsSnapshot;
+use cvm_net::{ReliabilitySnapshot, StatsSnapshot};
 use cvm_page::SegmentMap;
-use cvm_race::{DetectorStats, RaceLog};
+use cvm_race::trace::TraceEvent;
+use cvm_race::{DetectorStats, RaceLog, RaceReport};
 use cvm_vclock::ProcId;
 
 use crate::node::NodeStats;
 use crate::replay::SyncSchedule;
-use crate::simtime::{CLOCK_HZ, NCATS};
+use crate::simtime::{OverheadCat, CLOCK_HZ, NCATS};
 
 /// One §6.1 watchpoint hit: an access site touching the watched address in
 /// the watched epoch during a replay run.
@@ -26,7 +27,7 @@ pub struct WatchHit {
 }
 
 /// Per-node summary.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeReport {
     /// The process.
     pub proc: ProcId,
@@ -44,34 +45,45 @@ pub struct NodeReport {
 
 cvm_net::counters! {
     /// Checkpoint/recovery activity of one run (all zeros under
-    /// [`RecoveryPolicy::Abort`](crate::RecoveryPolicy)).
+    /// [`RecoveryPolicy::Abort`](crate::RecoveryPolicy)).  What a kill or a
+    /// partition sets off is timing: which cut the kill lands after, whose
+    /// `NodeFailed` wins.
     pub struct RecoveryStats {
         /// Node images deposited in the checkpoint store (across attempts).
         pub checkpoints_taken: u64,
         /// Total encoded bytes of those images.
+        #[sharing]
         pub bytes_snapshotted: u64,
         /// Rollback/restart cycles performed after node failures.
+        #[timing]
         pub recoveries: u64,
         /// Barrier epochs re-entered after rollbacks (work lost to failures).
+        #[timing]
         pub epochs_replayed: u64,
         /// Times the barrier-master role moved to the lowest-numbered survivor
         /// because the master itself died.
+        #[timing]
         pub failovers: u64,
         /// Backoff sleeps taken between recovery attempts (exponential with
         /// seeded jitter, so persistent faults cannot spin the attempt loop).
+        #[timing]
         pub backoff_waits: u64,
         /// Scripted partition windows that reached their heal point and let
         /// traffic flow again (from the reliability layer).
+        #[timing]
         pub partitions_healed: u64,
         /// Stale-term master messages fenced (dropped, never applied) across
         /// the cluster: an old master talking across a healed partition.
+        #[timing]
         pub stale_msgs_fenced: u64,
         /// Re-seating rounds abandoned because the would-be master could not
         /// collect a strict majority of handoff acknowledgements.
+        #[timing]
         pub quorum_losses: u64,
         /// Nodes restored from the agreed checkpoint cut after having been cut
         /// off from the re-seating (the healed old master rejoining at the
         /// current term).
+        #[timing]
         pub rejoin_restores: u64,
     }
 }
@@ -118,7 +130,7 @@ pub struct RunReport {
     pub net: StatsSnapshot,
     /// Reliability-layer statistics (drops, retransmissions, injected
     /// faults) when the run used a lossy wire; `None` on perfect channels.
-    pub reliability: Option<cvm_net::ReliabilitySnapshot>,
+    pub reliability: Option<ReliabilitySnapshot>,
     /// Shared-segment symbol map.
     pub segments: SegmentMap,
     /// Recorded synchronization schedule (when recording was on).
@@ -126,7 +138,7 @@ pub struct RunReport {
     /// §6.1 watchpoint hits (replay runs).
     pub watch_hits: Vec<WatchHit>,
     /// Per-process post-mortem trace logs (empty unless `DsmConfig::trace`).
-    pub traces: Vec<Vec<cvm_race::trace::TraceEvent>>,
+    pub traces: Vec<Vec<TraceEvent>>,
     /// Checkpoint/recovery activity (zeros when checkpointing is off).
     pub recovery: RecoveryStats,
     /// Resource-governance marks (queues, budgets, eviction).
@@ -135,7 +147,52 @@ pub struct RunReport {
     pub wall: Duration,
 }
 
+/// What of a [`RunReport`] repeats between two runs of one program under
+/// one synchronisation order, compared whole: [`RunReport::schedule_free`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct ScheduleFree {
+    races: Vec<RaceReport>,
+    det_stats: DetectorStats,
+    traces: Vec<Vec<TraceEvent>>,
+    nodes: Vec<NodeReport>,
+    net: Option<StatsSnapshot>,
+    recovery: RecoveryStats,
+    reliability: Option<ReliabilitySnapshot>,
+}
+
 impl RunReport {
+    /// The part of this report that repeats between two runs of one
+    /// program under one synchronisation order, for one `assert_eq!`.
+    /// `sharing` is the program's property "two processes write one page
+    /// in one epoch"; where it holds, the `#[sharing]` counters, the `Base`
+    /// cycles and `net` go.  Clocks, `wall` and `resources` never count.  A
+    /// run that takes checkpoints drops `retained_bytes_high_water` too.
+    pub fn schedule_free(&self, sharing: bool) -> ScheduleFree {
+        let nodes = self.nodes.iter().map(|n| {
+            let mut n = NodeReport {
+                stats: n.stats.schedule_free(sharing),
+                cycles: 0,
+                ..*n
+            };
+            if self.recovery.checkpoints_taken > 0 {
+                n.stats.retained_bytes_high_water = 0;
+            }
+            if sharing {
+                n.cats[OverheadCat::Base as usize] = 0;
+            }
+            n
+        });
+        ScheduleFree {
+            races: self.races.reports().to_vec(),
+            det_stats: self.det_stats.schedule_free(sharing),
+            traces: self.traces.clone(),
+            nodes: nodes.collect(),
+            net: (!sharing).then_some(self.net),
+            recovery: self.recovery.schedule_free(sharing),
+            reliability: self.reliability.map(|r| r.schedule_free(sharing)),
+        }
+    }
+
     /// Virtual completion time: the latest node clock.
     pub fn virtual_cycles(&self) -> u64 {
         self.nodes.iter().map(|n| n.cycles).max().unwrap_or(0)
@@ -223,7 +280,6 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::node::NodeStats;
-    use crate::simtime::OverheadCat;
 
     fn node(proc: u16, cycles: u64, intervals: u64, barriers: u64) -> NodeReport {
         NodeReport {

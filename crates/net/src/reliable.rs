@@ -482,7 +482,11 @@ impl FaultPlan {
 }
 
 crate::counters! {
-    /// Point-in-time copy of every [`ReliabilityStats`] counter.
+    /// Point-in-time copy of every [`ReliabilityStats`] counter.  The
+    /// unmarked ones repeat for one `(plan, seed)` on a wire that loses,
+    /// corrupts, delays and reorders nothing, while no timer fires; once a
+    /// datagram is lost the timer and NAK paths, and the injected fates of
+    /// the copies they send, race the wall clock.
     pub struct ReliabilitySnapshot {
         /// Data datagrams dropped by the simulated wire.
         pub wire_drops: u64,
@@ -496,6 +500,7 @@ crate::counters! {
         pub repairs: u64,
         /// Tail-loss probes: a flow's newest unacknowledged datagram resent
         /// because no ACK advanced within the probe timeout.
+        #[timing]
         pub probes: u64,
         /// Duplicate data datagrams suppressed at receivers.
         pub duplicates: u64,
@@ -513,6 +518,7 @@ crate::counters! {
         pub partitions_healed: u64,
         /// Datagrams lost because the peer's wire endpoint had closed
         /// (shutdown in progress) — distinguishable from wire loss.
+        #[timing]
         pub peer_closed: u64,
         /// Peers declared dead after spending the retransmit budget in
         /// silence.

@@ -10,27 +10,75 @@
 //! `snapshot()` loads the plain struct.  The twin may carry extra fields
 //! (gauges, timing-dependent counts) that stay out of the snapshot.
 //!
+//! A field also declares whether it repeats between two runs of one
+//! program under one synchronisation order, by the condition under which
+//! it stops: unmarked, it always repeats; `#[timing]` after its doc
+//! comment, host scheduling moves it; `#[sharing]`, it moves where two
+//! processes write one page in one epoch.  `schedule_free(sharing)` is the
+//! set with the fields that condition drops zeroed, so a run-to-run
+//! comparison is one `assert_eq!`.  A class changes no name, value or byte.
+//!
 //! It is a compile-time declaration, not a registry: a counter is a field,
 //! so a bump costs what it did before.
 
 /// Declares a counter set: `pub struct Name { /// doc
-/// pub field: u64, ... }`, optionally followed by `atomic pub struct Twin
-/// { extra: Type, ... }`; see [`telemetry`](crate::telemetry) and its tests.
+/// [#[timing] | #[sharing]] pub field: u64, ... }`, optionally followed by
+/// `atomic pub struct Twin { extra: Type, ... }`; see
+/// [`telemetry`](crate::telemetry) and its tests.
 #[macro_export]
 macro_rules! counters {
     (
         $(#[$meta:meta])*
-        $vis:vis struct $name:ident {
-            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : u64 ),* $(,)?
-        }
-        $(#[$ameta:meta])*
-        atomic $avis:vis struct $atomic:ident {
-            $( $(#[$xmeta:meta])* $xvis:vis $extra:ident : $xty:ty ),* $(,)?
-        }
+        $vis:vis struct $name:ident { $($fields:tt)* }
+        $($(#[$ameta:meta])* atomic $avis:vis struct $atomic:ident { $($extras:tt)* })?
     ) => {
         $crate::counters! {
-            $(#[$meta])*
-            $vis struct $name { $( $(#[$fmeta])* $fvis $field: u64 ),* }
+            @class [$(#[$meta])* $vis struct $name]
+            [$($(#[$ameta])* $avis struct $atomic { $($extras)* })?]
+            []
+            $($fields)*
+        }
+    };
+
+    // Each field in turn: its class out of its attributes, into the list.
+    (@class $head:tt $twin:tt [$($done:tt)*]) => {
+        $crate::counters! { @emit $head $twin $($done)* }
+    };
+    (@class $head:tt $twin:tt [$($done:tt)*]
+        $(#[doc = $doc:literal])* #[timing] $fvis:vis $field:ident : u64 $(, $($rest:tt)*)?
+    ) => {
+        $crate::counters! {
+            @class $head $twin [$($done)* {[$(#[doc = $doc])*] $fvis $field Timing}] $($($rest)*)?
+        }
+    };
+    (@class $head:tt $twin:tt [$($done:tt)*]
+        $(#[doc = $doc:literal])* #[sharing] $fvis:vis $field:ident : u64 $(, $($rest:tt)*)?
+    ) => {
+        $crate::counters! {
+            @class $head $twin [$($done)* {[$(#[doc = $doc])*] $fvis $field Sharing}] $($($rest)*)?
+        }
+    };
+    (@class $head:tt $twin:tt [$($done:tt)*]
+        $(#[$fmeta:meta])* $fvis:vis $field:ident : u64 $(, $($rest:tt)*)?
+    ) => {
+        $crate::counters! {
+            @class $head $twin [$($done)* {[$(#[$fmeta])*] $fvis $field Never}] $($($rest)*)?
+        }
+    };
+
+    (@keep Never $value:expr, $sharing:ident) => { $value };
+    (@keep Timing $value:expr, $sharing:ident) => { 0 };
+    (@keep Sharing $value:expr, $sharing:ident) => { if $sharing { 0 } else { $value } };
+
+    (@emit [$(#[$meta:meta])* $vis:vis struct $name:ident]
+        [$(#[$ameta:meta])* $avis:vis struct $atomic:ident {
+            $( $(#[$xmeta:meta])* $xvis:vis $extra:ident : $xty:ty ),* $(,)?
+        }]
+        $({[$(#[$fmeta:meta])*] $fvis:vis $field:ident $class:ident})*
+    ) => {
+        $crate::counters! {
+            @emit [$(#[$meta])* $vis struct $name] []
+            $({[$(#[$fmeta])*] $fvis $field $class})*
         }
 
         $(#[$ameta])*
@@ -49,11 +97,8 @@ macro_rules! counters {
             }
         }
     };
-    (
-        $(#[$meta:meta])*
-        $vis:vis struct $name:ident {
-            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : u64 ),* $(,)?
-        }
+    (@emit [$(#[$meta:meta])* $vis:vis struct $name:ident] []
+        $({[$(#[$fmeta:meta])*] $fvis:vis $field:ident $class:ident})*
     ) => {
         $(#[$meta])*
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,6 +121,15 @@ macro_rules! counters {
             /// Adds `other` into `self`, counter by counter.
             pub fn add(&mut self, other: &Self) {
                 $( self.$field += other.$field; )*
+            }
+
+            /// The set with every counter zeroed that does not repeat
+            /// between two runs of one program under one synchronisation
+            /// order: the `#[timing]` ones, and the `#[sharing]` ones when
+            /// `sharing` (two processes write one page in one epoch).
+            #[allow(unused_variables)] // Unused in a set with no `#[sharing]` field.
+            pub fn schedule_free(&self, sharing: bool) -> Self {
+                $name { $( $field: $crate::counters!(@keep $class self.$field, sharing), )* }
             }
         }
 
@@ -108,8 +162,10 @@ mod tests {
             /// First.
             pub a: u64,
             /// Second.
+            #[sharing]
             pub b: u64,
             /// Third.
+            #[timing]
             pub c: u64,
         }
         /// Three counters, shared, plus a gauge outside the snapshot.
@@ -129,6 +185,13 @@ mod tests {
         });
         assert_eq!(Three::NAMES, ["a", "b", "c"]);
         assert_eq!(t.values(), [11, 22, 33]);
+    }
+
+    #[test]
+    fn schedule_free_zeroes_what_each_condition_drops() {
+        let t = Three { a: 1, b: 2, c: 3 };
+        assert_eq!(t.schedule_free(false), Three { a: 1, b: 2, c: 0 });
+        assert_eq!(t.schedule_free(true), Three { a: 1, b: 0, c: 0 });
     }
 
     #[test]

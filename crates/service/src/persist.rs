@@ -866,6 +866,7 @@ impl Wire for ShadowState {
 cvm_net::counters! {
     /// Point-in-time persistence counters, surfaced through daemon stats
     /// and the drain report.
+    /// No run-to-run comparison reads it, so its fields carry no class.
     pub struct PersistStatsSnapshot {
         /// Records currently live in the journal file (drops to zero at
         /// each compaction; bounded by `max(compact_every records, snapshot

@@ -60,6 +60,7 @@ pub(crate) struct SeedTask {
 
 cvm_net::counters! {
     /// Point-in-time copy of [`PoolStats`], for stats queries.
+    /// No run-to-run comparison reads it, so its fields carry no class.
     pub struct PoolStatsSnapshot {
         /// Seed tasks brought to a terminal outcome.
         pub seeds_finished: u64,

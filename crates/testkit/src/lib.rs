@@ -47,8 +47,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use cvm_dsm::{
-    Cluster, DetectConfig, DsmConfig, MemBudget, Protocol, ProtocolPhase, RecoveryPolicy,
-    RecoveryStats, RunError, RunReport, WriteDetection,
+    Cluster, DetectConfig, DsmConfig, MemBudget, Protocol, ProtocolPhase, RecoveryPolicy, RunError,
+    RunReport, WriteDetection,
 };
 use cvm_net::FaultPlan;
 use cvm_page::Geometry;
@@ -365,13 +365,13 @@ impl Reference {
         cfg.record_sync = scenario.replay;
         let report =
             run(cfg).unwrap_or_else(|e| panic!("{cell:?}: reference failed: {:?}", e.error));
+        // The recovery counts a fault sets off are the `#[timing]` ones.
         let r = report.recovery;
-        let checkpoints_only = RecoveryStats {
-            checkpoints_taken: r.checkpoints_taken,
-            bytes_snapshotted: r.bytes_snapshotted,
-            ..RecoveryStats::default()
-        };
-        assert_eq!(r, checkpoints_only, "{cell:?}: the reference recovered");
+        assert_eq!(
+            r,
+            r.schedule_free(false),
+            "{cell:?}: the reference recovered"
+        );
         Reference { scenario, report }
     }
 }
@@ -422,54 +422,11 @@ pub fn assert_equivalent(
     (assert_matches(cell, &reference, run), reference.report)
 }
 
-/// Asserts that two runs of one program left the same report.  The final
-/// clock values are never compared: they depend on when the service thread
-/// got the lock.  `page_traffic` is whether the program's fault, page and
-/// diff traffic repeats run to run; where processes write one page in the
-/// same epoch it does not, and those counts, the `Base` cycles and the
-/// bytes that follow from them are left out.
-pub fn assert_same_report(what: &str, a: &RunReport, b: &RunReport, page_traffic: bool) {
-    assert_eq!(a.races.reports(), b.races.reports(), "{what}: races");
-    assert_eq!(a.det_stats, b.det_stats, "{what}: detector stats");
-    assert_eq!(a.traces, b.traces, "{what}: trace events");
-    assert_eq!(
-        a.recovery.checkpoints_taken, b.recovery.checkpoints_taken,
-        "{what}: checkpoints"
-    );
-    for (x, y) in a.nodes.iter().zip(&b.nodes) {
-        let what = format!("{what}: node {}", x.proc.0);
-        assert_eq!(
-            (x.shared_calls, x.private_calls),
-            (y.shared_calls, y.private_calls),
-            "{what}: analysis calls"
-        );
-        assert_eq!(x.cats[1..], y.cats[1..], "{what}: overhead cycles");
-        let (mut xs, mut ys) = (x.stats, y.stats);
-        for s in [&mut xs, &mut ys] {
-            if !page_traffic {
-                s.read_faults = 0;
-                s.write_faults = 0;
-                s.pages_sent = 0;
-                s.diff_words = 0;
-            }
-            // The meter counts resident pages' twins and the checkpoint
-            // store's live images, which peers evict on their own schedule.
-            if !page_traffic || a.recovery.checkpoints_taken > 0 {
-                s.retained_bytes_high_water = 0;
-            }
-        }
-        if page_traffic {
-            assert_eq!(x.cats[0], y.cats[0], "{what}: base cycles");
-        }
-        assert_eq!(xs, ys, "{what}: counters");
-    }
-    if page_traffic {
-        assert_eq!(a.net, b.net, "{what}: messages and bytes");
-        assert_eq!(
-            a.recovery.bytes_snapshotted, b.recovery.bytes_snapshotted,
-            "{what}: checkpoint image bytes"
-        );
-    }
+/// Asserts that two runs of one program left the same report: equal
+/// [`RunReport::schedule_free`] projections.  `sharing` is whether two of
+/// the program's processes write one page in one epoch.
+pub fn assert_same_report(what: &str, a: &RunReport, b: &RunReport, sharing: bool) {
+    assert_eq!(a.schedule_free(sharing), b.schedule_free(sharing), "{what}");
 }
 
 /// One access of a litmus program: `(proc, word, is_write)`.  The process
@@ -509,4 +466,19 @@ pub fn run_epochs(cfg: DsmConfig, words: usize, epochs: &[Vec<Op>]) -> Result<Ru
             }
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "a lost node")]
+    fn a_report_missing_a_node_is_not_the_same_report() {
+        let epochs = [vec![(0, 0, true), (1, 1, true)], vec![(0, 1, false)]];
+        let full = run_epochs(DsmConfig::new(2), 2, &epochs).expect("run");
+        let mut short = full.clone();
+        short.nodes.pop();
+        assert_same_report("a lost node", &full, &short, false);
+    }
 }
