@@ -9,18 +9,6 @@ use cvm_bench::{Breakdown, PAPER_PROCS};
 use cvm_dsm::OverheadCat;
 
 fn main() {
-    let mut csv = cvm_bench::results::Csv::new(
-        "fig3",
-        &[
-            "app",
-            "cvm_mods",
-            "proc_call",
-            "access_check",
-            "intervals",
-            "bitmaps",
-            "total",
-        ],
-    );
     println!(
         "Figure 3. Overhead Breakdown ({PAPER_PROCS} processors, % of uninstrumented runtime)"
     );
@@ -48,20 +36,10 @@ fn main() {
             cvm_bench::pct(get(OverheadCat::Bitmaps)),
             cvm_bench::pct(m.total_overhead()),
         );
-        csv.row(&[
-            &app.name(),
-            &format!("{:.4}", get(OverheadCat::CvmMods)),
-            &format!("{:.4}", get(OverheadCat::ProcCall)),
-            &format!("{:.4}", get(OverheadCat::AccessCheck)),
-            &format!("{:.4}", get(OverheadCat::Intervals)),
-            &format!("{:.4}", get(OverheadCat::Bitmaps)),
-            &format!("{:.4}", m.total_overhead()),
-        ]);
         // Text bar for the figure's visual shape.
         let width = (m.total_overhead() * 40.0).round() as usize;
         println!("{:<8}{}", "", "#".repeat(width.min(120)));
     }
-    csv.flush();
     cvm_bench::rule(86);
     println!("Paper's shape: instrumentation (Proc Call + Access Check) ~68% of overhead;");
     println!("CVM Mods ~22%; Intervals and Bitmaps smallest; FFT total 108%, TSP highest.");

@@ -8,7 +8,6 @@ use cvm_apps::App;
 use cvm_bench::Measurement;
 
 fn main() {
-    let mut csv = cvm_bench::results::Csv::new("fig4", &["app", "procs", "slowdown"]);
     let procs = [1usize, 2, 4, 8];
     println!("Figure 4. Slowdown Factor versus Number of Processors");
     cvm_bench::rule(54);
@@ -23,11 +22,9 @@ fn main() {
         for p in procs {
             let m = Measurement::take(app, p);
             print!("{:>10.2}", m.slowdown());
-            csv.row(&[&app.name(), &p, &format!("{:.3}", m.slowdown())]);
         }
         println!();
     }
-    csv.flush();
     cvm_bench::rule(54);
     println!("Paper's shape: slowdown decreases (or stays flat) as processors increase.");
 }

@@ -8,10 +8,6 @@ use cvm_apps::App;
 use cvm_bench::{Measurement, PAPER_PROCS};
 
 fn main() {
-    let mut csv = cvm_bench::results::Csv::new(
-        "table1",
-        &["app", "memory_kb", "intervals_per_barrier", "slowdown"],
-    );
     println!("Table 1. Application Characteristics ({PAPER_PROCS} processors)");
     cvm_bench::rule(92);
     println!(
@@ -42,14 +38,7 @@ fn main() {
             "{:<8}{:<20}{:<16}{:>12.0}{:>22.1}{:>12.2}   (paper)",
             "", "", "", p_mem, p_ipb, p_slow
         );
-        csv.row(&[
-            &app.name(),
-            &format!("{mem_kb:.0}"),
-            &format!("{ipb:.2}"),
-            &format!("{:.3}", m.slowdown()),
-        ]);
     }
-    csv.flush();
     cvm_bench::rule(92);
     println!("Slowdown = virtual time with detection / virtual time of unmodified CVM.");
 }

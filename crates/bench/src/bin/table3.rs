@@ -10,18 +10,6 @@ use cvm_apps::App;
 use cvm_bench::{run_app, PAPER_PROCS};
 
 fn main() {
-    let mut csv = cvm_bench::results::Csv::new(
-        "table3",
-        &[
-            "app",
-            "intervals_used",
-            "bitmaps_used",
-            "msg_overhead",
-            "msg_overhead_vs_sync",
-            "shared_per_sec",
-            "private_per_sec",
-        ],
-    );
     println!("Table 3. Dynamic Metrics ({PAPER_PROCS} processors, detection on)");
     cvm_bench::rule(96);
     println!(
@@ -62,17 +50,7 @@ fn main() {
             "{:<8}{:>12}{:>12}{:>12}{:>24}{:>24}   (paper)",
             "", p_iu, p_bu, p_mo, p_s, p_p
         );
-        csv.row(&[
-            &app.name(),
-            &format!("{:.4}", report.det_stats.intervals_used_frac()),
-            &format!("{:.4}", report.det_stats.bitmaps_used_frac()),
-            &format!("{:.4}", report.net.read_notice_overhead()),
-            &format!("{:.4}", report.net.read_notice_sync_overhead()),
-            &format!("{shared_rate:.0}"),
-            &format!("{private_rate:.0}"),
-        ]);
     }
-    csv.flush();
     cvm_bench::rule(96);
     println!("Rates are per process, over virtual (250 MHz Alpha) time.");
 }

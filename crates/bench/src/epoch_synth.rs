@@ -1,6 +1,5 @@
-//! Synthetic 8-node detection epochs at paper scale, shared by the
-//! `detector_epoch` Criterion bench and the `pipeline_overlap` harness
-//! binary (which persists the measurements to `bench_results/`).
+//! A synthetic 8-node detection epoch at paper scale: the epoch the
+//! ledger's traced pass times as `core.{plan,compare,epoch}_us`.
 //!
 //! The epoch models a lock-heavy application (TSP/Water shape): intervals
 //! close in a global round-robin acquire order, so each interval is
@@ -98,4 +97,45 @@ pub fn bitmaps(intervals: &[Interval], g: Geometry) -> BitmapStore {
         }
     }
     store
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cvm_race::{EpochArena, EpochDetector, PairEnumeration, RaceReport};
+
+    /// The epoch behind the ledger's `core.*` rows genuinely exercises the
+    /// comparison phase, and the paper's serial master, the default
+    /// detector and the default detector through one reused arena (the
+    /// pipelined stage's steady state) report exactly the same races.
+    #[test]
+    fn epoch_is_large_and_every_configuration_agrees() {
+        let g = Geometry::with_page_bytes(PAGE_WORDS * 8);
+        let intervals = epoch();
+        let store = bitmaps(&intervals, g);
+        let serial = EpochDetector {
+            enumeration: PairEnumeration::Naive,
+            workers: 1,
+            ..EpochDetector::new()
+        };
+        let default = EpochDetector::new();
+        let run = |d: &EpochDetector| -> Vec<RaceReport> {
+            let mut plan = d.plan(&intervals);
+            d.compare(&mut plan, &store, g, 0).expect("bitmaps present")
+        };
+
+        let entries = default.plan(&intervals).check.entries.len();
+        assert!(entries > 500, "check list unexpectedly small: {entries}");
+        let reports = run(&serial);
+        assert!(!reports.is_empty(), "the epoch's true overlaps must report");
+        assert_eq!(reports, run(&default));
+        let mut arena = EpochArena::new();
+        for _ in 0..2 {
+            let mut plan = default.plan_with(&intervals, &mut arena);
+            let arena_reports = default
+                .compare_with(&mut plan, &store, g, 0, &mut arena)
+                .expect("bitmaps present");
+            assert_eq!(reports, arena_reports);
+        }
+    }
 }

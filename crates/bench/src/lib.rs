@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod epoch_synth;
-pub mod results;
 
 use cvm_apps::{fft, sor, tsp, water, App};
 use cvm_dsm::{DetectConfig, DsmConfig, OverheadCat, RunReport};
@@ -220,44 +219,6 @@ pub fn recovery_summary(r: &RunReport) -> String {
     )
 }
 
-/// One-line summary of a run's wire-integrity counters, for the harness
-/// tables ("-" style messages when the run used the reliable in-process
-/// transport, which has no wire to corrupt).
-pub fn wire_summary(r: &RunReport) -> String {
-    let Some(s) = &r.reliability else {
-        return "reliable transport (no wire)".to_string();
-    };
-    format!(
-        "{} frames corrupted / {} dropped by checksum / {} quarantined by decode / \
-         {} NAKs / {} repairs / {} probes / {} retransmissions",
-        s.corrupt_injected,
-        s.corrupt_dropped,
-        s.decode_errors,
-        s.naks,
-        s.repairs,
-        s.probes,
-        s.retransmissions
-    )
-}
-
-/// One-line summary of a run's resource-governance marks: retained-state
-/// high waters, credit-window pressure, and checkpoint eviction.
-pub fn resource_summary(r: &RunReport) -> String {
-    let s = &r.resources;
-    format!(
-        "{} records / {} bitmaps / {:.1} KB retained peak / {} soft GCs / \
-         queue hw {} / {} credit stalls / {} cuts evicted / {:.1} KB ckpt live",
-        s.log_high_water,
-        s.bitmap_high_water,
-        s.retained_bytes_high_water as f64 / 1024.0,
-        s.soft_gcs,
-        s.queue_high_water,
-        s.credit_stalls,
-        s.cuts_evicted,
-        s.checkpoint_bytes_live as f64 / 1024.0
-    )
-}
-
 /// Prints a horizontal rule sized for the harness tables.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -307,29 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_summary_formats() {
-        // Reliable in-process transport: nothing to corrupt.
-        let off = cvm_apps::sor::run(paper_config(2, false), cvm_apps::sor::SorParams::small()).0;
-        assert_eq!(wire_summary(&off), "reliable transport (no wire)");
-        // Faulty wire with corruption: the counters surface in the line.
-        let mut cfg = paper_config(2, false);
-        cfg.net_loss = Some(cvm_dsm::FaultPlan::clean(7).with_corruption(0.05));
-        let on = cvm_apps::sor::run(cfg, cvm_apps::sor::SorParams::small()).0;
-        let line = wire_summary(&on);
-        assert!(line.contains("dropped by checksum"), "{line}");
-        let snap = on.reliability.expect("faulty wire keeps stats");
-        let repair = format!("{} NAKs / {} repairs", snap.naks, snap.repairs);
-        assert!(line.contains(&repair), "{line}");
-        let timers = format!(
-            "{} probes / {} retransmissions",
-            snap.probes, snap.retransmissions
-        );
-        assert!(line.contains(&timers), "{line}");
-        assert!(snap.corrupt_injected > 0, "{snap:?}");
-        assert_eq!(snap.decode_errors, 0, "{snap:?}");
-    }
-
-    #[test]
     fn recovery_summary_formats() {
         let mut cfg = paper_config(2, false);
         cfg.recovery = cvm_dsm::RecoveryPolicy::Recover { max_attempts: 1 };
@@ -339,22 +277,6 @@ mod tests {
         assert!(line.contains("0 recoveries"), "{line}");
         let off = cvm_apps::sor::run(paper_config(2, false), cvm_apps::sor::SorParams::small()).0;
         assert_eq!(recovery_summary(&off), "no checkpointing");
-    }
-
-    #[test]
-    fn resource_summary_formats() {
-        let r = cvm_apps::sor::run(paper_config(2, true), cvm_apps::sor::SorParams::small()).0;
-        let line = resource_summary(&r);
-        assert!(line.contains("records"), "{line}");
-        assert!(line.contains("queue hw"), "{line}");
-        // Detection retains records and bitmaps, so the marks are live.
-        assert!(r.resources.log_high_water > 0, "{:?}", r.resources);
-        assert!(
-            r.resources.retained_bytes_high_water > 0,
-            "{:?}",
-            r.resources
-        );
-        assert_eq!(r.resources.soft_gcs, 0, "{:?}", r.resources);
     }
 }
 

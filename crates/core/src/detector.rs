@@ -13,9 +13,7 @@ use crate::{DetectorStats, Interval, RaceKind, RaceReport};
 /// Notice-list length at or below which [`OverlapStrategy::Auto`] uses
 /// the paper's quadratic scan instead of the sorted merge.
 ///
-/// Calibrated from the `overlap_cutover` Criterion sweep
-/// (`crates/bench/benches/detector.rs`, harvested into
-/// `bench_results/overlap_cutover.csv`): on half-overlapping lists the
+/// Calibrated from a sweep of list lengths on half-overlapping lists: the
 /// merge is at parity with the scan for single-entry lists (75 ns vs
 /// 76 ns) and strictly faster at every longer length (2 entries: 76 ns
 /// vs 91 ns; 8: 201 ns vs 317 ns; 16: 379 ns vs 836 ns; 32: 659 ns vs
@@ -23,6 +21,7 @@ use crate::{DetectorStats, Interval, RaceKind, RaceReport};
 /// where it skips the merge's cursor bookkeeping.  Earlier revisions
 /// guessed 16; the sweep shows the scan's constant-factor edge never
 /// materialises because both paths allocate the same output vector.
+/// `cvm-bench`'s `ablation` run 1 times the strategies on whole epochs.
 pub const AUTO_OVERLAP_CUTOVER: usize = 1;
 
 /// Planned pairs each shard of an auto-sized (`workers = 0`) plan phase

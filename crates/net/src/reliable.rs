@@ -167,13 +167,19 @@ pub enum FaultEvent {
         /// Node-local engine-event count at which the node dies.
         at_event: u64,
     },
-    /// The `at_frame`-th frame `node` puts on the wire (1-based, counting
-    /// data and ACKs alike) is mutated with `kind` before transmission.
-    /// The receiver's integrity check rejects it and NAKs the sender.
+    /// The `at_frame`-th first transmission `node` puts on the wire
+    /// (1-based, counting data originals and the first copy of each ACK
+    /// and NAK alike) is mutated with `kind` before transmission.  Resent
+    /// copies — timer retransmissions, NAK repairs, tail-loss probes,
+    /// repeated ACKs and NAKs of one value, injected duplicates — neither
+    /// advance the ordinal nor get struck, so the strike lands on the same
+    /// frame however the peer's NAKs interleave with the originals.  The
+    /// receiver's integrity check rejects it and NAKs the sender.
     CorruptAt {
         /// The node whose outgoing frame is corrupted.
         node: ProcId,
-        /// Node-local sent-frame ordinal at which the corruption strikes.
+        /// Node-local first-transmission ordinal at which the corruption
+        /// strikes.
         at_frame: u64,
         /// The mutation applied.
         kind: CorruptKind,
@@ -1051,13 +1057,15 @@ pub(crate) struct ReliabilityEngine {
     /// a node can partition, heal, and partition again.
     partitions: Vec<(u64, Option<u64>, bool)>,
     kill_at: Option<u64>,
-    /// Scripted corruption points: `(sent-frame ordinal, mutation)`.
+    /// Scripted corruption points: `(first-transmission ordinal,
+    /// mutation)`.
     corrupt_at: Vec<(u64, CorruptKind)>,
     /// Node-local counters driving the scripted events.
     wire_sends: u64,
     events_handled: u64,
-    /// Frames this node has put on the wire (drives [`Self::corrupt_at`]).
-    frames_sent: u64,
+    /// First transmissions this node has put on the wire (drives
+    /// [`Self::corrupt_at`]).
+    first_sends: u64,
     partitioned: bool,
     killed: bool,
     /// Peers declared dead (retransmit budget spent in silence).
@@ -1148,7 +1156,7 @@ impl ReliabilityEngine {
             corrupt_at,
             wire_sends: 0,
             events_handled: 0,
-            frames_sent: 0,
+            first_sends: 0,
             partitioned: false,
             killed: false,
             dead: HashSet::new(),
@@ -1202,36 +1210,45 @@ impl ReliabilityEngine {
     }
 
     /// Encodes one wire copy of `dgram` into a checksummed frame and
-    /// applies any injected corruption: a scripted [`FaultEvent::CorruptAt`]
-    /// matching this node-local sent-frame ordinal wins, otherwise the
-    /// keyed `corrupt_rate` dice.  Every physical copy (original, injected
-    /// duplicate, retransmission, repair) is framed separately, so each
-    /// gets an independent corruption decision — just like a real wire.
+    /// applies any injected corruption: on a first transmission, a
+    /// scripted [`FaultEvent::CorruptAt`] matching this node-local
+    /// first-transmission ordinal wins; otherwise the keyed `corrupt_rate`
+    /// dice.  Every physical copy (original, injected duplicate,
+    /// retransmission, repair) is framed separately, so each gets an
+    /// independent corruption decision — just like a real wire.
+    ///
+    /// Copy key `b == 0` is a first transmission: a data original
+    /// ([`copy_key`]`(0, 0)`) or the first copy of an ACK or NAK value
+    /// ([`CopyCount`]).  An injected duplicate is keyed `b + 1`, so it
+    /// never is.
     fn frame_for(&mut self, dst: ProcId, dgram: &Dgram, tag: u64, a: u64, b: u64) -> Vec<u8> {
-        self.frames_sent += 1;
         let mut frame = encode_framed(dgram);
-        let ordinal = self.frames_sent;
-        let kind = self
-            .corrupt_at
-            .iter()
-            .find(|(at, _)| *at == ordinal)
-            .map(|&(_, k)| k)
-            .or_else(|| {
-                if self
-                    .dice
-                    .hit(TAG_CORRUPT, dst.0 as u64 ^ tag, a, b, self.corrupt_t)
-                {
-                    Some(
-                        match self.dice.mix(TAG_CORRUPT, dst.0 as u64 ^ tag, a, b) % 3 {
-                            0 => CorruptKind::BitFlip,
-                            1 => CorruptKind::Truncate,
-                            _ => CorruptKind::GarbageTail,
-                        },
-                    )
-                } else {
-                    None
-                }
-            });
+        let scripted = if b == 0 {
+            self.first_sends += 1;
+            let ordinal = self.first_sends;
+            self.corrupt_at
+                .iter()
+                .find(|(at, _)| *at == ordinal)
+                .map(|&(_, k)| k)
+        } else {
+            None
+        };
+        let kind = scripted.or_else(|| {
+            if self
+                .dice
+                .hit(TAG_CORRUPT, dst.0 as u64 ^ tag, a, b, self.corrupt_t)
+            {
+                Some(
+                    match self.dice.mix(TAG_CORRUPT, dst.0 as u64 ^ tag, a, b) % 3 {
+                        0 => CorruptKind::BitFlip,
+                        1 => CorruptKind::Truncate,
+                        _ => CorruptKind::GarbageTail,
+                    },
+                )
+            } else {
+                None
+            }
+        });
         if let Some(kind) = kind {
             let roll = self.dice.mix(TAG_CORRUPT_KIND, dst.0 as u64 ^ tag, a, b);
             apply_corruption(&mut frame, kind, roll);
@@ -1917,6 +1934,52 @@ mod tests {
         );
         assert!(engine.tx_flows[&p1].unacked.is_empty());
         assert!(sent(&peer).is_empty(), "nothing left to repair");
+    }
+
+    #[test]
+    fn scripted_strikes_count_first_transmissions_only() {
+        let plan = FaultPlan::clean(5)
+            .with_corrupt_at(ProcId(0), 1, CorruptKind::Truncate)
+            .with_corrupt_at(ProcId(0), 2, CorruptKind::GarbageTail)
+            .with_corrupt_at(ProcId(0), 3, CorruptKind::BitFlip);
+        let (mut engine, peer) = engine_for_node0(&plan);
+        let p1 = ProcId(1);
+        // Each frame node 0 has put on the wire since the last look: the
+        // data seq it carries, or `None` when it was struck.
+        let frames = || -> Vec<Option<u64>> {
+            std::iter::from_fn(|| peer.try_recv().ok())
+                .map(|msg| match msg {
+                    EngineIn::Wire(_, frame) => match decode_frame(&frame) {
+                        Ok(body) => match Dgram::from_bytes(body).expect("decodes") {
+                            Dgram::Data { seq, .. } => Some(seq),
+                            other => panic!("node 0 only sends data: {other:?}"),
+                        },
+                        Err(_) => None,
+                    },
+                    _ => panic!("only node 0's frames reach node 1's inbox"),
+                })
+                .collect()
+        };
+        // The peer's NAK for the damaged first original overtakes the
+        // second original: the repair goes out first, unstruck and
+        // uncounted, and the second strike still hits the second original.
+        engine.handle_outbound(p1, packet(1));
+        let nak = encode_framed(&Dgram::Nak {
+            flow_dst: p1,
+            upto: 0,
+        });
+        engine.handle_wire(p1, nak);
+        engine.handle_outbound(p1, packet(1));
+        assert_eq!(frames(), [None, Some(1), None]);
+        // Timer retransmissions neither advance the ordinal nor get struck;
+        // the third strike waits for the next original.
+        engine.retransmit_due(Instant::now() + Duration::from_secs(60));
+        assert_eq!(frames(), [Some(1), Some(2)]);
+        engine.handle_outbound(p1, packet(1));
+        assert_eq!(frames(), [None]);
+        let snap = engine.stats.snapshot();
+        assert_eq!(snap.corrupt_injected, 3, "{snap:?}");
+        assert_eq!((snap.repairs, snap.retransmissions), (1, 2), "{snap:?}");
     }
 
     #[test]

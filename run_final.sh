@@ -3,10 +3,10 @@ set -x
 cd /root/repo
 # 1. Full test suite.
 cargo test --workspace 2>&1 | tee /root/repo/test_output.txt
-# 2. Criterion micro-benchmarks + the full evaluation harness.
+# 2. The ledger's traced pass (per-layer rows) + the full evaluation harness.
 {
-  echo "================ CRITERION MICRO-BENCHMARKS ================"
-  cargo bench --workspace 2>&1
+  echo "================ LEDGER (traced) ================"
+  cargo run --release -p cvm-bench --bin ledger -- --trace 1 2>&1
   echo
   echo "================ TABLE 2 ================"
   cargo run --release -p cvm-bench --bin table2 2>/dev/null
