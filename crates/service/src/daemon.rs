@@ -11,10 +11,16 @@
 //! [`SubmitError::QueueFull`] rather than queued without limit, keeping
 //! the daemon's memory and latency under overload a function of its
 //! configuration, not its callers.
+//!
+//! Only the non-terminal jobs are held whole, in the live set.  A job that
+//! finishes leaves the live set as a compact record sealed into its store
+//! entry, and ages out with its results under the store's byte budget, so
+//! the daemon's state is in proportion to its live jobs and retained
+//! results, not to how many jobs it has run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use cvm_dsm::DsmError;
@@ -110,17 +116,90 @@ pub struct DrainReport {
     pub persist: PersistStatsSnapshot,
 }
 
+/// The jobs admitted and not yet finished.  A job leaves in the same step
+/// that makes it terminal ([`fold`](LiveJobs::fold)), after its record is
+/// sealed into the store: whoever saw a job terminal never finds it
+/// counted live, and a job is always in the live set or the store until
+/// the store evicts it.  Never held across a journal record or a pool
+/// submission.
+#[derive(Default)]
+pub(crate) struct LiveJobs {
+    jobs: StdMutex<HashMap<JobId, Arc<JobState>>>,
+    /// Signalled when the last live job folds.
+    emptied: Condvar,
+}
+
+impl LiveJobs {
+    fn lock(&self) -> MutexGuard<'_, HashMap<JobId, Arc<JobState>>> {
+        // Every update is one insert or one remove: a panic elsewhere
+        // leaves the map whole.
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, id: JobId) -> Option<Arc<JobState>> {
+        self.lock().get(&id).cloned()
+    }
+
+    fn insert(&self, job: Arc<JobState>) {
+        self.lock().insert(job.id, job);
+    }
+
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Finishes `job`, whose last seed has settled: its record is sealed
+    /// into the store and the job leaves the live set, both under the
+    /// live set's lock.  `job` is dropped there too, so a one-seed job's
+    /// `JobState` is freed before the live set shows it gone.  Returns the
+    /// jobs the store's budget evicted.
+    pub(crate) fn fold(&self, job: Arc<JobState>, store: &ResultStore) -> Vec<JobId> {
+        let mut jobs = self.lock();
+        let evicted = store.seal(job.id, job.finish());
+        jobs.remove(&job.id);
+        drop(job);
+        if jobs.is_empty() {
+            self.emptied.notify_all();
+        }
+        evicted
+    }
+
+    /// Waits until no job is live or `deadline` has passed, then fires the
+    /// cancel token of every job still live and returns how many there
+    /// were.
+    fn cancel_after(&self, deadline: Duration) -> usize {
+        let waited = Instant::now();
+        let mut jobs = self.lock();
+        while !jobs.is_empty() {
+            let left = deadline.saturating_sub(waited.elapsed());
+            if left.is_zero() {
+                break;
+            }
+            jobs = self
+                .emptied
+                .wait_timeout(jobs, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        for job in jobs.values() {
+            job.cancel();
+        }
+        jobs.len()
+    }
+}
+
 struct DaemonInner {
     cfg: DaemonConfig,
-    /// Every admitted job, in submission order.  Never held across a
-    /// journal record or a pool submission.
-    jobs: Mutex<BTreeMap<JobId, Arc<JobState>>>,
+    live: Arc<LiveJobs>,
     store: Arc<ResultStore>,
     persist: Arc<Persist>,
     pool: Mutex<WorkerPool>,
     /// The pool's counters, read without `pool`'s mutex: a drain holds it
     /// while the workers are joined.
     pool_stats: Arc<PoolStats>,
+    /// The next id to assign.  It moves past an id only once that job is
+    /// live, so an id below it that is neither live nor in the store was
+    /// evicted.
     next_id: AtomicU64,
     submitted: AtomicU64,
     rejected: AtomicU64,
@@ -168,17 +247,23 @@ impl Daemon {
             cfg.store_budget_bytes,
             shadow.jobs_evicted,
         ));
-        let pool = WorkerPool::new(cfg.workers, Arc::clone(&store), Arc::clone(&persist));
-        let mut jobs = BTreeMap::new();
+        let live = Arc::new(LiveJobs::default());
+        let pool = WorkerPool::new(
+            cfg.workers,
+            Arc::clone(&store),
+            Arc::clone(&persist),
+            Arc::clone(&live),
+        );
 
         // Replay each job's outcomes through the calls the pool made for
-        // them, and collect the seeds still owed.
+        // them, and collect the seeds still owed.  An evicted job's record
+        // left with its results: nothing of it comes back.
         let mut pending: Vec<SeedTask> = Vec::new();
+        let mut finished = HashMap::new();
         let mut unsealed = Vec::new();
-        for (&id, sj) in &shadow.jobs {
+        for (&id, sj) in shadow.jobs.iter().filter(|(_, sj)| !sj.evicted) {
             let id = JobId(id);
             let job = Arc::new(JobState::new(id, sj.spec.clone()));
-            jobs.insert(id, Arc::clone(&job));
             job.mark_recovered();
             for &seed in &sj.order {
                 let image = &sj.outcomes[&seed];
@@ -186,15 +271,13 @@ impl Daemon {
                 for _ in 0..image.retries() {
                     job.try_consume_retry();
                 }
-                if !sj.evicted {
-                    persist.record_evictions(store.merge(id, seed, image));
-                }
+                persist.record_evictions(store.merge(id, seed, image));
                 job.settle(seed, image);
             }
             if sj.cancelled {
                 job.cancel();
             }
-            if !job.is_terminal() {
+            if !sj.is_terminal() {
                 for seed in job.spec.seeds() {
                     if !sj.outcomes.contains_key(&seed) {
                         pending.push(SeedTask {
@@ -203,28 +286,37 @@ impl Daemon {
                         });
                     }
                 }
-            } else if !sj.sealed {
-                // The crash hit between the last outcome record and the seal.
-                unsealed.push(id);
+                live.insert(job);
+            } else {
+                if !sj.sealed {
+                    // The crash hit between the last outcome record and
+                    // the seal.
+                    unsealed.push(id);
+                }
+                finished.insert(id, job);
             }
         }
-        // Seal in journal order: the eviction queue the live store had.
-        for &id in &shadow.sealed_order {
-            persist.record_evictions(store.seal(JobId(id)));
+        // Fold in journal seal order: the eviction queue the live store
+        // had.  Then the jobs that went terminal unsealed.
+        for id in shadow.sealed_order.iter().map(|&id| JobId(id)) {
+            if let Some(job) = finished.remove(&id) {
+                persist.record_evictions(live.fold(job, &store));
+            }
         }
         for id in unsealed {
-            persist.record(&JournalRecord::Sealed { job: id });
-            persist.record_evictions(store.seal(id));
+            if let Some(job) = finished.remove(&id) {
+                persist.record(&JournalRecord::Sealed { job: id });
+                persist.record_evictions(live.fold(job, &store));
+            }
         }
-        let recovered_jobs = jobs.values().filter(|j| !j.is_terminal()).count();
-        persist.note_recovered_jobs(recovered_jobs as u64);
+        persist.note_recovered_jobs(live.len() as u64);
 
         let submitted = shadow.jobs.len() as u64;
         let daemon = Daemon {
             inner: Arc::new(DaemonInner {
                 next_id: AtomicU64::new(shadow.next_job.max(1)),
                 cfg,
-                jobs: Mutex::new(jobs),
+                live,
                 store,
                 persist,
                 pool_stats: pool.counters(),
@@ -247,80 +339,109 @@ impl Daemon {
 
     /// Validates and admits `spec`, expanding it onto the pool.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
-        let inner = &self.inner;
-        let result = (|| {
-            if inner.draining.load(Ordering::SeqCst) {
-                return Err(SubmitError::Draining);
-            }
-            spec.validate().map_err(SubmitError::Invalid)?;
-            // Admission check and insert under one lock: concurrent
-            // submitters cannot both squeeze into the last slot.
-            let _admit = inner.admit.lock();
-            let active = self.active_jobs();
-            if active >= inner.cfg.queue_capacity {
-                return Err(SubmitError::QueueFull {
-                    active,
-                    capacity: inner.cfg.queue_capacity,
-                });
-            }
-            let id = JobId(inner.next_id.fetch_add(1, Ordering::SeqCst));
-            let job = Arc::new(JobState::new(id, spec));
-            inner.jobs.lock().insert(id, Arc::clone(&job));
-            // Write-ahead: the admission is durable before any seed runs.
-            inner.persist.record(&JournalRecord::Submitted {
-                job: id,
-                spec: job.spec.clone(),
-            });
-            let pool = inner.pool.lock();
-            for seed in job.spec.seeds() {
-                pool.submit(SeedTask {
-                    job: Arc::clone(&job),
-                    seed,
-                });
-            }
-            Ok(id)
-        })();
-        match &result {
-            Ok(_) => inner.submitted.fetch_add(1, Ordering::Relaxed),
-            Err(_) => inner.rejected.fetch_add(1, Ordering::Relaxed),
+        let admitted = self.admit(spec);
+        let counter = match admitted {
+            Ok(_) => &self.inner.submitted,
+            Err(_) => &self.inner.rejected,
         };
-        result
+        counter.fetch_add(1, Ordering::Relaxed);
+        admitted.map(|job| job.id)
+    }
+
+    fn admit(&self, spec: JobSpec) -> Result<Arc<JobState>, SubmitError> {
+        let inner = &self.inner;
+        if inner.draining.load(Ordering::SeqCst) {
+            return Err(SubmitError::Draining);
+        }
+        spec.validate().map_err(SubmitError::Invalid)?;
+        // Admission check and insert under one lock: concurrent
+        // submitters cannot both squeeze into the last slot.
+        let _admit = inner.admit.lock();
+        let active = inner.live.len();
+        if active >= inner.cfg.queue_capacity {
+            return Err(SubmitError::QueueFull {
+                active,
+                capacity: inner.cfg.queue_capacity,
+            });
+        }
+        let id = JobId(inner.next_id.load(Ordering::SeqCst));
+        let job = Arc::new(JobState::new(id, spec));
+        inner.live.insert(Arc::clone(&job));
+        inner.next_id.store(id.0 + 1, Ordering::SeqCst);
+        // Write-ahead: the admission is durable before any seed runs.
+        inner.persist.record(&JournalRecord::Submitted {
+            job: id,
+            spec: job.spec.clone(),
+        });
+        let pool = inner.pool.lock();
+        for seed in job.spec.seeds() {
+            pool.submit(SeedTask {
+                job: Arc::clone(&job),
+                seed,
+            });
+        }
+        Ok(job)
     }
 
     /// Status snapshot of `id`, with the store's distinct-race count
-    /// folded in.
+    /// folded in: `None` for an id never assigned, and for a finished job
+    /// whose results the store has evicted.
     pub fn status(&self, id: JobId) -> Option<JobSnapshot> {
-        let job = self.inner.jobs.lock().get(&id).cloned()?;
+        // Live set first: a job's record is in the store before the job
+        // leaves the live set, so this order cannot miss it.
+        match self.inner.live.get(id) {
+            Some(job) => Some(self.live_snapshot(&job)),
+            None => self.inner.store.finished(id),
+        }
+    }
+
+    fn live_snapshot(&self, job: &JobState) -> JobSnapshot {
         let mut snap = job.snapshot();
-        snap.distinct_races = self.inner.store.distinct_count(id);
-        Some(snap)
+        snap.distinct_races = self.inner.store.distinct_count(job.id);
+        snap
     }
 
-    /// All jobs' snapshots, in submission order.
+    /// Whether `id` was ever assigned.  An assigned id that
+    /// [`status`](Daemon::status) no longer answers belongs to a finished
+    /// job the store evicted.
+    pub(crate) fn assigned(&self, id: JobId) -> bool {
+        (1..self.inner.next_id.load(Ordering::SeqCst)).contains(&id.0)
+    }
+
+    /// The snapshots of every job still known — live, or finished with its
+    /// results retained — in submission order.
     pub fn jobs(&self) -> Vec<JobSnapshot> {
-        self.inner
-            .jobs
-            .lock()
+        // Live set first, as in `status`; a job that folds in between
+        // shows up twice and its record wins.
+        let live: Vec<_> = self.inner.live.lock().values().cloned().collect();
+        let mut all: BTreeMap<JobId, JobSnapshot> = live
             .iter()
-            .map(|(&id, job)| {
-                let mut snap = job.snapshot();
-                snap.distinct_races = self.inner.store.distinct_count(id);
-                snap
-            })
-            .collect()
+            .map(|job| (job.id, self.live_snapshot(job)))
+            .collect();
+        all.extend(
+            self.inner
+                .store
+                .all_finished()
+                .into_iter()
+                .map(|snap| (snap.id, snap)),
+        );
+        all.into_values().collect()
     }
 
-    /// Requests cancellation of `id`; `false` when unknown.  Terminal
-    /// jobs are unaffected (cancel is idempotent and never regresses a
-    /// phase).
+    /// Requests cancellation of `id`; `false` when unknown or evicted.
+    /// Finished jobs are unaffected (cancel is idempotent and never
+    /// regresses a phase).
     pub fn cancel(&self, id: JobId) -> bool {
-        let Some(job) = self.inner.jobs.lock().get(&id).cloned() else {
+        let job = self.inner.live.get(id);
+        if job.is_none() && self.inner.store.finished(id).is_none() {
             return false;
-        };
+        }
         self.inner
             .persist
             .record(&JournalRecord::Cancelled { job: id });
-        job.cancel();
+        if let Some(job) = job {
+            job.cancel();
+        }
         true
     }
 
@@ -335,7 +456,7 @@ impl Daemon {
         DaemonStats {
             jobs_submitted: inner.submitted.load(Ordering::Relaxed),
             jobs_rejected: inner.rejected.load(Ordering::Relaxed),
-            jobs_active: self.active_jobs(),
+            jobs_active: inner.live.len(),
             draining: inner.draining.load(Ordering::SeqCst),
             pool: inner.pool_stats.snapshot(),
             store: inner.store.stats(),
@@ -356,20 +477,10 @@ impl Daemon {
         let inner = &self.inner;
         inner.draining.store(true, Ordering::SeqCst);
 
-        let waited = Instant::now();
-        while self.active_jobs() > 0 && waited.elapsed() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        // Cancel whatever outlived the deadline; their runs drain via the
-        // cancellation token within the pool's supervision bounds.
-        let mut cancelled = 0usize;
-        for job in inner.jobs.lock().values() {
-            if !job.is_terminal() {
-                job.cancel();
-                cancelled += 1;
-            }
-        }
+        // The last live job to finish ends the wait; whatever outlived the
+        // deadline is cancelled, and its runs drain via the cancellation
+        // token within the pool's supervision bounds.
+        let cancelled = inner.live.cancel_after(deadline);
 
         // Closing the queue and joining the workers forces every queued
         // and running seed to a terminal outcome.
@@ -379,14 +490,9 @@ impl Daemon {
         inner.persist.compact_now();
         DrainReport {
             jobs_cancelled: cancelled,
-            clean: cancelled == 0 && self.active_jobs() == 0,
+            clean: cancelled == 0 && inner.live.len() == 0,
             persist: inner.persist.stats(),
         }
-    }
-
-    fn active_jobs(&self) -> usize {
-        let jobs = self.inner.jobs.lock();
-        jobs.values().filter(|j| !j.is_terminal()).count()
     }
 }
 
@@ -525,6 +631,36 @@ mod tests {
         let report = daemon.drain(Duration::from_secs(5));
         assert!(report.clean);
         assert_eq!(report.jobs_cancelled, 0);
+    }
+
+    /// Finished jobs leave nothing behind but their records: the live set
+    /// empties, every `JobState` is freed, and `status` answers from the
+    /// record exactly what the `JobState` answered.
+    #[test]
+    fn finished_jobs_fold_to_their_records() {
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 2,
+            queue_capacity: 200,
+            ..DaemonConfig::default()
+        });
+        let spec = JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, 1, 1);
+        let jobs: Vec<Arc<JobState>> = (0..200)
+            .map(|_| daemon.admit(spec.clone()).expect("admitted"))
+            .collect();
+        let weak: Vec<_> = jobs.iter().map(Arc::downgrade).collect();
+        assert_eq!(daemon.inner.live.cancel_after(Duration::from_secs(120)), 0);
+        assert_eq!(daemon.stats().jobs_active, 0);
+        for job in &jobs {
+            let mut before = job.snapshot();
+            before.distinct_races = daemon.inner.store.distinct_count(job.id);
+            assert!(before.phase.is_terminal());
+            assert_eq!(daemon.status(job.id), Some(before));
+        }
+        drop(jobs);
+        assert!(
+            weak.iter().all(|job| job.upgrade().is_none()),
+            "a JobState outlived its fold"
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! [`Cluster::run`](cvm_dsm::Cluster::run) per seed.  The lifecycle is a
 //! strict machine — `Queued → Running → {Done, Failed, Cancelled}` — with
 //! every transition taken under the job's lock, so observers can never see
-//! a terminal job regress or a cancelled job complete.
+//! a terminal job regress or a cancelled job complete.  A job turns
+//! terminal when it is *finished*, after its last seed settled; from then
+//! on the daemon keeps only a compact record of its status, and the
+//! [`JobState`] is freed.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -195,7 +198,7 @@ pub enum SeedOutcome {
 
 /// Point-in-time snapshot of a job's status (what `status` queries and the
 /// TCP front end return).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JobSnapshot {
     /// The job.
     pub id: JobId,
@@ -231,6 +234,53 @@ pub struct JobSnapshot {
     /// daemon restart (its journaled seed outcomes were replayed, not
     /// recomputed).
     pub recovered: bool,
+}
+
+/// What a finished job keeps once its [`JobState`] is freed: the fields
+/// [`JobSnapshot`] reports, less the id (the store's key) and the
+/// distinct-race count (the store's entry holds the races).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct JobRecord {
+    phase: JobPhase,
+    /// Seeds total, done, failed, cancelled.
+    seeds: [u32; 4],
+    retries: u64,
+    deadline_overruns: u64,
+    /// In [`JobInner::recovery`]'s order.
+    recovery: [u64; 4],
+    first_error: Option<Box<str>>,
+    recovered: bool,
+}
+
+impl JobRecord {
+    /// Bytes the record costs the store's budget: the fixed fields and a
+    /// map node, called 128 bytes, plus the error text.
+    pub(crate) fn bytes(&self) -> u64 {
+        128 + self.first_error.as_ref().map_or(0, |e| e.len() as u64)
+    }
+
+    /// The status this record answers for job `id`.
+    pub(crate) fn snapshot(&self, id: JobId, distinct_races: usize) -> JobSnapshot {
+        let [seeds_total, seeds_done, seeds_failed, seeds_cancelled] = self.seeds;
+        let [partitions_healed, stale_msgs_fenced, quorum_losses, rejoin_restores] = self.recovery;
+        JobSnapshot {
+            id,
+            phase: self.phase,
+            seeds_total,
+            seeds_done,
+            seeds_failed,
+            seeds_cancelled,
+            retries: self.retries,
+            deadline_overruns: self.deadline_overruns,
+            first_error: self.first_error.as_deref().map(String::from),
+            distinct_races,
+            partitions_healed,
+            stale_msgs_fenced,
+            quorum_losses,
+            rejoin_restores,
+            recovered: self.recovered,
+        }
+    }
 }
 
 /// Internal mutable job state, guarded by the job's lock.
@@ -308,24 +358,23 @@ impl JobState {
     /// Current status snapshot.  `distinct_races` is filled by the daemon
     /// (the store owns dedup state); this method reports zero.
     pub fn snapshot(&self) -> JobSnapshot {
-        let inner = self.inner.lock();
-        let [partitions_healed, stale_msgs_fenced, quorum_losses, rejoin_restores] = inner.recovery;
-        JobSnapshot {
-            id: self.id,
+        self.record_of(&self.inner.lock()).snapshot(self.id, 0)
+    }
+
+    fn record_of(&self, inner: &JobInner) -> JobRecord {
+        JobRecord {
             phase: inner.phase,
-            seeds_total: self.spec.seed_count,
-            seeds_done: inner.seeds_done,
-            seeds_failed: inner.seeds_failed,
-            seeds_cancelled: inner.seeds_cancelled,
+            seeds: [
+                self.spec.seed_count,
+                inner.seeds_done,
+                inner.seeds_failed,
+                inner.seeds_cancelled,
+            ],
             retries: inner.retries,
             deadline_overruns: inner.deadline_overruns,
-            first_error: inner.first_error.clone(),
+            recovery: inner.recovery,
+            first_error: inner.first_error.as_deref().map(Box::from),
             recovered: inner.recovered,
-            distinct_races: 0,
-            partitions_healed,
-            stale_msgs_fenced,
-            quorum_losses,
-            rejoin_restores,
         }
     }
 
@@ -349,12 +398,12 @@ impl JobState {
     }
 
     /// Settles `seed` from its journaled image: records the outcome and
-    /// adds a completed run's recovery counters to the job's totals.  When
-    /// it is the last seed, the job transitions to its terminal phase.
-    /// Returns `true` exactly once, for the settle that completed the job.
+    /// adds a completed run's recovery counters to the job's totals.
+    /// Returns `true` exactly once, for the settle of the last seed; the
+    /// job then awaits [`finish`](JobState::finish).
     pub(crate) fn settle(&self, seed: u64, image: &OutcomeImage) -> bool {
         let mut inner = self.inner.lock();
-        if inner.phase.is_terminal() {
+        if inner.outcomes.len() as u32 >= self.spec.seed_count {
             return false; // Late result of a detached overrun attempt.
         }
         match image {
@@ -373,18 +422,22 @@ impl JobState {
             OutcomeImage::Cancelled => inner.seeds_cancelled += 1,
         }
         inner.outcomes.insert(seed, image.to_outcome());
-        let all = inner.outcomes.len() as u32 >= self.spec.seed_count;
-        if all {
-            inner.phase = if inner.seeds_cancelled > 0 {
-                JobPhase::Cancelled
-            } else if inner.seeds_failed > 0 {
-                JobPhase::Failed
-            } else {
-                JobPhase::Done
-            };
-            inner.finished = Some(Instant::now());
-        }
-        all
+        inner.outcomes.len() as u32 >= self.spec.seed_count
+    }
+
+    /// Moves a job whose last seed has settled to its terminal phase, and
+    /// returns the record the daemon keeps of it.
+    pub(crate) fn finish(&self) -> JobRecord {
+        let mut inner = self.inner.lock();
+        inner.phase = if inner.seeds_cancelled > 0 {
+            JobPhase::Cancelled
+        } else if inner.seeds_failed > 0 {
+            JobPhase::Failed
+        } else {
+            JobPhase::Done
+        };
+        inner.finished = Some(Instant::now());
+        self.record_of(&inner)
     }
 
     /// Consumes one unit of retry budget, returning `false` when
@@ -467,6 +520,12 @@ mod tests {
         assert!(!job.settle(7, &done(0, 0)));
         assert_eq!(job.snapshot().phase, JobPhase::Running);
         assert!(job.settle(8, &done(2, 1)));
+        assert_eq!(
+            job.snapshot().phase,
+            JobPhase::Running,
+            "settled, not finished"
+        );
+        job.finish();
         let snap = job.snapshot();
         assert_eq!(snap.phase, JobPhase::Done);
         assert!(snap.phase.is_terminal());
@@ -486,8 +545,10 @@ mod tests {
                 retries: 0,
             },
         );
-        job.settle(8, &done(1, 0));
+        assert!(job.settle(8, &done(1, 0)));
+        let record = job.finish();
         let snap = job.snapshot();
+        assert_eq!(record.snapshot(job.id, 0), snap, "the record keeps it all");
         assert_eq!(snap.phase, JobPhase::Failed);
         assert_eq!(snap.seeds_done, 1);
         assert_eq!(snap.seeds_failed, 1);
@@ -499,7 +560,8 @@ mod tests {
         let job = JobState::new(JobId(3), spec(2));
         job.note_started();
         job.settle(7, &done(0, 0));
-        job.settle(8, &OutcomeImage::Cancelled);
+        assert!(job.settle(8, &OutcomeImage::Cancelled));
+        job.finish();
         assert_eq!(job.snapshot().phase, JobPhase::Cancelled);
     }
 
@@ -508,6 +570,7 @@ mod tests {
         let job = JobState::new(JobId(4), spec(1));
         job.note_started();
         assert!(job.settle(7, &OutcomeImage::Cancelled));
+        job.finish();
         // A detached overrun attempt finishing late must not resurrect
         // the job or double-count the seed.
         assert!(!job.settle(7, &done(5, 0)));

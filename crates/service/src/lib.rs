@@ -20,8 +20,10 @@
 //!   transient failures retry under a job-wide budget with capped,
 //!   seeded-jitter exponential backoff; terminal failures never retry.
 //! * **Bounded everything** ([`daemon`], [`store`]) — admission is capped
-//!   (excess submissions get [`SubmitError::QueueFull`]), and the result
-//!   store evicts whole sealed jobs oldest-first under a byte budget.
+//!   (excess submissions get [`SubmitError::QueueFull`]), a finished job
+//!   keeps only a compact status record beside its results, and the
+//!   result store evicts whole sealed jobs, record included, oldest-first
+//!   under a byte budget.
 //! * **Graceful drain** ([`Daemon::drain`]) — stop admission, wait out
 //!   in-flight jobs to a deadline, cancel stragglers, join the pool;
 //!   every admitted job is terminal on return.

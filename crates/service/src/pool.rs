@@ -36,6 +36,7 @@ use cvm_dsm::{CancelToken, DsmConfig, DsmError, RunError, RunReport};
 use cvm_net::{backoff_delay, splitmix64};
 use parking_lot::Mutex;
 
+use crate::daemon::LiveJobs;
 use crate::job::{JobSpec, JobState};
 use crate::persist::{JournalRecord, OutcomeImage, Persist};
 use crate::store::ResultStore;
@@ -110,6 +111,7 @@ struct WorkerCtx {
     store: Arc<ResultStore>,
     stats: Arc<PoolStats>,
     persist: Arc<Persist>,
+    live: Arc<LiveJobs>,
     drain_grace: Duration,
 }
 
@@ -166,10 +168,16 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` supervising threads, merging results into `store`
-    /// and journaling lifecycle records through `persist`.
-    pub(crate) fn new(workers: usize, store: Arc<ResultStore>, persist: Arc<Persist>) -> Self {
-        WorkerPool::with_grace(workers, store, persist, DRAIN_GRACE)
+    /// Spawns `workers` supervising threads, merging results into `store`,
+    /// journaling lifecycle records through `persist`, and folding each
+    /// finished job out of `live`.
+    pub(crate) fn new(
+        workers: usize,
+        store: Arc<ResultStore>,
+        persist: Arc<Persist>,
+        live: Arc<LiveJobs>,
+    ) -> Self {
+        WorkerPool::with_grace(workers, store, persist, live, DRAIN_GRACE)
     }
 
     /// [`new`](Self::new) with an explicit detach grace, so tests can
@@ -178,6 +186,7 @@ impl WorkerPool {
         workers: usize,
         store: Arc<ResultStore>,
         persist: Arc<Persist>,
+        live: Arc<LiveJobs>,
         drain_grace: Duration,
     ) -> Self {
         let (tx, rx) = unbounded::<SeedTask>();
@@ -193,6 +202,7 @@ impl WorkerPool {
                     store: Arc::clone(&store),
                     stats: Arc::clone(&stats),
                     persist: Arc::clone(&persist),
+                    live: Arc::clone(&live),
                     drain_grace,
                 };
                 std::thread::Builder::new()
@@ -256,7 +266,7 @@ fn worker_loop(rx: &Mutex<Receiver<SeedTask>>, ctx: &WorkerCtx) {
         // Its own statement, so the guard drops before the run.
         let task = rx.lock().recv();
         let Ok(task) = task else { break };
-        run_seed(&task, ctx, &mut runner);
+        run_seed(task, ctx, &mut runner);
     }
     if let Some(runner) = runner {
         runner.close();
@@ -282,11 +292,11 @@ enum Attempt {
 /// recovery replays them: the `SeedDone` record is journaled first
 /// (write-ahead: a crash at any point leaves the journal at least as
 /// informed as the state it shadows), then the store merges the image and
-/// the job settles it, and the seed that completes the job seals it.
-fn run_seed(task: &SeedTask, ctx: &WorkerCtx, runner: &mut Option<Runner>) {
+/// the job settles it, and the seed that completes the job folds it into
+/// its sealed store entry.
+fn run_seed(task: SeedTask, ctx: &WorkerCtx, runner: &mut Option<Runner>) {
     let (store, stats) = (&ctx.store, &ctx.stats);
-    let job = &task.job;
-    let seed = task.seed;
+    let SeedTask { job, seed } = task;
     job.note_started();
 
     let mut retries: u32 = 0;
@@ -312,7 +322,7 @@ fn run_seed(task: &SeedTask, ctx: &WorkerCtx, runner: &mut Option<Runner>) {
                 transient: true,
             }
         } else {
-            run_attempt(task, ctx, runner)
+            run_attempt(&job, seed, ctx, runner)
         };
 
         match attempt {
@@ -342,18 +352,16 @@ fn run_seed(task: &SeedTask, ctx: &WorkerCtx, runner: &mut Option<Runner>) {
         .record_evictions(store.merge(job.id, seed, &image));
     stats.seeds_finished.fetch_add(1, Ordering::Relaxed);
     if job.settle(seed, &image) {
-        // Last seed settled: the job just went terminal.
+        // Last seed settled: the job finishes and folds.
         ctx.persist.record(&JournalRecord::Sealed { job: job.id });
-        ctx.persist.record_evictions(store.seal(job.id));
+        ctx.persist.record_evictions(ctx.live.fold(job, store));
     }
 }
 
 /// One crash-isolated, deadline-supervised attempt on the worker's run
 /// thread (started here on first use, and dropped here on detach).
-fn run_attempt(task: &SeedTask, ctx: &WorkerCtx, runner: &mut Option<Runner>) -> Attempt {
+fn run_attempt(job: &JobState, seed: u64, ctx: &WorkerCtx, runner: &mut Option<Runner>) -> Attempt {
     let stats = &ctx.stats;
-    let job = &task.job;
-    let seed = task.seed;
     let _active = ActiveGuard::arm(&stats.active_helpers);
     let attempt_cancel = CancelToken::new();
     let mut cfg = build_config(&job.spec, seed);
@@ -454,7 +462,12 @@ mod tests {
     fn pool_and_store(workers: usize) -> (WorkerPool, Arc<ResultStore>) {
         let store = Arc::new(ResultStore::new(u64::MAX));
         (
-            WorkerPool::new(workers, Arc::clone(&store), Persist::disabled()),
+            WorkerPool::new(
+                workers,
+                Arc::clone(&store),
+                Persist::disabled(),
+                Arc::default(),
+            ),
             store,
         )
     }
@@ -655,6 +668,7 @@ mod tests {
             1,
             Arc::clone(&store),
             Persist::disabled(),
+            Arc::default(),
             Duration::from_millis(50),
         );
         let mut spec = JobSpec::new(
@@ -723,6 +737,7 @@ mod tests {
             1,
             Arc::clone(&store),
             Persist::disabled(),
+            Arc::default(),
             Duration::from_millis(50),
         );
         let dwell = Duration::from_millis(2000);

@@ -7,17 +7,19 @@
 //! job's whole seed range each distinct race is stored once, with a hit
 //! count, the rendered report the image carries, and the first seed that
 //! produced it.  A running daemon and [`Daemon::open`](crate::Daemon::open)
-//! call the same `merge` and [`seal`](ResultStore::seal), so restored
-//! results cannot drift from live ones.  Retention is bounded in *bytes*:
-//! when the store crosses its budget, the oldest sealed jobs' entries are
-//! evicted whole — never a partial job — and the eviction is counted, not
-//! silent.
+//! call the same `merge` and `seal`, so restored results cannot drift from
+//! live ones.  Sealing a finished job also stores the compact record of its
+//! status, which is all the daemon keeps of a finished job.  Retention is
+//! bounded in *bytes*, records included, and the store keeps its byte total
+//! as it goes: when it crosses the budget, the oldest sealed jobs' entries
+//! are evicted whole — races and record together, never a partial job — and
+//! the eviction is counted, not silent.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use parking_lot::Mutex;
 
-use crate::job::JobId;
+use crate::job::{JobId, JobRecord, JobSnapshot};
 use crate::persist::OutcomeImage;
 
 /// One deduplicated race across a job's seed range.
@@ -46,8 +48,11 @@ pub struct JobRaces {
 struct JobEntry {
     by_print: BTreeMap<u64, DedupedRace>,
     reports_merged: u64,
+    /// The races' bytes, and the record's once sealed.
     bytes: u64,
-    sealed: bool,
+    /// The finished job's status, set by `seal`: the entry is evictable
+    /// from then on.
+    record: Option<JobRecord>,
 }
 
 impl JobEntry {
@@ -72,6 +77,12 @@ impl JobEntry {
             }
         }
         self.reports_merged += occurrences.len() as u64;
+    }
+
+    /// The status of sealed job `id`: `None` while it runs.
+    fn status(&self, id: JobId) -> Option<JobSnapshot> {
+        let record = self.record.as_ref()?;
+        Some(record.snapshot(id, self.by_print.len()))
     }
 }
 
@@ -100,6 +111,9 @@ struct StoreInner {
     /// Jobs in seal order: the eviction queue (oldest sealed first).
     sealed_order: VecDeque<JobId>,
     jobs_evicted: u64,
+    /// The entries' bytes and distinct races, summed as they change.
+    bytes_live: u64,
+    distinct_races: u64,
 }
 
 impl ResultStore {
@@ -135,42 +149,48 @@ impl ResultStore {
             return Vec::new();
         };
         let mut inner = self.inner.lock();
-        inner
-            .jobs
-            .entry(job)
-            .or_default()
-            .merge(seed, occurrences, rendered);
+        let entry = inner.jobs.entry(job).or_default();
+        let (bytes, distinct) = (entry.bytes, entry.by_print.len());
+        entry.merge(seed, occurrences, rendered);
+        let bytes = entry.bytes - bytes;
+        let distinct = (entry.by_print.len() - distinct) as u64;
+        inner.bytes_live += bytes;
+        inner.distinct_races += distinct;
         self.enforce_budget(&mut inner)
     }
 
-    /// Marks `job` complete: its entry becomes evictable.  In-flight jobs
-    /// are never evicted, so a running job's dedup state cannot vanish
-    /// under it.  Returns the jobs the byte budget evicted.
-    pub fn seal(&self, job: JobId) -> Vec<JobId> {
+    /// Marks finished `job` complete and keeps `record` as its status: the
+    /// entry, charged the record's bytes, becomes evictable.  In-flight
+    /// jobs are never evicted, so a running job's dedup state cannot
+    /// vanish under it.  Returns the jobs the byte budget evicted.
+    pub(crate) fn seal(&self, job: JobId, record: JobRecord) -> Vec<JobId> {
         let mut inner = self.inner.lock();
-        let known = match inner.jobs.get_mut(&job) {
-            Some(entry) if !entry.sealed => {
-                entry.sealed = true;
-                true
-            }
-            Some(_) => false,
-            // A job with zero reports still seals an (empty) entry so
-            // `races` distinguishes "no races" from "evicted/unknown".
-            None => {
-                inner.jobs.insert(
-                    job,
-                    JobEntry {
-                        sealed: true,
-                        ..JobEntry::default()
-                    },
-                );
-                true
-            }
-        };
-        if known {
+        // A job with zero reports still seals an (empty) entry so `races`
+        // distinguishes "no races" from "evicted/unknown".
+        let entry = inner.jobs.entry(job).or_default();
+        if entry.record.is_none() {
+            let charge = record.bytes();
+            entry.bytes += charge;
+            entry.record = Some(record);
+            inner.bytes_live += charge;
             inner.sealed_order.push_back(job);
         }
         self.enforce_budget(&mut inner)
+    }
+
+    /// The status of sealed `job`: `None` while it runs, and once evicted.
+    pub(crate) fn finished(&self, job: JobId) -> Option<JobSnapshot> {
+        self.inner.lock().jobs.get(&job)?.status(job)
+    }
+
+    /// The status of every sealed job still retained, in id order.
+    pub(crate) fn all_finished(&self) -> Vec<JobSnapshot> {
+        let inner = self.inner.lock();
+        inner
+            .jobs
+            .iter()
+            .filter_map(|(&id, entry)| entry.status(id))
+            .collect()
     }
 
     /// The deduplicated result set of `job`: `None` when the job is
@@ -193,21 +213,21 @@ impl ResultStore {
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.lock();
         StoreStats {
-            bytes_live: inner.jobs.values().map(|e| e.bytes).sum(),
+            bytes_live: inner.bytes_live,
             jobs_evicted: inner.jobs_evicted,
-            distinct_races: inner.jobs.values().map(|e| e.by_print.len() as u64).sum(),
+            distinct_races: inner.distinct_races,
         }
     }
 
     fn enforce_budget(&self, inner: &mut StoreInner) -> Vec<JobId> {
         let mut evicted = Vec::new();
-        let mut live: u64 = inner.jobs.values().map(|e| e.bytes).sum();
-        while live > self.budget_bytes {
+        while inner.bytes_live > self.budget_bytes {
             let Some(oldest) = inner.sealed_order.pop_front() else {
                 break; // Only in-flight jobs left: nothing evictable.
             };
             if let Some(entry) = inner.jobs.remove(&oldest) {
-                live = live.saturating_sub(entry.bytes);
+                inner.bytes_live -= entry.bytes;
+                inner.distinct_races -= entry.by_print.len() as u64;
                 inner.jobs_evicted += 1;
                 evicted.push(oldest);
             }
@@ -219,7 +239,10 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{JobSpec, JobState};
+    use crate::workload::Workload;
     use cvm_dsm::{Cluster, DsmConfig, RunReport};
+    use proptest::prelude::*;
 
     fn racy_report(seed: u64) -> RunReport {
         let mut cfg = DsmConfig::new(2);
@@ -240,6 +263,12 @@ mod tests {
         OutcomeImage::from_report(report, 0)
     }
 
+    /// The record of a finished one-seed job.
+    fn record() -> JobRecord {
+        let spec = JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, 1, 1);
+        JobState::new(JobId(0), spec).finish()
+    }
+
     #[test]
     fn dedups_across_seeds() {
         let store = ResultStore::new(u64::MAX);
@@ -248,7 +277,7 @@ mod tests {
         let b = racy_report(2);
         store.merge(job, 1, &image(&a));
         store.merge(job, 2, &image(&b));
-        store.seal(job);
+        store.seal(job, record());
         let races = store.races(job).expect("sealed job retained");
         // Deterministic workload: both seeds produce the same race set,
         // so dedup folds them.
@@ -262,7 +291,7 @@ mod tests {
     #[test]
     fn sealed_empty_job_reads_as_no_races() {
         let store = ResultStore::new(u64::MAX);
-        store.seal(JobId(9));
+        store.seal(JobId(9), record());
         let races = store.races(JobId(9)).expect("sealed job known");
         assert!(races.races.is_empty());
         assert!(store.races(JobId(10)).is_none(), "unknown job is None");
@@ -273,14 +302,15 @@ mod tests {
         let report = image(&racy_report(1));
         let store = ResultStore::new(u64::MAX);
         store.merge(JobId(1), 1, &report);
+        store.seal(JobId(1), record());
         let one_job_bytes = store.stats().bytes_live;
-        assert!(one_job_bytes > 0);
+        assert_eq!(one_job_bytes, store.entry_bytes(), "races and record");
 
         // Budget fits two jobs but not three.
         let store = ResultStore::new(one_job_bytes * 2);
         for id in 1..=3u64 {
             store.merge(JobId(id), 1, &report);
-            store.seal(JobId(id));
+            store.seal(JobId(id), record());
         }
         let stats = store.stats();
         assert_eq!(stats.jobs_evicted, 1, "third job must evict the first");
@@ -303,7 +333,7 @@ mod tests {
         assert!(store.races(JobId(1)).is_some());
         assert_eq!(store.stats().jobs_evicted, 0);
         // Sealing makes it evictable and the budget bites.
-        store.seal(JobId(1));
+        store.seal(JobId(1), record());
         assert!(store.races(JobId(1)).is_none());
         assert_eq!(store.stats().jobs_evicted, 1);
     }
@@ -362,5 +392,78 @@ mod tests {
         assert!(store.races(JobId(2)).is_none(), "failed seed: no entry");
         assert!(store.races(JobId(3)).is_none(), "cancelled seed: no entry");
         assert_eq!(store.stats().bytes_live, 0);
+    }
+
+    #[test]
+    fn a_race_free_job_costs_its_record() {
+        let store = ResultStore::new(u64::MAX);
+        store.seal(JobId(1), record());
+        assert_eq!(store.stats().bytes_live, record().bytes());
+        let snap = store.finished(JobId(1)).expect("sealed job has a status");
+        assert_eq!(snap, record().snapshot(JobId(1), 0));
+    }
+
+    impl ResultStore {
+        /// The byte total summed afresh over every entry.
+        fn entry_bytes(&self) -> u64 {
+            self.inner.lock().jobs.values().map(|e| e.bytes).sum()
+        }
+    }
+
+    /// Merge (`true`) or seal (`false`) one of five jobs; a merge carries
+    /// the fingerprints of its run's races.
+    fn arb_ops() -> impl Strategy<Value = Vec<(bool, u64, Vec<u64>)>> {
+        proptest::collection::vec(
+            (
+                any::<bool>(),
+                1u64..6,
+                proptest::collection::vec(0u64..40, 0..4),
+            ),
+            0..40,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over any sequence of merges and seals under a small budget, the
+        /// running totals equal the totals recomputed from every entry, and
+        /// evictions take sealed jobs oldest first and never a running one.
+        #[test]
+        fn running_totals_match_a_recount(budget in 0u64..800, ops in arb_ops()) {
+            let store = ResultStore::new(budget);
+            // Sealed jobs not yet evicted, oldest first; and every job sealed.
+            let mut queue = VecDeque::new();
+            let mut sealed = Vec::new();
+            for (seed, (merge, id, prints)) in ops.into_iter().enumerate() {
+                let job = JobId(id);
+                if sealed.contains(&job) {
+                    continue; // A sealed job takes no more merges or seals.
+                }
+                let evicted = if merge {
+                    let rendered = prints.iter().map(|&p| (p, "r".repeat(p as usize))).collect();
+                    let image = OutcomeImage::Done {
+                        retries: 0,
+                        occurrences: prints,
+                        rendered,
+                        recovery: [0; 4],
+                    };
+                    store.merge(job, seed as u64, &image)
+                } else {
+                    sealed.push(job);
+                    queue.push_back(job);
+                    store.seal(job, record())
+                };
+                let oldest: Vec<JobId> = queue.drain(..evicted.len().min(queue.len())).collect();
+                prop_assert_eq!(&evicted, &oldest);
+                let stats = store.stats();
+                prop_assert_eq!(stats.bytes_live, store.entry_bytes());
+                let inner = store.inner.lock();
+                let distinct: usize = inner.jobs.values().map(|e| e.by_print.len()).sum();
+                prop_assert_eq!(stats.distinct_races, distinct as u64);
+                prop_assert!(stats.bytes_live <= budget || queue.is_empty());
+                prop_assert_eq!(stats.jobs_evicted as usize, sealed.len() - queue.len());
+            }
+        }
     }
 }

@@ -234,9 +234,7 @@ fn dispatch(daemon: &Daemon, request: &Value) -> Result<Value, WireError> {
         "submit" => submit(daemon, request),
         "status" => {
             let id = job_id(request)?;
-            let snap = daemon
-                .status(id)
-                .ok_or(("unknown_job", format!("{id} is not known")))?;
+            let snap = daemon.status(id).ok_or_else(|| missing(daemon, id))?;
             Ok(snapshot_value(&snap))
         }
         "jobs" => Ok(Value::obj([
@@ -248,9 +246,8 @@ fn dispatch(daemon: &Daemon, request: &Value) -> Result<Value, WireError> {
         ])),
         "cancel" => {
             let id = job_id(request)?;
-            let known = daemon.cancel(id);
-            if !known {
-                return Err(("unknown_job", format!("{id} is not known")));
+            if !daemon.cancel(id) {
+                return Err(missing(daemon, id));
             }
             Ok(Value::obj([
                 ("ok", Value::Bool(true)),
@@ -478,6 +475,19 @@ fn spec_from_request(request: &Value) -> Result<JobSpec, WireError> {
     Ok(spec)
 }
 
+/// Why the daemon no longer answers for `id`: it finished and its results
+/// aged out, or it was never assigned.
+fn missing(daemon: &Daemon, id: JobId) -> WireError {
+    if daemon.assigned(id) {
+        (
+            "evicted",
+            format!("{id} finished and its results were evicted"),
+        )
+    } else {
+        ("unknown_job", format!("{id} is not known"))
+    }
+}
+
 fn snapshot_value(snap: &JobSnapshot) -> Value {
     Value::obj([
         ("ok", Value::Bool(true)),
@@ -541,6 +551,39 @@ mod tests {
             bad.get("reason").and_then(Value::as_str),
             Some("unknown_job")
         );
+    }
+
+    #[test]
+    fn status_tells_an_evicted_job_from_an_unknown_one() {
+        // A budget below one record: every job is evicted as it seals.
+        let daemon = Daemon::start(DaemonConfig {
+            store_budget_bytes: 1,
+            ..DaemonConfig::default()
+        });
+        let submitted = handle_line(
+            &daemon,
+            r#"{"op":"submit","workload":"disjoint_grid","epochs":1,"nprocs":2,"seed_count":1}"#,
+        );
+        let job = submitted.get("job").and_then(Value::as_u64).unwrap();
+        assert!(daemon.drain(Duration::from_secs(60)).clean);
+        assert_eq!(daemon.stats().store.jobs_evicted, 1);
+        let reason = |line: String| {
+            let reply = handle_line(&daemon, &line);
+            assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+            reply
+                .get("reason")
+                .and_then(Value::as_str)
+                .map(String::from)
+        };
+        for op in ["status", "cancel"] {
+            let evicted = reason(format!(r#"{{"op":"{op}","job":{job}}}"#));
+            assert_eq!(evicted.as_deref(), Some("evicted"), "{op} of {job}");
+            let never = reason(format!(r#"{{"op":"{op}","job":{}}}"#, job + 1));
+            assert_eq!(never.as_deref(), Some("unknown_job"), "{op} of {}", job + 1);
+        }
+        // In process, both are simply unknown.
+        assert!(daemon.status(JobId(job)).is_none());
+        assert!(daemon.status(JobId(job + 1)).is_none());
     }
 
     #[test]

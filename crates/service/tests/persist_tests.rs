@@ -14,8 +14,9 @@ use std::time::{Duration, Instant};
 use cvm_net::wire::{encode_frame, Wire};
 use cvm_service::persist::JOURNAL_FILE;
 use cvm_service::{
-    CrashMode, CrashPoint, CrashSpec, Daemon, DaemonConfig, FsyncPolicy, JobId, JobPhase, JobSpec,
-    JournalRecord, OutcomeImage, Persist, PersistConfig, ShadowState, Workload,
+    CrashMode, CrashPoint, CrashSpec, Daemon, DaemonConfig, FsyncPolicy, JobId, JobPhase,
+    JobSnapshot, JobSpec, JournalRecord, OutcomeImage, Persist, PersistConfig, ShadowState,
+    Workload,
 };
 use cvm_testkit::{scratch_dir, seed};
 use proptest::prelude::*;
@@ -456,6 +457,55 @@ fn eviction_queue_survives_restart_in_journal_order() {
     assert!(daemon.races(low).is_some(), "sealed second, still retained");
     assert!(daemon.races(newest).is_some());
     assert_eq!(daemon.stats().store.jobs_evicted, 1);
+    drop(daemon);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn reopened_daemon_answers_every_retained_status_as_before() {
+    let dir = scratch_dir("statuses");
+    let seed = seed().max(1);
+    // One worker seals in submission order; the budget keeps the last two
+    // jobs' records but not the racy job's results as well.
+    let cfg = DaemonConfig {
+        workers: 1,
+        store_budget_bytes: 400,
+        persist: PersistConfig::at(&dir),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(cfg.clone());
+    let mut failing = JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, seed, 1);
+    failing.flaky_first = 2;
+    failing.retry_budget = 1;
+    let quiet = JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, seed, 2);
+    let ids: Vec<JobId> = [racy_spec(seed, 2), failing, quiet]
+        .into_iter()
+        .map(|spec| daemon.submit(spec).expect("admitted"))
+        .collect();
+    wait_all_terminal(&daemon, Duration::from_secs(60));
+    let before: Vec<_> = ids.iter().map(|&id| daemon.status(id)).collect();
+    assert!(before[0].is_none(), "the racy job's results were evicted");
+    assert!(before[1..].iter().all(Option::is_some));
+    assert_eq!(before[1].as_ref().unwrap().phase, JobPhase::Failed);
+    let listed = daemon.jobs();
+    assert!(daemon.drain(Duration::from_secs(30)).clean);
+    drop(daemon);
+
+    let daemon = Daemon::start(cfg);
+    let recovered = |snap: Option<JobSnapshot>| {
+        snap.map(|snap| JobSnapshot {
+            recovered: true,
+            ..snap
+        })
+    };
+    for (&id, before) in ids.iter().zip(before) {
+        assert_eq!(daemon.status(id), recovered(before), "{id}");
+    }
+    let relisted: Vec<_> = listed.into_iter().map(|s| recovered(Some(s))).collect();
+    assert_eq!(
+        daemon.jobs().into_iter().map(Some).collect::<Vec<_>>(),
+        relisted
+    );
     drop(daemon);
     std::fs::remove_dir_all(&dir).ok();
 }
