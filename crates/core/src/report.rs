@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use cvm_net::wire::{Reader, Wire, WireError};
+use cvm_net::wire::{fnv1a64, Reader, Wire, WireError};
 use cvm_page::{GAddr, SegmentMap};
 use cvm_vclock::IntervalId;
 
@@ -128,17 +128,6 @@ impl Wire for RaceReport {
     }
 }
 
-/// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms for
-/// the canonical byte strings it is fed here.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Accumulated race reports for a whole execution.
 #[derive(Clone, Debug, Default)]
 pub struct RaceLog {
@@ -229,6 +218,29 @@ mod tests {
             b: IntervalId::new(ProcId(1), 2),
             epoch: 3,
         }
+    }
+
+    /// One report per kind.
+    fn golden_reports() -> Vec<RaceReport> {
+        vec![
+            report(cvm_page::SHARED_BASE + 64, RaceKind::ReadWrite),
+            report(u64::MAX, RaceKind::WriteWrite),
+        ]
+    }
+
+    /// Fingerprints hash these bytes, so they must never move: pinned by
+    /// length and digest, and the first byte for byte.
+    #[test]
+    fn race_report_bytes_are_pinned() {
+        let pins: Vec<(usize, u64)> = golden_reports().iter().map(cvm_net::wire::pin).collect();
+        assert_eq!(
+            pins,
+            [(29, 15475556278136889389), (29, 3261451609562995077),]
+        );
+        let mut bytes = (cvm_page::SHARED_BASE + 64).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 0, 0]);
+        bytes.extend_from_slice(&3u64.to_le_bytes());
+        assert_eq!(golden_reports()[0].to_bytes(), bytes);
     }
 
     #[test]

@@ -354,6 +354,54 @@ pub fn analyze_trace(
 mod tests {
     use super::*;
 
+    /// One event per variant, the computation one with a bitmap whose bit
+    /// count is not a word multiple.
+    fn golden_events() -> Vec<TraceEvent> {
+        let mut odd = PageBitmaps::new(65);
+        odd.read.set(64);
+        odd.write.set(1);
+        vec![
+            TraceEvent::Computation {
+                pages: vec![(PageId(2), PageBitmaps::new(64)), (PageId(5), odd)],
+            },
+            TraceEvent::Release { lock: 9 },
+            TraceEvent::Acquire {
+                lock: 9,
+                from: None,
+            },
+            TraceEvent::Acquire {
+                lock: 9,
+                from: Some((ProcId(1), 4)),
+            },
+            TraceEvent::BarrierArrive { epoch: 3 },
+            TraceEvent::BarrierResume { epoch: u64::MAX },
+        ]
+    }
+
+    /// A trace file is these bytes: pinned by length and digest, and the
+    /// short ones byte for byte.
+    #[test]
+    fn trace_event_bytes_are_pinned() {
+        let pins: Vec<(usize, u64)> = golden_events().iter().map(cvm_net::wire::pin).collect();
+        assert_eq!(
+            pins,
+            [
+                (77, 2397025978102278937),
+                (5, 8661187843024246517),
+                (6, 16850776048536446564),
+                (12, 18217567478268018338),
+                (9, 6517852765706507697),
+                (9, 2296858089540181483),
+            ]
+        );
+        assert_eq!(TraceEvent::Release { lock: 9 }.to_bytes(), [1, 9, 0, 0, 0]);
+        let acquire = TraceEvent::Acquire {
+            lock: 2,
+            from: Some((ProcId(1), 4)),
+        };
+        assert_eq!(acquire.to_bytes(), [2, 2, 0, 0, 0, 1, 1, 0, 4, 0, 0, 0]);
+    }
+
     fn comp(pages: Vec<(u32, &[usize], &[usize])>) -> TraceEvent {
         TraceEvent::Computation {
             pages: pages

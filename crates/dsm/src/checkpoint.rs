@@ -877,13 +877,9 @@ mod tests {
         assert_eq!(img, decoded);
     }
 
-    /// FNV-1a, 64-bit: pins an image's bytes without spelling out its two
-    /// resident pages.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
+    // FNV-1a pins an image's bytes without spelling out its two resident
+    // pages.
+    use cvm_net::wire::fnv1a64 as fnv1a;
 
     #[test]
     fn image_bytes_are_pinned() {

@@ -961,6 +961,203 @@ mod tests {
         });
     }
 
+    /// One fixture per variant, with non-trivial payloads: empty and
+    /// absent fields, several records, bitmaps whose bit count is not a
+    /// word multiple, and extreme ids.
+    fn golden_msgs() -> Vec<Msg> {
+        use cvm_page::{Bitmap, GAddr};
+        use cvm_race::{RaceKind, RaceReport};
+        let iv0 = Arc::new(make_interval(0, 1, vec![1, 0, 0], &[], &[]));
+        let iv1 = Arc::new(make_interval(2, 5, vec![1, 0, 5], &[0, 1, 2, 3], &[9; 40]));
+        let iv2 = Arc::new(make_interval(1, 3, vec![2, 3, 0], &[1, 2], &[7, 8, 9]));
+        let race = |addr, kind, epoch| RaceReport {
+            addr: GAddr(addr),
+            kind,
+            a: iv0.id(),
+            b: iv1.id(),
+            epoch,
+        };
+        let mut odd = PageBitmaps::new(65);
+        odd.read.set(64);
+        odd.write.set(3);
+        vec![
+            Msg::LockReq {
+                lock: 5,
+                requester: ProcId(1),
+                vc: VClock::from(vec![1, 2, 3]),
+            },
+            Msg::LockFwd {
+                lock: u32::MAX,
+                requester: ProcId(2),
+                vc: VClock::from(vec![0, 0, 7]),
+            },
+            Msg::LockGrant {
+                lock: 1,
+                records: vec![],
+                vc: VClock::from(vec![0, 0, 0]),
+                trace_from: None,
+            },
+            Msg::LockGrant {
+                lock: 5,
+                records: vec![Arc::clone(&iv0), Arc::clone(&iv1), Arc::clone(&iv2)],
+                vc: VClock::from(vec![4, 4, 5]),
+                trace_from: Some((ProcId(1), 7)),
+            },
+            Msg::PageReadReq {
+                page: PageId(3),
+                requester: ProcId(1),
+            },
+            Msg::PageReadFwd {
+                page: PageId(0xdead),
+                requester: ProcId(3),
+            },
+            Msg::PageReadReply {
+                page: PageId(3),
+                data: vec![],
+            },
+            Msg::PageOwnReq {
+                page: PageId(0),
+                requester: ProcId(0),
+            },
+            Msg::PageOwnFwd {
+                page: PageId(u32::MAX),
+                requester: ProcId(u16::MAX),
+            },
+            Msg::PageOwnReply {
+                page: PageId(3),
+                data: (0..16).map(|w| w * 0x0101_0101).collect(),
+            },
+            Msg::PageFetchReq {
+                page: PageId(1),
+                requester: ProcId(1),
+                needed: vec![(ProcId(0), 4), (ProcId(2), 1), (ProcId(3), 9)],
+            },
+            Msg::PageFetchReply {
+                page: PageId(1),
+                data: vec![u64::MAX, 0, 1],
+            },
+            Msg::DiffFlush {
+                writer: ProcId(0),
+                interval: 2,
+                diffs: vec![
+                    Diff {
+                        page: PageId(0),
+                        entries: vec![],
+                    },
+                    Diff {
+                        page: PageId(7),
+                        entries: vec![(1, 2), (3, 4), (5, 6)],
+                    },
+                ],
+            },
+            Msg::BarrierArrive {
+                from: ProcId(2),
+                vc: VClock::from(vec![1, 2, 3]),
+                records: vec![Arc::clone(&iv0), Arc::clone(&iv1), Arc::clone(&iv0)],
+            },
+            Msg::BitmapReq {
+                items: vec![(iv0.id(), PageId(1)), (iv1.id(), PageId(9))],
+            },
+            Msg::BitmapReply {
+                items: vec![
+                    (iv0.id(), (PageId(1), PageBitmaps::new(64))),
+                    (iv1.id(), (PageId(2), odd)),
+                    (
+                        iv1.id(),
+                        (
+                            PageId(3),
+                            PageBitmaps {
+                                read: Bitmap::new(1),
+                                write: Bitmap::new(0),
+                            },
+                        ),
+                    ),
+                ],
+            },
+            Msg::BarrierRelease {
+                vc: VClock::from(vec![5, 5, 5]),
+                records: vec![Arc::clone(&iv1)],
+                races: Arc::new(vec![
+                    race(64, RaceKind::WriteWrite, 3),
+                    race(128, RaceKind::ReadWrite, 3),
+                ]),
+                epoch: 3,
+                term: 1,
+            },
+            Msg::Shutdown,
+            Msg::CkptAck {
+                from: ProcId(2),
+                epoch: u64::MAX - 1,
+            },
+            Msg::CkptGo {
+                epoch: 41,
+                races: vec![],
+                term: 0,
+            },
+            Msg::CkptGo {
+                epoch: 42,
+                races: vec![race(8, RaceKind::ReadWrite, 42)],
+                term: 2,
+            },
+            Msg::MasterHandoff {
+                master: ProcId(1),
+                epoch: 7,
+                term: 1,
+            },
+            Msg::MasterHandoffAck {
+                from: ProcId(2),
+                epoch: 7,
+            },
+        ]
+    }
+
+    /// The protocol's bytes are a contract (Table 3 counts them): every
+    /// fixture's encoding, pinned by length and digest, and the short ones
+    /// byte for byte.
+    #[test]
+    fn msg_bytes_are_pinned() {
+        let pins: Vec<(usize, u64)> = golden_msgs().iter().map(cvm_net::wire::pin).collect();
+        assert_eq!(
+            pins,
+            [
+                (23, 5833926974389170672),
+                (23, 6738656908107044078),
+                (26, 3278093000330282085),
+                (162, 18095816913903203099),
+                (7, 6936611516240532512),
+                (7, 2345925068327830023),
+                (9, 7052967425584085443),
+                (7, 17070369920818070769),
+                (7, 5736283523663574856),
+                (137, 3874984961190292740),
+                (29, 2490114548968460386),
+                (33, 7027947388961217030),
+                (63, 13456967334322555401),
+                (133, 12389818110641754725),
+                (25, 322759996394580420),
+                (115, 16417816855765432331),
+                (149, 16835570654968373098),
+                (1, 12638170707881218831),
+                (11, 4692800143363674727),
+                (21, 3246428364549857564),
+                (50, 11576623407778615012),
+                (19, 12899223985760892253),
+                (11, 8850142418622763822),
+            ]
+        );
+        let page = Msg::PageReadReq {
+            page: PageId(3),
+            requester: ProcId(1),
+        };
+        assert_eq!(page.to_bytes(), [3, 3, 0, 0, 0, 1, 0]);
+        let ack = Msg::CkptAck {
+            from: ProcId(2),
+            epoch: 0x0102,
+        };
+        assert_eq!(ack.to_bytes(), [17, 2, 0, 2, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(Msg::Shutdown.to_bytes(), [16]);
+    }
+
     /// The fixed-size fast path and the generic decoder agree on every
     /// eligible variant, and malformed lengths report the same errors.
     #[test]

@@ -1852,6 +1852,65 @@ mod tests {
     use super::*;
     use crate::wire::encode_frame;
 
+    /// A packet with every traffic class counted and a non-empty payload.
+    fn golden_packet() -> Packet {
+        Packet {
+            src: ProcId(1),
+            dst: ProcId(u16::MAX),
+            sent_at: 0x0123_4567_89ab_cdef,
+            breakdown: crate::ByteBreakdown([1, 2, 3, 4, u64::MAX]),
+            payload: vec![0xde, 0xad, 0xbe, 0xef, 0],
+        }
+    }
+
+    /// Each datagram variant, the data one carrying [`golden_packet`].
+    fn golden_dgrams() -> Vec<Dgram> {
+        vec![
+            Dgram::Data {
+                flow_src: ProcId(3),
+                seq: 42,
+                packet: golden_packet(),
+            },
+            Dgram::Ack {
+                flow_dst: ProcId(1),
+                upto: 7,
+            },
+            Dgram::Nak {
+                flow_dst: ProcId(2),
+                upto: u64::MAX,
+            },
+        ]
+    }
+
+    /// The datagram and packet bytes are the simulated wire's format:
+    /// pinned by length and digest, and the short ones byte for byte.
+    #[test]
+    fn dgram_and_packet_bytes_are_pinned() {
+        assert_eq!(
+            crate::wire::pin(&golden_packet()),
+            (61, 2254236067475764967)
+        );
+        let pins: Vec<(usize, u64)> = golden_dgrams().iter().map(crate::wire::pin).collect();
+        assert_eq!(
+            pins,
+            [
+                (72, 10120790757104519482),
+                (11, 6017150828101570162),
+                (11, 6332123778027112375),
+            ]
+        );
+        let ack = Dgram::Ack {
+            flow_dst: ProcId(1),
+            upto: 7,
+        };
+        assert_eq!(ack.to_bytes(), [1, 1, 0, 7, 0, 0, 0, 0, 0, 0, 0]);
+        let nak = Dgram::Nak {
+            flow_dst: ProcId(0x0201),
+            upto: 0x03,
+        };
+        assert_eq!(nak.to_bytes(), [2, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
     /// Node 0's engine of a two-node fabric, driven by hand (no thread),
     /// and node 1's inbox, where node 0's frames land.
     fn engine_for_node0(plan: &FaultPlan) -> (ReliabilityEngine, LinkRx<EngineIn>) {

@@ -393,6 +393,22 @@ impl Wire for String {
     }
 }
 
+/// FNV-1a, 64-bit: tiny and stable across platforms.  It keys race
+/// fingerprints and pins encodings in golden tests; it authenticates
+/// nothing.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(length, FNV-1a digest)` of `value`'s encoding: what a golden test
+/// pins, so that any change to a type's bytes fails it.
+pub fn pin<T: Wire>(value: &T) -> (usize, u64) {
+    let bytes = value.to_bytes();
+    (bytes.len(), fnv1a64(&bytes))
+}
+
 /// Magic constant opening every wire frame ("CVMF" in ASCII).
 pub const FRAME_MAGIC: u32 = 0x464D_5643;
 

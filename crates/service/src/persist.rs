@@ -1341,6 +1341,116 @@ mod tests {
         }
     }
 
+    /// A spec with every optional field set and no field at its default.
+    fn golden_spec() -> JobSpec {
+        let mut s = JobSpec::new(
+            Workload::SleepyGrid {
+                epochs: 3,
+                dwell_ms: 25,
+            },
+            4,
+            0x1_0000_0001,
+            5,
+        );
+        s.protocol = Protocol::MultiWriter;
+        s.pipelined = true;
+        s.recovery = RecoveryPolicy::Recover { max_attempts: 6 };
+        s.fault = FaultSpec {
+            drop_rate: 0.125,
+            corrupt_rate: 0.0625,
+            kill: Some(KillSpec {
+                node: 2,
+                at_event: 900,
+            }),
+            partition: Some(PartitionSpec {
+                node: 3,
+                at_datagram: 50,
+                heal_at: Some(75),
+            }),
+        };
+        s.run_deadline = Duration::from_millis(1500);
+        s.retry_budget = 7;
+        s.flaky_first = 1;
+        s.stage_panic_epoch = Some(2);
+        s
+    }
+
+    /// Each outcome variant.
+    fn golden_outcomes() -> Vec<OutcomeImage> {
+        vec![
+            done_image(),
+            OutcomeImage::Failed {
+                error: "boom".into(),
+                transient: true,
+                retries: 2,
+            },
+            OutcomeImage::Cancelled,
+        ]
+    }
+
+    /// Each record variant, the submission carrying [`golden_spec`].
+    fn golden_records() -> Vec<JournalRecord> {
+        vec![
+            JournalRecord::Submitted {
+                job: JobId(3),
+                spec: golden_spec(),
+            },
+            JournalRecord::SeedDone {
+                job: JobId(3),
+                seed: 8,
+                outcome: done_image(),
+            },
+            JournalRecord::Sealed { job: JobId(3) },
+            JournalRecord::Cancelled { job: JobId(4) },
+            JournalRecord::Evicted {
+                job: JobId(u64::MAX),
+            },
+        ]
+    }
+
+    /// Journals and snapshots written by any earlier build must open: the
+    /// record, outcome, spec and snapshot bytes, pinned by length and
+    /// digest, and the short ones byte for byte.
+    #[test]
+    fn journal_and_snapshot_bytes_are_pinned() {
+        use cvm_net::wire::pin;
+        let records: Vec<(usize, u64)> = golden_records().iter().map(pin).collect();
+        assert_eq!(
+            records,
+            [
+                (125, 3799140913919603425),
+                (129, 9356519949602901420),
+                (9, 3158136037452374022),
+                (9, 17679429800544454742),
+                (9, 2296858089540181483),
+            ]
+        );
+        let outcomes: Vec<(usize, u64)> = golden_outcomes().iter().map(pin).collect();
+        assert_eq!(
+            outcomes,
+            [
+                (112, 8039691774779175158),
+                (14, 6685186268396885820),
+                (1, 12638155314718423877),
+            ]
+        );
+        assert_eq!(pin(&golden_spec()), (116, 8301870472961369176));
+        assert_eq!(
+            JournalRecord::Sealed { job: JobId(0x0102) }.to_bytes(),
+            [2, 2, 1, 0, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(OutcomeImage::Cancelled.to_bytes(), [2]);
+
+        // A small shadow: three jobs sealed, the middle one evicted.
+        let mut records: Vec<_> = (1..=3).flat_map(job_records).collect();
+        records.push(JournalRecord::Evicted { job: JobId(2) });
+        let snapshot = encode_snapshot(&shadow_of(&records));
+        assert_eq!(
+            (snapshot.len(), cvm_net::wire::fnv1a64(&snapshot)),
+            (876, 8775425330665880616)
+        );
+    }
+
     #[test]
     fn records_roundtrip_through_wire() {
         let records = [
