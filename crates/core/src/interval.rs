@@ -1,6 +1,5 @@
 //! Interval records: the unit of consistency information in LRC.
 
-use cvm_net::wire::{Reader, Wire, WireError};
 use cvm_page::PageId;
 use cvm_vclock::{IntervalId, IntervalStamp, ProcId, VClock};
 
@@ -93,26 +92,7 @@ impl Interval {
     }
 }
 
-impl Wire for Interval {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.stamp.encode(buf);
-        self.write_notices.encode(buf);
-        self.read_notices.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let stamp = IntervalStamp::decode(r)?;
-        let write_notices = Vec::<PageId>::decode(r)?;
-        let read_notices = Vec::<PageId>::decode(r)?;
-        Ok(Interval {
-            stamp,
-            write_notices,
-            read_notices,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        self.stamp.wire_size() + 4 + self.write_notices.len() as u64 * 4 + self.read_notice_bytes()
-    }
-}
+cvm_net::wire! { struct Interval { stamp, write_notices, read_notices } }
 
 /// Convenience constructor used pervasively in tests: builds an interval
 /// from raw parts.
@@ -135,6 +115,7 @@ pub fn make_interval(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cvm_net::wire::Wire;
 
     #[test]
     fn notices_are_sorted_and_deduped() {

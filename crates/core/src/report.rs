@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use cvm_net::wire::{fnv1a64, Reader, Wire, WireError};
+use cvm_net::wire::{fnv1a64, Wire};
 use cvm_page::{GAddr, SegmentMap};
 use cvm_vclock::IntervalId;
 
@@ -84,49 +84,8 @@ impl fmt::Display for RaceReport {
     }
 }
 
-impl Wire for RaceKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            RaceKind::ReadWrite => 0,
-            RaceKind::WriteWrite => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(RaceKind::ReadWrite),
-            1 => Ok(RaceKind::WriteWrite),
-            tag => Err(WireError::BadTag {
-                what: "RaceKind",
-                tag,
-            }),
-        }
-    }
-    fn wire_size(&self) -> u64 {
-        1
-    }
-}
-
-impl Wire for RaceReport {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.addr.0.encode(buf);
-        self.kind.encode(buf);
-        self.a.encode(buf);
-        self.b.encode(buf);
-        self.epoch.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(RaceReport {
-            addr: GAddr(u64::decode(r)?),
-            kind: RaceKind::decode(r)?,
-            a: IntervalId::decode(r)?,
-            b: IntervalId::decode(r)?,
-            epoch: u64::decode(r)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        8 + 1 + 6 + 6 + 8
-    }
-}
+cvm_net::wire! { enum RaceKind { ReadWrite = 0, WriteWrite = 1 } }
+cvm_net::wire! { struct RaceReport { addr, kind, a, b, epoch } }
 
 /// Accumulated race reports for a whole execution.
 #[derive(Clone, Debug, Default)]
@@ -241,6 +200,13 @@ mod tests {
         bytes.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 0, 0]);
         bytes.extend_from_slice(&3u64.to_le_bytes());
         assert_eq!(golden_reports()[0].to_bytes(), bytes);
+    }
+
+    #[test]
+    fn golden_reports_keep_the_wire_laws() {
+        golden_reports()
+            .iter()
+            .for_each(cvm_net::wire::assert_wire_laws);
     }
 
     #[test]

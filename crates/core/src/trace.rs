@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 
-use cvm_net::wire::{Reader, Wire, WireError};
+use cvm_net::wire::Wire;
 use cvm_page::{Geometry, PageBitmaps, PageId};
 use cvm_vclock::{IntervalId, ProcId, VClock};
 
@@ -79,58 +79,13 @@ impl TraceEvent {
     }
 }
 
-impl Wire for TraceEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TraceEvent::Computation { pages } => {
-                buf.push(0);
-                pages.encode(buf);
-            }
-            TraceEvent::Release { lock } => {
-                buf.push(1);
-                lock.encode(buf);
-            }
-            TraceEvent::Acquire { lock, from } => {
-                buf.push(2);
-                lock.encode(buf);
-                from.encode(buf);
-            }
-            TraceEvent::BarrierArrive { epoch } => {
-                buf.push(3);
-                epoch.encode(buf);
-            }
-            TraceEvent::BarrierResume { epoch } => {
-                buf.push(4);
-                epoch.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => TraceEvent::Computation {
-                pages: Vec::<(PageId, PageBitmaps)>::decode(r)?,
-            },
-            1 => TraceEvent::Release {
-                lock: u32::decode(r)?,
-            },
-            2 => TraceEvent::Acquire {
-                lock: u32::decode(r)?,
-                from: Option::<(ProcId, u32)>::decode(r)?,
-            },
-            3 => TraceEvent::BarrierArrive {
-                epoch: u64::decode(r)?,
-            },
-            4 => TraceEvent::BarrierResume {
-                epoch: u64::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "TraceEvent",
-                    tag,
-                })
-            }
-        })
+cvm_net::wire! {
+    enum TraceEvent {
+        Computation { pages } = 0,
+        Release { lock } = 1,
+        Acquire { lock, from } = 2,
+        BarrierArrive { epoch } = 3,
+        BarrierResume { epoch } = 4,
     }
 }
 
@@ -400,6 +355,13 @@ mod tests {
             from: Some((ProcId(1), 4)),
         };
         assert_eq!(acquire.to_bytes(), [2, 2, 0, 0, 0, 1, 1, 0, 4, 0, 0, 0]);
+    }
+
+    #[test]
+    fn golden_events_keep_the_wire_laws() {
+        golden_events()
+            .iter()
+            .for_each(cvm_net::wire::assert_wire_laws);
     }
 
     fn comp(pages: Vec<(u32, &[usize], &[usize])>) -> TraceEvent {

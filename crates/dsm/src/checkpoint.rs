@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cvm_instrument::AnalysisRuntime;
-use cvm_net::wire::{Reader, Wire, WireError};
+use cvm_net::wire::{Wire, WireError};
 use cvm_page::{Frame, PageBitmaps, PageId, Protection};
 use cvm_race::trace::TraceEvent;
 use cvm_race::{BitmapStore, DetectorStats, Interval, RaceLog, RaceReport};
@@ -127,80 +127,20 @@ fn prot_from_u8(v: u8) -> Result<Protection, WireError> {
     }
 }
 
-impl Wire for NodeImage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.proc.encode(out);
-        self.epoch.encode(out);
-        self.clock_now.encode(out);
-        self.clock_cats.encode(out);
-        self.frames.encode(out);
-        self.vc.encode(out);
-        self.cur_index.encode(out);
-        self.cur_stamp_vc.encode(out);
-        self.cur_dirty.encode(out);
-        self.cur_read.encode(out);
-        self.cur_bitmaps.encode(out);
-        self.log.encode(out);
-        self.unsent_own.encode(out);
-        self.bitmap_store.encode(out);
-        self.analysis.encode(out);
-        self.home_owner.encode(out);
-        self.mw_applied.encode(out);
-        self.mw_seen.encode(out);
-        self.locks.encode(out);
-        self.lock_mgr.encode(out);
-        self.races.encode(out);
-        self.det_stats.encode(out);
-        self.sched_rec.encode(out);
-        self.replay_pos.encode(out);
-        self.stats.encode(out);
-        self.watch_hits.encode(out);
-        self.trace.encode(out);
-        self.trace_last_release.encode(out);
-        self.master.encode(out);
-        self.seat_term.encode(out);
+cvm_net::wire! {
+    struct NodeImage {
+        proc, epoch, clock_now, clock_cats, frames, vc, cur_index, cur_stamp_vc,
+        cur_dirty, cur_read, cur_bitmaps, log, unsent_own, bitmap_store, analysis,
+        home_owner, mw_applied, mw_seen, locks, lock_mgr, races, det_stats, sched_rec,
+        replay_pos, stats, watch_hits, trace, trace_last_release, master, seat_term,
     }
-
-    fn decode(r: &mut Reader) -> Result<Self, WireError> {
-        let img = NodeImage {
-            proc: Wire::decode(r)?,
-            epoch: Wire::decode(r)?,
-            clock_now: Wire::decode(r)?,
-            clock_cats: Wire::decode(r)?,
-            frames: Wire::decode(r)?,
-            vc: Wire::decode(r)?,
-            cur_index: Wire::decode(r)?,
-            cur_stamp_vc: Wire::decode(r)?,
-            cur_dirty: Wire::decode(r)?,
-            cur_read: Wire::decode(r)?,
-            cur_bitmaps: Wire::decode(r)?,
-            log: Wire::decode(r)?,
-            unsent_own: Wire::decode(r)?,
-            bitmap_store: Wire::decode(r)?,
-            analysis: Wire::decode(r)?,
-            home_owner: Wire::decode(r)?,
-            mw_applied: Wire::decode(r)?,
-            mw_seen: Wire::decode(r)?,
-            locks: Wire::decode(r)?,
-            lock_mgr: Wire::decode(r)?,
-            races: Wire::decode(r)?,
-            det_stats: Wire::decode(r)?,
-            sched_rec: Wire::decode(r)?,
-            replay_pos: Wire::decode(r)?,
-            stats: Wire::decode(r)?,
-            watch_hits: Wire::decode(r)?,
-            trace: Wire::decode(r)?,
-            trace_last_release: Wire::decode(r)?,
-            master: Wire::decode(r)?,
-            seat_term: Wire::decode(r)?,
-        };
+    check(img) {
         if img.clock_cats.len() != NCATS {
             return Err(WireError::BadLength(img.clock_cats.len() as u64));
         }
         for (_, (prot, _)) in &img.frames {
             prot_from_u8(*prot)?;
         }
-        Ok(img)
     }
 }
 

@@ -9,7 +9,6 @@ use cvm_vclock::ProcId;
 use crate::link::{metered_link, LinkRx, LinkTx};
 use crate::reliable::Outbound;
 use crate::stats::{ByteBreakdown, NetStats, TrafficClass};
-use crate::wire::Wire;
 
 /// Fixed per-message header overhead, modelling the UDP/IP encapsulation of
 /// CVM's end-to-end protocol (8-byte UDP + 20-byte IP header).
@@ -77,7 +76,7 @@ impl fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// One delivered message.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Packet {
     /// Sending process.
     pub src: ProcId,
@@ -96,30 +95,7 @@ pub struct Packet {
 // On the reliable transport a packet crosses the simulated wire as bytes
 // inside a checksummed frame (see [`crate::wire::encode_frame`]), so it
 // needs an explicit wire form like any protocol structure.
-impl Wire for Packet {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.src.encode(buf);
-        self.dst.encode(buf);
-        self.sent_at.encode(buf);
-        self.breakdown.encode(buf);
-        self.payload.encode(buf);
-    }
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::WireError> {
-        Ok(Packet {
-            src: Wire::decode(r)?,
-            dst: Wire::decode(r)?,
-            sent_at: Wire::decode(r)?,
-            breakdown: Wire::decode(r)?,
-            payload: Wire::decode(r)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        2 + 2 + 8 + self.breakdown.wire_size() + 4 + self.payload.len() as u64
-    }
-    fn min_wire_size() -> u64 {
-        2 + 2 + 8 + 40 + 4
-    }
-}
+crate::wire! { struct Packet { src, dst, sent_at, breakdown, payload } }
 
 /// What an endpoint's receive channel carries: ordinary packets, plus
 /// failure notifications from the reliability layer.

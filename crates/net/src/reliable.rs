@@ -577,7 +577,7 @@ impl ReliabilityStats {
 }
 
 /// One datagram on the simulated wire.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum Dgram {
     Data {
         flow_src: ProcId,
@@ -591,65 +591,14 @@ enum Dgram {
     Nak { flow_dst: ProcId, upto: u64 },
 }
 
-const DGRAM_TAG_DATA: u8 = 0;
-const DGRAM_TAG_ACK: u8 = 1;
-const DGRAM_TAG_NAK: u8 = 2;
-
 // Datagrams cross the simulated wire as bytes inside a checksummed frame
 // (so the fault plan can corrupt them like a real physical layer); this is
 // their body encoding.
-impl Wire for Dgram {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Dgram::Data {
-                flow_src,
-                seq,
-                packet,
-            } => {
-                buf.push(DGRAM_TAG_DATA);
-                flow_src.encode(buf);
-                seq.encode(buf);
-                packet.encode(buf);
-            }
-            Dgram::Ack { flow_dst, upto } => {
-                buf.push(DGRAM_TAG_ACK);
-                flow_dst.encode(buf);
-                upto.encode(buf);
-            }
-            Dgram::Nak { flow_dst, upto } => {
-                buf.push(DGRAM_TAG_NAK);
-                flow_dst.encode(buf);
-                upto.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::WireError> {
-        Ok(match u8::decode(r)? {
-            DGRAM_TAG_DATA => Dgram::Data {
-                flow_src: Wire::decode(r)?,
-                seq: Wire::decode(r)?,
-                packet: Wire::decode(r)?,
-            },
-            DGRAM_TAG_ACK => Dgram::Ack {
-                flow_dst: Wire::decode(r)?,
-                upto: Wire::decode(r)?,
-            },
-            DGRAM_TAG_NAK => Dgram::Nak {
-                flow_dst: Wire::decode(r)?,
-                upto: Wire::decode(r)?,
-            },
-            tag => return Err(crate::wire::WireError::BadTag { what: "Dgram", tag }),
-        })
-    }
-
-    // Exact and allocation-free: `encode_framed` sizes every wire frame
-    // with it.
-    fn wire_size(&self) -> u64 {
-        match self {
-            Dgram::Data { packet, .. } => 1 + 2 + 8 + packet.wire_size(),
-            Dgram::Ack { .. } | Dgram::Nak { .. } => 1 + 2 + 8,
-        }
+crate::wire! {
+    enum Dgram {
+        Data { flow_src, seq, packet } = 0,
+        Ack { flow_dst, upto } = 1,
+        Nak { flow_dst, upto } = 2,
     }
 }
 
@@ -1909,6 +1858,14 @@ mod tests {
             upto: 0x03,
         };
         assert_eq!(nak.to_bytes(), [2, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn golden_dgrams_keep_the_wire_laws() {
+        crate::wire::assert_wire_laws(&golden_packet());
+        golden_dgrams()
+            .iter()
+            .for_each(crate::wire::assert_wire_laws);
     }
 
     /// Node 0's engine of a two-node fabric, driven by hand (no thread),

@@ -72,31 +72,10 @@ impl ByteBreakdown {
     }
 }
 
-use crate::wire::Wire;
-
 // A breakdown rides inside every reliable-transport datagram (the frame
 // carries the packet's accounting to the receiver), so it needs a wire
 // form: the five class counters in discriminant order.
-impl Wire for ByteBreakdown {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        for b in &self.0 {
-            b.encode(buf);
-        }
-    }
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::WireError> {
-        let mut b = [0u64; NCLASSES];
-        for slot in &mut b {
-            *slot = u64::decode(r)?;
-        }
-        Ok(ByteBreakdown(b))
-    }
-    fn wire_size(&self) -> u64 {
-        8 * NCLASSES as u64
-    }
-    fn min_wire_size() -> u64 {
-        8 * NCLASSES as u64
-    }
-}
+crate::wire! { struct ByteBreakdown(0) }
 
 /// Shared, thread-safe network statistics.
 #[derive(Debug, Default)]

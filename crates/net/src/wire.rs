@@ -393,6 +393,25 @@ impl Wire for String {
     }
 }
 
+// A fixed-length array carries no count: its length is its type's.
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        T::encode_slice(self, buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let items = T::decode_vec(r, N)?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("decode_vec yields N items")))
+    }
+    fn wire_size(&self) -> u64 {
+        self.iter().map(Wire::wire_size).sum()
+    }
+    fn min_wire_size() -> u64 {
+        N as u64 * T::min_wire_size()
+    }
+}
+
 /// FNV-1a, 64-bit: tiny and stable across platforms.  It keys race
 /// fingerprints and pins encodings in golden tests; it authenticates
 /// nothing.
@@ -407,6 +426,38 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub fn pin<T: Wire>(value: &T) -> (usize, u64) {
     let bytes = value.to_bytes();
     (bytes.len(), fnv1a64(&bytes))
+}
+
+/// Asserts the laws every wire type keeps on `value`: `wire_size` is the
+/// encoded length and `min_wire_size` at most it, the bytes decode back to
+/// `value`, every strict prefix of them is an error, and one trailing byte
+/// is [`WireError::Trailing`]`(1)`.  Tests run it over golden fixtures.
+///
+/// # Panics
+///
+/// When a law fails, naming it and the value.
+pub fn assert_wire_laws<T: Wire + PartialEq + fmt::Debug>(value: &T) {
+    let bytes = value.to_bytes();
+    let len = bytes.len() as u64;
+    assert_eq!(value.wire_size(), len, "wire_size of {value:?}");
+    assert!(
+        T::min_wire_size() <= len,
+        "min_wire_size over {len} bytes of {value:?}"
+    );
+    assert_eq!(T::from_bytes(&bytes).as_ref(), Ok(value), "round trip");
+    for cut in 0..bytes.len() {
+        assert!(
+            T::from_bytes(&bytes[..cut]).is_err(),
+            "{cut}-byte prefix of {value:?} decoded"
+        );
+    }
+    let mut long = bytes;
+    long.push(0);
+    assert_eq!(
+        T::from_bytes(&long).err(),
+        Some(WireError::Trailing(1)),
+        "{value:?} + 1 byte"
+    );
 }
 
 /// Magic constant opening every wire frame ("CVMF" in ASCII).
@@ -541,40 +592,128 @@ pub fn decode_frame(frame: &[u8]) -> Result<&[u8], WireError> {
     Ok(body)
 }
 
-// Wire implementations for the page-substrate vocabulary, kept here so the
-// page crate stays free of serialization concerns.
+/// Declares a type's wire form once: its fields in wire order, and for an
+/// enum an explicit tag byte per variant.  Fields are named, never typed;
+/// each encodes through its own [`Wire`] impl.
+///
+/// ```text
+/// wire! { struct Name(0) }                       // a one-field tuple struct
+/// wire! { struct Name { a, b } [check(v) { .. }] }
+/// wire! { enum Name { Unit = 0, Variant { a, b } = 1 } }
+/// ```
+///
+/// It generates `encode` and `decode` in that order, `wire_size` (the tag
+/// byte, plus the fields' own `wire_size`s), `min_wire_size` (the sum of
+/// the fields' minimums for a struct, the tag byte for an enum), and
+/// [`WireError::BadTag`] naming the type for an unknown tag.  The optional
+/// `check` block runs on the decoded value, bound to `v`, and may `return`
+/// an error: input validation that the fields' own decoders cannot see.
+#[macro_export]
+macro_rules! wire {
+    (struct $name:ident(0)) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $crate::wire::Wire::encode(&self.0, buf);
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok($name($crate::wire::Wire::decode(r)?))
+            }
+            fn wire_size(&self) -> u64 {
+                $crate::wire::Wire::wire_size(&self.0)
+            }
+            fn min_wire_size() -> u64 {
+                $crate::wire::min_wire_size_of(|v: &Self| &v.0)
+            }
+        }
+    };
+    (struct $name:ident { $($field:ident),* $(,)? } $(check($v:ident) $check:block)?) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $( $crate::wire::Wire::encode(&self.$field, buf); )*
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                let value = $name { $( $field: $crate::wire::Wire::decode(r)?, )* };
+                $( let $v = &value; $check )?
+                Ok(value)
+            }
+            fn wire_size(&self) -> u64 {
+                0 $( + $crate::wire::Wire::wire_size(&self.$field) )*
+            }
+            fn min_wire_size() -> u64 {
+                0 $( + $crate::wire::min_wire_size_of(|v: &Self| &v.$field) )*
+            }
+        }
+    };
+    (enum $name:ident {
+        $( $variant:ident $({ $($field:ident),* $(,)? })? = $tag:literal ),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $( $name::$variant $({ $($field),* })? => {
+                        buf.push($tag);
+                        $($( $crate::wire::Wire::encode($field, buf); )*)?
+                    } )*
+                }
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match <u8 as $crate::wire::Wire>::decode(r)? {
+                    $( $tag => $name::$variant $({
+                        $( $field: $crate::wire::Wire::decode(r)?, )*
+                    })?, )*
+                    tag => {
+                        return Err($crate::wire::WireError::BadTag {
+                            what: stringify!($name),
+                            tag,
+                        })
+                    }
+                })
+            }
+            fn wire_size(&self) -> u64 {
+                match self {
+                    $( $name::$variant $({ $($field),* })? => {
+                        1 $($( + $crate::wire::Wire::wire_size($field) )*)?
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+/// The `min_wire_size` of the field `field` projects to: how [`wire!`]
+/// sums a struct's minimum without naming its fields' types.
+#[doc(hidden)]
+pub fn min_wire_size_of<S, T: Wire>(_field: impl Fn(&S) -> &T) -> u64 {
+    T::min_wire_size()
+}
+
+// The page-substrate and vclock vocabulary, declared here so those crates
+// stay free of serialization concerns.
 use cvm_page::{Bitmap, Diff, GAddr, PageBitmaps, PageId};
+use cvm_vclock::{IntervalId, IntervalStamp, ProcId, VClock};
 
-impl Wire for PageId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PageId(u32::decode(r)?))
-    }
-    fn wire_size(&self) -> u64 {
-        4
-    }
-    fn min_wire_size() -> u64 {
-        4
+wire! { struct PageId(0) }
+wire! { struct GAddr(0) }
+wire! { struct ProcId(0) }
+wire! { struct IntervalId { proc, index } }
+wire! { struct PageBitmaps { read, write } }
+wire! { struct Diff { page, entries } }
+
+wire! {
+    struct IntervalStamp { id, vc }
+    // `IntervalStamp::new` asserts the stamp's own-entry invariant; on
+    // wire input that must be a structured error, not a panic.
+    check(v) {
+        if v.id.proc.index() >= v.vc.len() || v.vc.get(v.id.proc) != v.id.index {
+            return Err(WireError::BadTag {
+                what: "IntervalStamp(own entry)",
+                tag: 0,
+            });
+        }
     }
 }
 
-impl Wire for GAddr {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(GAddr(u64::decode(r)?))
-    }
-    fn wire_size(&self) -> u64 {
-        8
-    }
-    fn min_wire_size() -> u64 {
-        8
-    }
-}
-
+// wire: hand-written — a bit-length prefix, then the words it implies.
 impl Wire for Bitmap {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
@@ -598,66 +737,11 @@ impl Wire for Bitmap {
     }
 }
 
-impl Wire for PageBitmaps {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.read.encode(buf);
-        self.write.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PageBitmaps {
-            read: Bitmap::decode(r)?,
-            write: Bitmap::decode(r)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        self.read.wire_size() + self.write.wire_size()
-    }
-    fn min_wire_size() -> u64 {
-        8
-    }
-}
-
-impl Wire for Diff {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.page.encode(buf);
-        self.entries.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Diff {
-            page: PageId::decode(r)?,
-            entries: Vec::<(u32, u64)>::decode(r)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        self.page.wire_size() + 4 + self.entries.len() as u64 * 12
-    }
-    fn min_wire_size() -> u64 {
-        8
-    }
-}
-
-// Wire implementations for the vclock vocabulary types, kept here so the
-// vclock crate stays dependency-free.
-use cvm_vclock::{IntervalId, IntervalStamp, ProcId, VClock};
-
-impl Wire for ProcId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ProcId(u16::decode(r)?))
-    }
-    fn wire_size(&self) -> u64 {
-        2
-    }
-    fn min_wire_size() -> u64 {
-        2
-    }
-}
-
+// wire: hand-written — a private representation, encoded as its entries' `Vec<u32>`.
 impl Wire for VClock {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.entries().to_vec().encode(buf);
+        (self.len() as u32).encode(buf);
+        u32::encode_slice(self.entries(), buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(VClock::from(Vec::<u32>::decode(r)?))
@@ -670,60 +754,12 @@ impl Wire for VClock {
     }
 }
 
-impl Wire for IntervalId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.proc.encode(buf);
-        self.index.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(IntervalId {
-            proc: ProcId::decode(r)?,
-            index: u32::decode(r)?,
-        })
-    }
-    fn wire_size(&self) -> u64 {
-        6
-    }
-    fn min_wire_size() -> u64 {
-        6
-    }
-}
-
-impl Wire for IntervalStamp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.vc.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = IntervalId::decode(r)?;
-        let vc = VClock::decode(r)?;
-        // `IntervalStamp::new` asserts the stamp's own-entry invariant;
-        // on wire input that must be a structured error, not a panic.
-        if id.proc.index() >= vc.len() || vc.get(id.proc) != id.index {
-            return Err(WireError::BadTag {
-                what: "IntervalStamp(own entry)",
-                tag: 0,
-            });
-        }
-        Ok(IntervalStamp::new(id, vc))
-    }
-    fn wire_size(&self) -> u64 {
-        self.id.wire_size() + self.vc.wire_size()
-    }
-    fn min_wire_size() -> u64 {
-        10
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = v.to_bytes();
-        assert_eq!(bytes.len() as u64, v.wire_size(), "wire_size mismatch");
-        let back = T::from_bytes(&bytes).expect("decode");
-        assert_eq!(back, v);
+        assert_wire_laws(&v);
     }
 
     #[test]
@@ -750,6 +786,11 @@ mod tests {
         roundtrip((5u8, vec![1u16, 2]));
         roundtrip("hello".to_string());
         roundtrip(String::new());
+        roundtrip([1u64, 2, 3]);
+        roundtrip([Some(1u8), None]);
+        roundtrip([0u32; 0]);
+        // An array is its items back to back, with no count.
+        assert_eq!([7u16, 8].to_bytes(), [7, 0, 8, 0]);
     }
 
     #[test]
@@ -761,6 +802,21 @@ mod tests {
         let v = vec![5u32, 6];
         assert_eq!(Arc::new(v.clone()).to_bytes(), v.to_bytes());
         assert_eq!(Arc::new(v.clone()).wire_size(), v.wire_size());
+    }
+
+    #[test]
+    fn page_vocabulary_roundtrips() {
+        let mut bitmaps = PageBitmaps::new(65);
+        bitmaps.read.set(64);
+        bitmaps.write.set(0);
+        roundtrip(PageId(3));
+        roundtrip(GAddr(u64::MAX));
+        roundtrip(Bitmap::new(0));
+        roundtrip(bitmaps);
+        roundtrip(Diff {
+            page: PageId(7),
+            entries: vec![(1, 2), (3, 4)],
+        });
     }
 
     #[test]

@@ -392,15 +392,9 @@ pub enum JournalRecord {
 // is allocated, so a corrupt length can cost at most the frame it rode
 // in on.
 
-impl Wire for JobId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(JobId(u64::decode(r)?))
-    }
-}
+cvm_net::wire! { struct JobId(0) }
 
+// wire: hand-written — a flat tag, epochs and dwell for every variant, not a tagged enum.
 impl Wire for Workload {
     fn encode(&self, buf: &mut Vec<u8>) {
         let (tag, epochs, dwell): (u8, u64, u64) = match *self {
@@ -436,51 +430,11 @@ impl Wire for Workload {
     }
 }
 
-impl Wire for KillSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.node.encode(buf);
-        self.at_event.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(KillSpec {
-            node: u16::decode(r)?,
-            at_event: u64::decode(r)?,
-        })
-    }
-}
+cvm_net::wire! { struct KillSpec { node, at_event } }
+cvm_net::wire! { struct PartitionSpec { node, at_datagram, heal_at } }
+cvm_net::wire! { struct FaultSpec { drop_rate, corrupt_rate, kill, partition } }
 
-impl Wire for PartitionSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.node.encode(buf);
-        self.at_datagram.encode(buf);
-        self.heal_at.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PartitionSpec {
-            node: u16::decode(r)?,
-            at_datagram: u64::decode(r)?,
-            heal_at: Option::<u64>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for FaultSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.drop_rate.encode(buf);
-        self.corrupt_rate.encode(buf);
-        self.kill.encode(buf);
-        self.partition.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(FaultSpec {
-            drop_rate: f64::decode(r)?,
-            corrupt_rate: f64::decode(r)?,
-            kill: Option::<KillSpec>::decode(r)?,
-            partition: Option::<PartitionSpec>::decode(r)?,
-        })
-    }
-}
-
+// wire: hand-written — `usize`, `Duration` and policy fields convert on the way.
 impl Wire for JobSpec {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.workload.encode(buf);
@@ -553,124 +507,21 @@ impl Wire for JobSpec {
     }
 }
 
-impl Wire for OutcomeImage {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OutcomeImage::Done {
-                retries,
-                occurrences,
-                rendered,
-                recovery,
-            } => {
-                0u8.encode(buf);
-                retries.encode(buf);
-                occurrences.encode(buf);
-                rendered.encode(buf);
-                for v in recovery {
-                    v.encode(buf);
-                }
-            }
-            OutcomeImage::Failed {
-                error,
-                transient,
-                retries,
-            } => {
-                1u8.encode(buf);
-                error.encode(buf);
-                transient.encode(buf);
-                retries.encode(buf);
-            }
-            OutcomeImage::Cancelled => 2u8.encode(buf),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => {
-                let retries = u32::decode(r)?;
-                let occurrences = Vec::<u64>::decode(r)?;
-                let rendered = Vec::<(u64, String)>::decode(r)?;
-                let mut recovery = [0u64; 4];
-                for v in &mut recovery {
-                    *v = u64::decode(r)?;
-                }
-                OutcomeImage::Done {
-                    retries,
-                    occurrences,
-                    rendered,
-                    recovery,
-                }
-            }
-            1 => OutcomeImage::Failed {
-                error: String::decode(r)?,
-                transient: bool::decode(r)?,
-                retries: u32::decode(r)?,
-            },
-            2 => OutcomeImage::Cancelled,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "OutcomeImage",
-                    tag,
-                })
-            }
-        })
+cvm_net::wire! {
+    enum OutcomeImage {
+        Done { retries, occurrences, rendered, recovery } = 0,
+        Failed { error, transient, retries } = 1,
+        Cancelled = 2,
     }
 }
 
-impl Wire for JournalRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            JournalRecord::Submitted { job, spec } => {
-                0u8.encode(buf);
-                job.encode(buf);
-                spec.encode(buf);
-            }
-            JournalRecord::SeedDone { job, seed, outcome } => {
-                1u8.encode(buf);
-                job.encode(buf);
-                seed.encode(buf);
-                outcome.encode(buf);
-            }
-            JournalRecord::Sealed { job } => {
-                2u8.encode(buf);
-                job.encode(buf);
-            }
-            JournalRecord::Cancelled { job } => {
-                3u8.encode(buf);
-                job.encode(buf);
-            }
-            JournalRecord::Evicted { job } => {
-                4u8.encode(buf);
-                job.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match u8::decode(r)? {
-            0 => JournalRecord::Submitted {
-                job: JobId::decode(r)?,
-                spec: JobSpec::decode(r)?,
-            },
-            1 => JournalRecord::SeedDone {
-                job: JobId::decode(r)?,
-                seed: u64::decode(r)?,
-                outcome: OutcomeImage::decode(r)?,
-            },
-            2 => JournalRecord::Sealed {
-                job: JobId::decode(r)?,
-            },
-            3 => JournalRecord::Cancelled {
-                job: JobId::decode(r)?,
-            },
-            4 => JournalRecord::Evicted {
-                job: JobId::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "JournalRecord",
-                    tag,
-                })
-            }
-        })
+cvm_net::wire! {
+    enum JournalRecord {
+        Submitted { job, spec } = 0,
+        SeedDone { job, seed, outcome } = 1,
+        Sealed { job } = 2,
+        Cancelled { job } = 3,
+        Evicted { job } = 4,
     }
 }
 
@@ -776,6 +627,7 @@ impl ShadowState {
     }
 }
 
+// wire: hand-written — outcomes stream in journal order out of a map.
 impl Wire for ShadowJob {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.spec.encode(buf);
@@ -835,6 +687,7 @@ impl ShadowState {
     }
 }
 
+// wire: hand-written — streamed job by job in map order (`encode_pieces`).
 impl Wire for ShadowState {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.encode_pieces(buf, &mut |_| Ok(()))
@@ -1449,6 +1302,14 @@ mod tests {
             (snapshot.len(), cvm_net::wire::fnv1a64(&snapshot)),
             (876, 8775425330665880616)
         );
+    }
+
+    #[test]
+    fn golden_records_keep_the_wire_laws() {
+        use cvm_net::wire::assert_wire_laws;
+        golden_records().iter().for_each(assert_wire_laws);
+        golden_outcomes().iter().for_each(assert_wire_laws);
+        assert_wire_laws(&golden_spec());
     }
 
     #[test]
