@@ -40,7 +40,7 @@
 //! in-process tests, wedges the persister) mid-record, post-record but
 //! pre-fsync, mid-compaction, or post-snapshot pre-trim.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -574,7 +574,7 @@ pub struct ShadowState {
     /// Jobs by id.
     pub jobs: BTreeMap<u64, ShadowJob>,
     /// Jobs currently in the store's eviction queue, in seal order.
-    pub sealed_order: Vec<u64>,
+    pub sealed_order: VecDeque<u64>,
     /// Jobs the store's budget has evicted.
     pub jobs_evicted: u64,
 }
@@ -604,7 +604,7 @@ impl ShadowState {
                     if !j.sealed {
                         j.sealed = true;
                         if !j.evicted {
-                            self.sealed_order.push(job.0);
+                            self.sealed_order.push_back(job.0);
                         }
                     }
                 }
@@ -619,7 +619,13 @@ impl ShadowState {
                     if !j.evicted {
                         j.evicted = true;
                         self.jobs_evicted += 1;
-                        self.sealed_order.retain(|&id| id != job.0);
+                        // The store evicts oldest-sealed first, so this
+                        // is the front; the scan is for any other order.
+                        if self.sealed_order.front() == Some(&job.0) {
+                            self.sealed_order.pop_front();
+                        } else {
+                            self.sealed_order.retain(|&id| id != job.0);
+                        }
                     }
                 }
             }
@@ -681,7 +687,11 @@ impl ShadowState {
             job.encode(buf);
             piece_done(buf)?;
         }
-        self.sealed_order.encode(buf);
+        // The queue's bytes are a `Vec<u64>`'s: a count, then the ids.
+        (self.sealed_order.len() as u32).encode(buf);
+        let (front, back) = self.sealed_order.as_slices();
+        u64::encode_slice(front, buf);
+        u64::encode_slice(back, buf);
         self.jobs_evicted.encode(buf);
         piece_done(buf)
     }
@@ -706,7 +716,7 @@ impl Wire for ShadowState {
         Ok(ShadowState {
             next_job,
             jobs,
-            sealed_order: Vec::<u64>::decode(r)?,
+            sealed_order: Vec::<u64>::decode(r)?.into(),
             jobs_evicted: u64::decode(r)?,
         })
     }
@@ -1394,6 +1404,77 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x40;
         assert!(decode_snapshot(&bad).is_err());
+    }
+
+    /// The eviction queue's front pop is the old full scan wherever the
+    /// store's order holds, and its fallback wherever it does not: a long
+    /// seal/evict replay, mostly oldest first, with out-of-order evictions
+    /// and repeated records mixed in, leaves the queue the old rule left.
+    #[test]
+    fn eviction_queue_matches_the_old_scan() {
+        let (mut shadow, mut old_rule) = (ShadowState::default(), Vec::<u64>::new());
+        let mut replay = |rec: JournalRecord| {
+            let before = shadow.jobs.get(&rec_job(&rec)).cloned();
+            shadow.apply(&rec);
+            match rec {
+                JournalRecord::Sealed { job }
+                    if before.as_ref().is_some_and(|j| !j.sealed && !j.evicted) =>
+                {
+                    old_rule.push(job.0)
+                }
+                JournalRecord::Evicted { job } if before.as_ref().is_some_and(|j| !j.evicted) => {
+                    old_rule.retain(|&id| id != job.0)
+                }
+                _ => {}
+            }
+            assert!(shadow.sealed_order.iter().eq(&old_rule), "after {rec:?}");
+        };
+        let mut roll = 0x9e37_79b9_u64;
+        let mut next_evict = 1;
+        for job in 1..=3000u64 {
+            replay(JournalRecord::Submitted {
+                job: JobId(job),
+                spec: spec(),
+            });
+            replay(JournalRecord::Sealed { job: JobId(job) });
+            roll = roll.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            match roll >> 61 {
+                // Oldest first, as the store evicts, now and then twice.
+                0..=3 => {
+                    replay(JournalRecord::Evicted {
+                        job: JobId(next_evict),
+                    });
+                    if roll & 1 == 0 {
+                        replay(JournalRecord::Evicted {
+                            job: JobId(next_evict),
+                        });
+                    }
+                    next_evict += 1;
+                }
+                // Out of order: some job sealed since the oldest.
+                4 => replay(JournalRecord::Evicted {
+                    job: JobId(next_evict + (roll >> 20) % (job + 1 - next_evict)),
+                }),
+                // A repeated seal.
+                5 => replay(JournalRecord::Sealed { job: JobId(job) }),
+                _ => {}
+            }
+        }
+        assert!(
+            shadow.sealed_order.len() > 100,
+            "{}",
+            shadow.sealed_order.len()
+        );
+    }
+
+    fn rec_job(rec: &JournalRecord) -> u64 {
+        match rec {
+            JournalRecord::Submitted { job, .. }
+            | JournalRecord::SeedDone { job, .. }
+            | JournalRecord::Sealed { job }
+            | JournalRecord::Cancelled { job }
+            | JournalRecord::Evicted { job } => job.0,
+        }
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {
