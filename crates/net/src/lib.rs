@@ -7,7 +7,7 @@
 //!
 //! * [`Network`] wires up `n` endpoints with reliable, ordered,
 //!   all-to-all links (crossbeam channels underneath);
-//! * [`wire`] is a small explicit codec; every message is really encoded
+//! * [`mod@wire`] is a small explicit codec; every message is really encoded
 //!   to bytes so that message sizes are *exact*, not estimated — the
 //!   paper's Table 3 "Msg Ohead" column (bandwidth added by read notices)
 //!   is computed from these sizes;

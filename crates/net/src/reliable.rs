@@ -2152,8 +2152,8 @@ mod tests {
 
     #[test]
     fn datagram_frames_in_place_byte_for_byte() {
-        // `frame_for` frames each datagram in place, sized by the
-        // hand-written `wire_size`: both must agree with the plain codec.
+        // `frame_for` frames each datagram in place, sized by its
+        // `wire_size`: both must agree with the plain codec.
         let data = Dgram::Data {
             flow_src: ProcId(2),
             seq: 77,

@@ -553,8 +553,8 @@ pub fn encode_frame(body: &[u8]) -> Vec<u8> {
 /// Encodes `value` straight into an integrity frame: the body is written
 /// once, behind a reserved header that is filled in afterwards.  The bytes
 /// equal `encode_frame(&value.to_bytes())`, minus one allocation and one
-/// copy of the body.  Sizes the buffer with [`Wire::wire_size`], so hot
-/// callers want a type that overrides it.
+/// copy of the body.  Sizes the buffer with [`Wire::wire_size`], which a
+/// [`wire!`](crate::wire!) type computes without encoding.
 pub fn encode_framed<T: Wire>(value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + value.wire_size() as usize);
     out.resize(FRAME_HEADER_BYTES, 0);
@@ -603,30 +603,17 @@ pub fn decode_frame(frame: &[u8]) -> Result<&[u8], WireError> {
 /// ```
 ///
 /// It generates `encode` and `decode` in that order, `wire_size` (the tag
-/// byte, plus the fields' own `wire_size`s), `min_wire_size` (the sum of
-/// the fields' minimums for a struct, the tag byte for an enum), and
-/// [`WireError::BadTag`] naming the type for an unknown tag.  The optional
+/// byte, plus the fields' own `wire_size`s), a struct's `min_wire_size`
+/// (the sum of its fields' minimums; an enum keeps the trait's 1, its tag
+/// byte), and [`WireError::BadTag`] naming the type for an unknown tag.  The optional
 /// `check` block runs on the decoded value, bound to `v`, and may `return`
 /// an error: input validation that the fields' own decoders cannot see.
 #[macro_export]
 macro_rules! wire {
     (struct $name:ident(0)) => {
-        impl $crate::wire::Wire for $name {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                $crate::wire::Wire::encode(&self.0, buf);
-            }
-            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
-                Ok($name($crate::wire::Wire::decode(r)?))
-            }
-            fn wire_size(&self) -> u64 {
-                $crate::wire::Wire::wire_size(&self.0)
-            }
-            fn min_wire_size() -> u64 {
-                $crate::wire::min_wire_size_of(|v: &Self| &v.0)
-            }
-        }
+        $crate::wire! { struct $name { 0 } }
     };
-    (struct $name:ident { $($field:ident),* $(,)? } $(check($v:ident) $check:block)?) => {
+    (struct $name:ident { $($field:tt),* $(,)? } $(check($v:ident) $check:block)?) => {
         impl $crate::wire::Wire for $name {
             fn encode(&self, buf: &mut Vec<u8>) {
                 $( $crate::wire::Wire::encode(&self.$field, buf); )*
