@@ -119,6 +119,18 @@ impl<'a> Reader<'a> {
         Ok(a)
     }
 
+    /// Takes the bytes of one `T`, decoding it to check them: a copy of
+    /// them can be kept encoded and still be known to decode.
+    ///
+    /// # Errors
+    ///
+    /// Whatever decoding a `T` from here fails with.
+    pub fn take_checked<T: Wire>(&mut self) -> Result<&'a [u8], WireError> {
+        let start = self.pos;
+        T::decode(self)?;
+        Ok(&self.buf[start..self.pos])
+    }
+
     /// Validates a declared element count against the unread bytes *before*
     /// anything is allocated: `count` elements of at least `min_elem_bytes`
     /// each must fit in what remains.  Every length-prefixed decoder runs
@@ -824,6 +836,19 @@ mod tests {
             u64::from_bytes(&bytes),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn take_checked_takes_what_decode_takes() {
+        let mut bytes = (7u64, vec![1u32, 2]).to_bytes();
+        let value_len = bytes.len();
+        bytes.push(9);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.take_checked::<(u64, Vec<u32>)>(), Ok(&bytes[..value_len]));
+        assert_eq!(r.remaining(), 1);
+        // Bytes that do not decode are an error, not a slice.
+        let mut short = Reader::new(&bytes[..value_len - 1]);
+        assert!(short.take_checked::<(u64, Vec<u32>)>().is_err());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! `listening on <addr>` once ready (port 0 resolves to the kernel's
 //! pick, so scripts can parse the line).  Shuts down gracefully — drain
 //! admission, finish or cancel in-flight jobs, join the pool — when
-//! stdin reaches EOF or a line reading `drain` arrives; exits 0 iff
-//! every admitted job reached a terminal state.
+//! stdin reaches EOF, a line reading `drain` arrives on stdin, or a client
+//! sends `{"op":"drain"}`; exits 0 iff every admitted job reached a
+//! terminal state.
 //!
 //! `--data-dir` turns on the write-ahead journal: job state survives a
 //! crash and is recovered on the next start from the same directory.
@@ -26,7 +27,9 @@
 use std::io::BufRead;
 use std::time::Duration;
 
-use cvm_service::{CrashSpec, Daemon, DaemonConfig, FsyncPolicy, TcpFrontEnd};
+use cvm_service::{
+    CrashSpec, Daemon, DaemonConfig, FsyncPolicy, PersistStatsSnapshot, TcpFrontEnd,
+};
 
 struct Args {
     addr: String,
@@ -125,19 +128,30 @@ fn main() {
     };
     println!("listening on {}", front.addr());
 
-    // Block on stdin: EOF or an explicit `drain` line triggers graceful
-    // shutdown (the SIGTERM-equivalent for a pipe-supervised daemon).
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        match line {
-            Ok(text) if text.trim() == "drain" => break,
-            Ok(_) => continue,
-            Err(_) => break,
-        }
-    }
+    // EOF or an explicit `drain` line on stdin triggers graceful shutdown
+    // (the SIGTERM-equivalent for a pipe-supervised daemon), as does a
+    // drain over the socket: the process ends after whichever comes first.
+    // The reader is never joined: after a drain over the socket it may
+    // wait on a stdin that stays open.
+    let stdin_drain = daemon.clone();
+    std::thread::Builder::new()
+        .name("svc-stdin".into())
+        .spawn(move || {
+            for line in std::io::stdin().lock().lines() {
+                match line {
+                    Ok(text) if text.trim() == "drain" => break,
+                    Ok(_) => continue,
+                    Err(_) => break,
+                }
+            }
+            stdin_drain.drain(Duration::from_millis(args.drain_ms));
+        })
+        .expect("spawn stdin reader");
 
+    let report = daemon.wait_drained();
+    // Stopping waits for every open connection, so the reply to a drain
+    // over the socket is written before the process exits.
     front.stop();
-    let report = daemon.drain(Duration::from_millis(args.drain_ms));
     let stats = daemon.stats();
     eprintln!(
         "drained: {} jobs submitted, {} cancelled at shutdown, {} retries, {} panics caught",
@@ -145,15 +159,12 @@ fn main() {
     );
     let p = stats.persist;
     if p.values().iter().any(|&v| v > 0) {
-        eprintln!(
-            "durable: {} journal records, {} snapshots, {} recovered jobs, {} torn tails \
-             truncated, {} I/O errors",
-            p.journal_records,
-            p.snapshots_written,
-            p.recovered_jobs,
-            p.torn_tail_truncations,
-            p.io_errors
-        );
+        let fields: Vec<String> = PersistStatsSnapshot::NAMES
+            .iter()
+            .zip(p.values())
+            .map(|(name, value)| format!("{name} {value}"))
+            .collect();
+        eprintln!("durable: {}", fields.join(", "));
     }
     // Exit 0 iff every admitted job is terminal (drain guarantees this
     // unless the pool wedged, which is exactly what CI wants to catch).

@@ -204,6 +204,9 @@ struct DaemonInner {
     submitted: AtomicU64,
     rejected: AtomicU64,
     draining: AtomicBool,
+    /// The report of the first drain to finish, and its signal.
+    drained: StdMutex<Option<DrainReport>>,
+    drained_signal: Condvar,
     /// Serializes admission so the bound cannot be raced past.
     admit: Mutex<()>,
 }
@@ -242,7 +245,7 @@ impl Daemon {
     /// [`DsmError::Persist`] when the data directory or its files cannot
     /// be created or opened.
     pub fn open(cfg: DaemonConfig) -> Result<Daemon, DsmError> {
-        let (persist, shadow) = Persist::open(&cfg.persist)?;
+        let (persist, mut shadow) = Persist::open(&cfg.persist)?;
         let store = Arc::new(ResultStore::reopened(
             cfg.store_budget_bytes,
             shadow.jobs_evicted,
@@ -256,30 +259,33 @@ impl Daemon {
         );
 
         // Replay each job's outcomes through the calls the pool made for
-        // them, and collect the seeds still owed.  An evicted job's record
-        // left with its results: nothing of it comes back.
+        // them, decoding one job at a time, and collect the seeds still
+        // owed.  The shadow holds no evicted job: its record left with its
+        // results.  Each job's bytes are the persister's too; they are
+        // let go of as the job is rebuilt.
+        let submitted = shadow.jobs.len() as u64 + shadow.jobs_evicted;
         let mut pending: Vec<SeedTask> = Vec::new();
         let mut finished = HashMap::new();
         let mut unsealed = Vec::new();
-        for (&id, sj) in shadow.jobs.iter().filter(|(_, sj)| !sj.evicted) {
+        for (id, sj) in std::mem::take(&mut shadow.jobs) {
             let id = JobId(id);
-            let job = Arc::new(JobState::new(id, sj.spec.clone()));
+            let job = Arc::new(JobState::new(id, sj.spec()));
             job.mark_recovered();
-            for &seed in &sj.order {
-                let image = &sj.outcomes[&seed];
+            let mut terminal = false;
+            for (seed, image) in sj.outcomes() {
                 job.note_started();
                 for _ in 0..image.retries() {
                     job.try_consume_retry();
                 }
-                persist.record_evictions(store.merge(id, seed, image));
-                job.settle(seed, image);
+                persist.record_evictions(store.merge(id, seed, &image));
+                terminal = job.settle(seed, &image) || terminal;
             }
             if sj.cancelled {
                 job.cancel();
             }
-            if !sj.is_terminal() {
+            if !terminal {
                 for seed in job.spec.seeds() {
-                    if !sj.outcomes.contains_key(&seed) {
+                    if job.outcome(seed).is_none() {
                         pending.push(SeedTask {
                             job: Arc::clone(&job),
                             seed,
@@ -311,7 +317,6 @@ impl Daemon {
         }
         persist.note_recovered_jobs(live.len() as u64);
 
-        let submitted = shadow.jobs.len() as u64;
         let daemon = Daemon {
             inner: Arc::new(DaemonInner {
                 next_id: AtomicU64::new(shadow.next_job.max(1)),
@@ -324,6 +329,8 @@ impl Daemon {
                 submitted: AtomicU64::new(submitted),
                 rejected: AtomicU64::new(0),
                 draining: AtomicBool::new(false),
+                drained: StdMutex::new(None),
+                drained_signal: Condvar::new(),
                 admit: Mutex::new(()),
             }),
         };
@@ -488,11 +495,38 @@ impl Daemon {
         // Fold the whole journal into a snapshot: the next open replays a
         // compact image instead of the full record stream.
         inner.persist.compact_now();
-        DrainReport {
+        let report = DrainReport {
             jobs_cancelled: cancelled,
             clean: cancelled == 0 && inner.live.len() == 0,
             persist: inner.persist.stats(),
+        };
+        self.drained().get_or_insert(report);
+        inner.drained_signal.notify_all();
+        report
+    }
+
+    /// Blocks until a drain — whichever front end asked for it — has
+    /// finished, and returns the first one's report.
+    pub fn wait_drained(&self) -> DrainReport {
+        let mut drained = self.drained();
+        loop {
+            if let Some(report) = *drained {
+                return report;
+            }
+            drained = self
+                .inner
+                .drained_signal
+                .wait(drained)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    fn drained(&self) -> MutexGuard<'_, Option<DrainReport>> {
+        // One assignment of a `Copy` value: a panic leaves it whole.
+        self.inner
+            .drained
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -12,17 +12,23 @@
 //!   effect the caller depends on.  Fsync frequency is a policy knob
 //!   ([`FsyncPolicy`]): per record, every N records, or never.
 //! * **Shadow** — each record is also applied to an in-memory
-//!   [`ShadowState`], a compact image of everything recovery needs: specs,
-//!   each seed's [`OutcomeImage`] in journal order (the value the pool
-//!   merges and settles, fingerprints and rendered text included, so
-//!   completed seeds are never recomputed), seal order, and evictions.
+//!   [`ShadowState`], everything recovery needs of the jobs the store
+//!   retains or still runs.  Each [`ShadowJob`] is held as the bytes the
+//!   snapshot writes for it: its spec and each seed's [`OutcomeImage`] in
+//!   journal order (the value the pool merges and settles, fingerprints
+//!   and rendered text included, so completed seeds are never
+//!   recomputed), copied from the journal frame as the record is written.
+//!   Beside them are the seal order and the eviction count.  An evicted
+//!   job leaves the shadow, so it grows with retained jobs, not with jobs
+//!   served.
 //! * **Snapshot** — once the journal holds at least `compact_every`
 //!   records *and* as many bytes as the live snapshot, the shadow is
 //!   streamed into `snapshot.bin` behind a versioned header (the
 //!   `checkpoint::NodeImage` discipline: magic, version, CRC-framed body)
-//!   — job by job through one small buffer, so no image of the state is
-//!   ever resident — tmp-then-rename so a torn snapshot can never shadow a
-//!   good one, and the journal is trimmed.  A snapshot costs O(state) and
+//!   — each job's held bytes copied into one 64 KB write buffer, so no
+//!   second image of the state is ever resident — tmp-then-rename so a
+//!   torn snapshot can never shadow a good one, and the journal is
+//!   trimmed.  A snapshot costs O(state) and
 //!   is taken every O(state) journal bytes: snapshot work is linear in the
 //!   records served, and the journal stays bounded by
 //!   `max(compact_every records, snapshot bytes)`.
@@ -32,8 +38,9 @@
 //!   failures steer to the previous good record).  Replay is idempotent,
 //!   which closes the crash window between writing a snapshot and
 //!   trimming the journal.  [`Daemon::open`](crate::Daemon::open) then
-//!   rebuilds the store and job table by passing the shadow's images
-//!   through the live `merge`, `settle` and `seal` calls.
+//!   rebuilds the store and job table by decoding the shadow one job at a
+//!   time and passing its images through the live `merge`, `settle` and
+//!   `seal` calls.
 //!
 //! Crash windows are exercised deterministically through
 //! [`CrashPoint`]: a seeded hook that kills the daemon (or, for
@@ -70,8 +77,8 @@ pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
 const SNAPSHOT_MAGIC: u32 = 0x534D_5643;
 /// Snapshot format version.
 const SNAPSHOT_VERSION: u32 = 1;
-/// Write buffer of the snapshot stream: with one job's encoding, all a
-/// compaction holds in memory whatever the size of the state.
+/// Write buffer of the snapshot stream: all a compaction holds in memory
+/// beside the shadow, whatever the size of the state.
 const SNAPSHOT_WRITE_BUF: usize = 64 << 10;
 
 // ---------------------------------------------------------------------------
@@ -529,54 +536,122 @@ cvm_net::wire! {
 // Shadow state
 // ---------------------------------------------------------------------------
 
-/// One job's recovery image inside the shadow.
+/// A record's encoding starts with its tag and its job id; a `Submitted`
+/// body past them is the job's spec, a `SeedDone` body its `(seed,
+/// outcome)` entry: the bytes a snapshot writes for them.
+const RECORD_HEAD: usize = 1 + 8;
+
+/// Bytes held by the shadow only ever enter it encoded by this build or
+/// decoded once to check them, so decoding them again cannot fail.
+const CHECKED: &str = "shadow bytes are checked as they enter";
+
+/// One job's recovery image inside the shadow: the bytes a snapshot
+/// writes for it, held encoded from submission on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShadowJob {
-    /// The submitted spec.
-    pub spec: JobSpec,
-    /// Journaled per-seed outcomes.
-    pub outcomes: BTreeMap<u64, OutcomeImage>,
-    /// Seeds in outcome-arrival (journal) order — store replay and
-    /// `first_error` both depend on it.
-    pub order: Vec<u64>,
+    /// The job's snapshot bytes up to its flags: the spec, the outcome
+    /// count, then each `(seed, OutcomeImage)` in journal order (store
+    /// replay and `first_error` both depend on it).  A recovering daemon
+    /// shares them with the persister rather than holding a copy.
+    bytes: Arc<Vec<u8>>,
+    /// Where the outcome count sits in `bytes`: just past the spec.
+    count_at: usize,
+    /// The seeds with an outcome: a replayed `SeedDone` is a no-op.
+    seeds: Vec<u64>,
     /// Whether the store entry was sealed.
     pub sealed: bool,
     /// Whether cancellation was requested.
     pub cancelled: bool,
-    /// Whether the store's budget evicted the results.
-    pub evicted: bool,
 }
 
 impl ShadowJob {
-    fn new(spec: JobSpec) -> ShadowJob {
+    /// A job admitted with the encoded `spec` and no outcome yet.
+    fn admitted(spec: &[u8]) -> ShadowJob {
+        let mut bytes = Vec::with_capacity(spec.len() + 4);
+        bytes.extend_from_slice(spec);
+        0u32.encode(&mut bytes);
         ShadowJob {
-            spec,
-            outcomes: BTreeMap::new(),
-            order: Vec::new(),
+            bytes: Arc::new(bytes),
+            count_at: spec.len(),
+            seeds: Vec::new(),
             sealed: false,
             cancelled: false,
-            evicted: false,
         }
     }
 
-    /// Whether every seed has a journaled outcome.
-    pub fn is_terminal(&self) -> bool {
-        self.outcomes.len() as u32 >= self.spec.seed_count
+    /// Appends `entry`, the encoded `(seed, outcome)`, unless `seed`
+    /// already has one; returns the bytes added.
+    fn push_outcome(&mut self, seed: u64, entry: &[u8]) -> usize {
+        if self.seeds.contains(&seed) {
+            return 0;
+        }
+        self.seeds.push(seed);
+        let bytes = Arc::make_mut(&mut self.bytes);
+        bytes.extend_from_slice(entry);
+        let count = (self.seeds.len() as u32).to_le_bytes();
+        bytes[self.count_at..self.count_at + count.len()].copy_from_slice(&count);
+        entry.len()
+    }
+
+    /// Gives back the growth slack of a job that takes no more outcomes.
+    fn freeze(&mut self) {
+        if let Some(bytes) = Arc::get_mut(&mut self.bytes) {
+            bytes.shrink_to_fit();
+        }
+        self.seeds.shrink_to_fit();
+    }
+
+    /// The submitted spec, decoded.
+    pub fn spec(&self) -> JobSpec {
+        JobSpec::from_bytes(&self.bytes[..self.count_at]).expect(CHECKED)
+    }
+
+    /// The journaled `(seed, outcome)`s in journal order, each decoded as
+    /// it is reached.
+    pub fn outcomes(&self) -> impl Iterator<Item = (u64, OutcomeImage)> + '_ {
+        let mut r = Reader::new(&self.bytes[self.count_at + 4..]);
+        std::iter::from_fn(move || {
+            (r.remaining() > 0).then(|| <(u64, OutcomeImage)>::decode(&mut r).expect(CHECKED))
+        })
+    }
+
+    /// Reads one job of a snapshot body: `None` for a job kept after its
+    /// eviction, as snapshots written before evicted jobs left the shadow
+    /// hold them.
+    fn read(r: &mut Reader<'_>) -> Result<Option<ShadowJob>, WireError> {
+        let mut job = ShadowJob::admitted(r.take_checked::<JobSpec>()?);
+        let count = u64::from(u32::decode(r)?);
+        // Each entry is at least a seed (8) plus an outcome tag (1).
+        let count = r.check_count(count, 9)?;
+        for _ in 0..count {
+            let entry = r.take_checked::<(u64, OutcomeImage)>()?;
+            let seed = u64::decode(&mut Reader::new(entry))?;
+            job.push_outcome(seed, entry);
+        }
+        job.sealed = bool::decode(r)?;
+        job.cancelled = bool::decode(r)?;
+        let evicted = bool::decode(r)?;
+        job.freeze();
+        Ok((!evicted).then_some(job))
     }
 }
 
 /// The replayable image of the daemon: what a snapshot serializes and
 /// what recovery hands back to [`Daemon::open`](crate::Daemon::open).
+/// It holds the jobs the store retains or still runs; an evicted job
+/// leaves it, so it grows with retained jobs, not with jobs served.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShadowState {
     /// One past the highest assigned job id.
     pub next_job: u64,
-    /// Jobs by id.
+    /// Jobs by id, every one submitted and not evicted.
     pub jobs: BTreeMap<u64, ShadowJob>,
     /// Jobs currently in the store's eviction queue, in seal order.
     pub sealed_order: VecDeque<u64>,
     /// Jobs the store's budget has evicted.
     pub jobs_evicted: u64,
+    /// The jobs' bytes, summed.
+    held: u64,
 }
 
 impl ShadowState {
@@ -584,28 +659,35 @@ impl ShadowState {
     /// reflected (the post-snapshot-pre-trim crash window leaves the
     /// journal holding records the snapshot already contains) is a no-op.
     pub fn apply(&mut self, rec: &JournalRecord) {
+        self.apply_encoded(rec, &rec.to_bytes());
+    }
+
+    /// [`apply`](ShadowState::apply) for a record whose encoding is
+    /// `body`: a spec or an outcome is copied from `body`, not re-encoded.
+    fn apply_encoded(&mut self, rec: &JournalRecord, body: &[u8]) {
+        let fields = &body[RECORD_HEAD..];
         match rec {
-            JournalRecord::Submitted { job, spec } => {
-                self.next_job = self.next_job.max(job.0 + 1);
-                self.jobs
-                    .entry(job.0)
-                    .or_insert_with(|| ShadowJob::new(spec.clone()));
+            JournalRecord::Submitted { job, .. } => {
+                // Ids are journaled in increasing order: one below
+                // `next_job` was applied before, and may be evicted since.
+                if job.0 >= self.next_job {
+                    self.next_job = job.0 + 1;
+                    let admitted = ShadowJob::admitted(fields);
+                    self.held += admitted.bytes.len() as u64;
+                    self.jobs.insert(job.0, admitted);
+                }
             }
-            JournalRecord::SeedDone { job, seed, outcome } => {
+            JournalRecord::SeedDone { job, seed, .. } => {
                 if let Some(j) = self.jobs.get_mut(&job.0) {
-                    if !j.outcomes.contains_key(seed) {
-                        j.outcomes.insert(*seed, outcome.clone());
-                        j.order.push(*seed);
-                    }
+                    self.held += j.push_outcome(*seed, fields) as u64;
                 }
             }
             JournalRecord::Sealed { job } => {
                 if let Some(j) = self.jobs.get_mut(&job.0) {
                     if !j.sealed {
                         j.sealed = true;
-                        if !j.evicted {
-                            self.sealed_order.push_back(job.0);
-                        }
+                        j.freeze();
+                        self.sealed_order.push_back(job.0);
                     }
                 }
             }
@@ -615,110 +697,89 @@ impl ShadowState {
                 }
             }
             JournalRecord::Evicted { job } => {
-                if let Some(j) = self.jobs.get_mut(&job.0) {
-                    if !j.evicted {
-                        j.evicted = true;
-                        self.jobs_evicted += 1;
-                        // The store evicts oldest-sealed first, so this
-                        // is the front; the scan is for any other order.
-                        if self.sealed_order.front() == Some(&job.0) {
-                            self.sealed_order.pop_front();
-                        } else {
-                            self.sealed_order.retain(|&id| id != job.0);
-                        }
+                if let Some(j) = self.jobs.remove(&job.0) {
+                    self.held -= j.bytes.len() as u64;
+                    self.jobs_evicted += 1;
+                    // The store evicts oldest-sealed first, so this is the
+                    // front; the scan is for any other order.
+                    if self.sealed_order.front() == Some(&job.0) {
+                        self.sealed_order.pop_front();
+                    } else {
+                        self.sealed_order.retain(|&id| id != job.0);
                     }
                 }
             }
         }
     }
-}
 
-// wire: hand-written — outcomes stream in journal order out of a map.
-impl Wire for ShadowJob {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.spec.encode(buf);
-        (self.order.len() as u32).encode(buf);
-        for seed in &self.order {
-            seed.encode(buf);
-            self.outcomes[seed].encode(buf);
-        }
-        self.sealed.encode(buf);
-        self.cancelled.encode(buf);
-        self.evicted.encode(buf);
+    /// Bytes of the jobs' images the shadow holds: each retained job's
+    /// spec and outcomes, encoded.
+    pub fn bytes_held(&self) -> u64 {
+        self.held
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let spec = JobSpec::decode(r)?;
-        let count = u64::from(u32::decode(r)?);
-        // Each entry is at least a seed (8) plus an outcome tag (1).
-        let count = r.check_count(count, 9)?;
-        let mut outcomes = BTreeMap::new();
-        let mut order = Vec::with_capacity(count);
-        for _ in 0..count {
-            let seed = u64::decode(r)?;
-            let outcome = OutcomeImage::decode(r)?;
-            if outcomes.insert(seed, outcome).is_none() {
-                order.push(seed);
-            }
-        }
-        Ok(ShadowJob {
-            spec,
-            outcomes,
-            order,
-            sealed: bool::decode(r)?,
-            cancelled: bool::decode(r)?,
-            evicted: bool::decode(r)?,
-        })
-    }
-}
 
-impl ShadowState {
-    /// Appends the encoding to `buf` one bounded piece at a time (a job,
-    /// then the trailer), calling `piece_done` after each: a `piece_done`
-    /// that drains `buf` sees the whole encoding without it being resident.
+    /// Hands the encoding to `sink` in pieces: the head, then each job's
+    /// id, bytes and flags, then the trailer.  A sink that writes each
+    /// piece out sees the whole encoding without it being resident.
     fn encode_pieces(
         &self,
-        buf: &mut Vec<u8>,
-        piece_done: &mut dyn FnMut(&mut Vec<u8>) -> std::io::Result<()>,
+        sink: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        self.next_job.encode(buf);
-        (self.jobs.len() as u32).encode(buf);
+        let mut buf = Vec::new();
+        self.next_job.encode(&mut buf);
+        (self.jobs.len() as u32).encode(&mut buf);
+        sink(&buf)?;
         for (id, job) in &self.jobs {
-            id.encode(buf);
-            job.encode(buf);
-            piece_done(buf)?;
+            buf.clear();
+            id.encode(&mut buf);
+            sink(&buf)?;
+            sink(&job.bytes)?;
+            buf.clear();
+            // An evicted job has left the shadow: its flag is never set.
+            for flag in [job.sealed, job.cancelled, false] {
+                flag.encode(&mut buf);
+            }
+            sink(&buf)?;
         }
         // The queue's bytes are a `Vec<u64>`'s: a count, then the ids.
-        (self.sealed_order.len() as u32).encode(buf);
+        buf.clear();
+        (self.sealed_order.len() as u32).encode(&mut buf);
         let (front, back) = self.sealed_order.as_slices();
-        u64::encode_slice(front, buf);
-        u64::encode_slice(back, buf);
-        self.jobs_evicted.encode(buf);
-        piece_done(buf)
+        u64::encode_slice(front, &mut buf);
+        u64::encode_slice(back, &mut buf);
+        self.jobs_evicted.encode(&mut buf);
+        sink(&buf)
     }
 }
 
-// wire: hand-written — streamed job by job in map order (`encode_pieces`).
+// wire: hand-written — streamed job by job from each job's held bytes (`encode_pieces`).
 impl Wire for ShadowState {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.encode_pieces(buf, &mut |_| Ok(()))
-            .expect("a sink that keeps every piece cannot fail");
+        self.encode_pieces(&mut |piece| {
+            buf.extend_from_slice(piece);
+            Ok(())
+        })
+        .expect("a sink that keeps every piece cannot fail");
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let next_job = u64::decode(r)?;
         let count = u64::from(u32::decode(r)?);
         // Each job is at least an id (8) plus a minimal spec.
         let count = r.check_count(count, 16)?;
-        let mut jobs = BTreeMap::new();
+        let mut shadow = ShadowState {
+            next_job,
+            ..ShadowState::default()
+        };
         for _ in 0..count {
             let id = u64::decode(r)?;
-            jobs.insert(id, ShadowJob::decode(r)?);
+            if let Some(job) = ShadowJob::read(r)? {
+                shadow.jobs.insert(id, job);
+            }
         }
-        Ok(ShadowState {
-            next_job,
-            jobs,
-            sealed_order: Vec::<u64>::decode(r)?.into(),
-            jobs_evicted: u64::decode(r)?,
-        })
+        shadow.sealed_order = Vec::<u64>::decode(r)?.into();
+        shadow.jobs_evicted = u64::decode(r)?;
+        shadow.held = shadow.jobs.values().map(|j| j.bytes.len() as u64).sum();
+        Ok(shadow)
     }
 }
 
@@ -746,6 +807,11 @@ cvm_net::counters! {
         /// Persistence I/O failures after open (journaling degrades, the
         /// daemon keeps serving).
         pub io_errors: u64,
+        /// Bytes of job images the shadow holds (each retained job's spec
+        /// and outcomes, encoded): bounded by retained jobs.
+        pub shadow_bytes: u64,
+        /// Size of the live snapshot file.
+        pub snapshot_bytes: u64,
     }
     atomic struct PersistCounters {}
 }
@@ -802,7 +868,8 @@ impl Persist {
     /// Opens (creating if needed) the data directory, recovers
     /// snapshot-then-journal, truncates any torn tail, and returns the
     /// engine plus the recovered [`ShadowState`] for the daemon to
-    /// rebuild from.
+    /// rebuild from.  The returned shadow shares its jobs' bytes with the
+    /// engine's, so the images are held once.
     ///
     /// # Errors
     ///
@@ -868,6 +935,12 @@ impl Persist {
             .map_err(|e| persist_err("open journal", &journal_path, &e))?;
 
         stats.journal_records.store(records, Ordering::Relaxed);
+        stats
+            .shadow_bytes
+            .store(shadow.bytes_held(), Ordering::Relaxed);
+        stats
+            .snapshot_bytes
+            .store(snapshot_bytes, Ordering::Relaxed);
         let persist = Persist {
             inner: Some(Mutex::new(PersistInner {
                 dir: dir.clone(),
@@ -878,6 +951,8 @@ impl Persist {
                 journal_bytes,
                 snapshot_bytes,
                 unsynced: 0,
+                // The jobs' bytes are shared, not copied: the daemon's
+                // rebuild drops its references job by job.
                 shadow: shadow.clone(),
                 crash: cfg.crash,
                 crash_hits: 0,
@@ -899,8 +974,13 @@ impl Persist {
         if inner.wedged {
             return;
         }
-        inner.shadow.apply(rec);
         let frame = journal_frame(rec);
+        inner
+            .shadow
+            .apply_encoded(rec, &frame[FRAME_HEADER_BYTES..]);
+        self.stats
+            .shadow_bytes
+            .store(inner.shadow.bytes_held(), Ordering::Relaxed);
 
         if self.hits_crash_point(&mut inner, CrashPoint::MidRecord) {
             // Tear the frame: half the bytes reach the file, then die.
@@ -1005,7 +1085,10 @@ impl Persist {
             Ok(len)
         });
         match written {
-            Ok(len) => inner.snapshot_bytes = len,
+            Ok(len) => {
+                inner.snapshot_bytes = len;
+                self.stats.snapshot_bytes.store(len, Ordering::Relaxed);
+            }
             Err(e) => {
                 self.note_io_error("write snapshot", &e);
                 inner.since_compact = 0; // Back off; retry next interval.
@@ -1076,10 +1159,10 @@ fn journal_frame(rec: &JournalRecord) -> Vec<u8> {
 
 /// Streams the snapshot file into `file` — magic, version, then the shadow
 /// in one integrity frame — and returns its length; the caller syncs and
-/// renames.  No image of the state is built: each job is encoded into one
-/// reused buffer, folded into the running checksum and handed to a fixed
-/// write buffer.  The frame header is therefore known last and patched in
-/// over zeroes, and until then no prefix of the file passes for a snapshot.
+/// renames.  No image of the state is built: each job's held bytes are
+/// folded into the running checksum and copied into a fixed write buffer.
+/// The frame header is therefore known last and patched in over zeroes,
+/// and until then no prefix of the file passes for a snapshot.
 fn write_snapshot(shadow: &ShadowState, file: &mut File) -> std::io::Result<u64> {
     let mut out = BufWriter::with_capacity(SNAPSHOT_WRITE_BUF, &mut *file);
     let mut head = [0; 8 + FRAME_HEADER_BYTES];
@@ -1087,12 +1170,10 @@ fn write_snapshot(shadow: &ShadowState, file: &mut File) -> std::io::Result<u64>
     head[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.write_all(&head)?;
     let (mut crc, mut len) = (!0u32, 0u64);
-    shadow.encode_pieces(&mut Vec::new(), &mut |piece| {
+    shadow.encode_pieces(&mut |piece| {
         crc = crc32c_update(crc, piece);
         len += piece.len() as u64;
-        out.write_all(piece)?;
-        piece.clear();
-        Ok(())
+        out.write_all(piece)
     })?;
     out.flush()?;
     drop(out);
@@ -1153,7 +1234,7 @@ fn replay_journal(bytes: &[u8], shadow: &mut ShadowState) -> (usize, u64, bool) 
         let Ok(rec) = JournalRecord::from_bytes(body) else {
             return (off, records, true);
         };
-        shadow.apply(&rec);
+        shadow.apply_encoded(&rec, body);
         records += 1;
         off += total;
     }
@@ -1304,15 +1385,45 @@ mod tests {
         );
         assert_eq!(OutcomeImage::Cancelled.to_bytes(), [2]);
 
-        // A small shadow: three jobs sealed, the middle one evicted.
+        // A small shadow: three jobs sealed, the middle one evicted.  The
+        // evicted job has left the shadow, so the snapshot holds two jobs.
         let mut records: Vec<_> = (1..=3).flat_map(job_records).collect();
         records.push(JournalRecord::Evicted { job: JobId(2) });
-        let snapshot = encode_snapshot(&shadow_of(&records));
+        let shadow = shadow_of(&records);
+        let snapshot = encode_snapshot(&shadow);
         assert_eq!(
             (snapshot.len(), cvm_net::wire::fnv1a64(&snapshot)),
+            (604, 3718445994561440909)
+        );
+
+        // The same records' snapshot as builds that kept evicted jobs wrote
+        // it: job 2 is still there, flagged evicted.  It opens to the same
+        // shadow, and the new file is the old one without job 2's bytes.
+        let old = OLD_THREE_SEALED_MIDDLE_EVICTED;
+        assert_eq!(
+            (old.len(), cvm_net::wire::fnv1a64(old)),
             (876, 8775425330665880616)
         );
+        assert_eq!(decode_snapshot(old).unwrap(), shadow);
+        let body_at = 8 + FRAME_HEADER_BYTES;
+        let jobs_at = body_at + 8 + 4; // past `next_job` and the job count
+        let job_len = old.len() - snapshot.len();
+        let mut body = old[body_at..jobs_at - 4].to_vec();
+        2u32.encode(&mut body);
+        body.extend_from_slice(&old[jobs_at..jobs_at + job_len]);
+        body.extend_from_slice(&old[jobs_at + 2 * job_len..]);
+        let mut expect = old[..8].to_vec();
+        expect.extend_from_slice(&frame_header(&body));
+        expect.extend_from_slice(&body);
+        assert!(
+            snapshot == expect,
+            "the new snapshot is not the old minus job 2"
+        );
     }
+
+    /// A snapshot written by builds that kept evicted jobs in the shadow.
+    const OLD_THREE_SEALED_MIDDLE_EVICTED: &[u8] =
+        include_bytes!("../tests/fixtures/three-sealed-middle-evicted.snapshot");
 
     #[test]
     fn golden_records_keep_the_wire_laws() {
@@ -1382,6 +1493,9 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.jobs_evicted, 1);
         assert!(a.sealed_order.is_empty(), "evicted job left the queue");
+        // Its replayed `Submitted` does not bring it back.
+        assert!(a.jobs.is_empty(), "evicted job left the shadow");
+        assert_eq!((a.next_job, a.bytes_held()), (2, 0));
     }
 
     #[test]
@@ -1417,12 +1531,11 @@ mod tests {
             let before = shadow.jobs.get(&rec_job(&rec)).cloned();
             shadow.apply(&rec);
             match rec {
-                JournalRecord::Sealed { job }
-                    if before.as_ref().is_some_and(|j| !j.sealed && !j.evicted) =>
-                {
+                // An evicted job has left the shadow.
+                JournalRecord::Sealed { job } if before.as_ref().is_some_and(|j| !j.sealed) => {
                     old_rule.push(job.0)
                 }
-                JournalRecord::Evicted { job } if before.as_ref().is_some_and(|j| !j.evicted) => {
+                JournalRecord::Evicted { job } if before.is_some() => {
                     old_rule.retain(|&id| id != job.0)
                 }
                 _ => {}
@@ -1623,6 +1736,72 @@ mod tests {
         assert_eq!(persist.stats().io_errors, 0);
         std::fs::remove_dir_all(&dir).ok();
         points
+    }
+
+    /// The shadow `Persist::open` hands back shares each job's bytes with
+    /// the persister's: recovery holds one copy of the images.
+    #[test]
+    fn open_shares_the_job_bytes_it_hands_back() {
+        let dir = scratch_dir("shared");
+        let records: Vec<_> = (1..=3).flat_map(job_records).collect();
+        let (persist, _) = Persist::open(&PersistConfig::at(&dir)).unwrap();
+        records.iter().for_each(|rec| persist.record(rec));
+        persist.compact_now();
+        drop(persist);
+
+        let (persist, shadow) = Persist::open(&PersistConfig::at(&dir)).unwrap();
+        assert_eq!(shadow, shadow_of(&records));
+        assert_eq!(persist.stats().shadow_bytes, shadow.bytes_held());
+        let held = persist.inner.as_ref().unwrap().lock();
+        assert_eq!(held.shadow.jobs.len(), 3);
+        for (id, job) in &held.shadow.jobs {
+            assert!(Arc::ptr_eq(&job.bytes, &shadow.jobs[id].bytes), "job {id}");
+        }
+        drop(held);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The old "three sealed, middle evicted" snapshot opens to the daemon
+    /// the same records' journal opens to: every `status` and `races`
+    /// answer, and the counters, alike.
+    #[test]
+    fn old_snapshot_opens_to_the_daemon_its_journal_does() {
+        use crate::{Daemon, DaemonConfig};
+        let (from_snapshot, from_journal) = (scratch_dir("old-snap"), scratch_dir("old-journal"));
+        std::fs::create_dir_all(&from_snapshot).unwrap();
+        std::fs::create_dir_all(&from_journal).unwrap();
+        std::fs::write(
+            from_snapshot.join(SNAPSHOT_FILE),
+            OLD_THREE_SEALED_MIDDLE_EVICTED,
+        )
+        .unwrap();
+        let mut records: Vec<_> = (1..=3).flat_map(job_records).collect();
+        records.push(JournalRecord::Evicted { job: JobId(2) });
+        let journal: Vec<u8> = records.iter().flat_map(journal_frame).collect();
+        std::fs::write(from_journal.join(JOURNAL_FILE), journal).unwrap();
+
+        let open = |dir: &Path| {
+            Daemon::open(DaemonConfig {
+                workers: 1,
+                persist: PersistConfig::at(dir),
+                ..DaemonConfig::default()
+            })
+            .unwrap()
+        };
+        let (a, b) = (open(&from_snapshot), open(&from_journal));
+        for id in (1..=4).map(JobId) {
+            assert_eq!(a.status(id), b.status(id), "{id}");
+            let races = |d: &Daemon| d.races(id).map(|r| format!("{r:?}"));
+            assert_eq!(races(&a), races(&b), "{id}");
+        }
+        assert!(a.status(JobId(1)).is_some() && a.status(JobId(2)).is_none());
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!((sa.jobs_submitted, sa.store), (3, sb.store));
+        assert_eq!(sb.jobs_submitted, 3);
+        assert_eq!(sa.pool.attempts + sb.pool.attempts, 0, "nothing re-ran");
+        drop((a, b));
+        std::fs::remove_dir_all(&from_snapshot).ok();
+        std::fs::remove_dir_all(&from_journal).ok();
     }
 
     #[test]

@@ -95,8 +95,9 @@ impl TcpFrontEnd {
         self.addr
     }
 
-    /// Stops accepting and joins the accept loop.  Open connections
-    /// drain on their own read timeouts.
+    /// Stops accepting and waits for the open connections: each finishes
+    /// the request in hand, reply written, and closes at its next read
+    /// timeout.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
@@ -112,14 +113,18 @@ impl Drop for TcpFrontEnd {
 }
 
 fn accept_loop(listener: &TcpListener, daemon: &Daemon, stop: &Arc<AtomicBool>, tuning: TcpTuning) {
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let daemon = daemon.clone();
                 let stop = Arc::clone(stop);
-                let _ = std::thread::Builder::new()
-                    .name("svc-conn".into())
-                    .spawn(move || serve_connection(stream, &daemon, &stop, tuning));
+                connections.retain(|c| !c.is_finished());
+                connections.extend(
+                    std::thread::Builder::new()
+                        .name("svc-conn".into())
+                        .spawn(move || serve_connection(stream, &daemon, &stop, tuning)),
+                );
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -127,10 +132,16 @@ fn accept_loop(listener: &TcpListener, daemon: &Daemon, stop: &Arc<AtomicBool>, 
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
+    for connection in connections {
+        let _ = connection.join();
+    }
 }
 
 fn serve_connection(stream: TcpStream, daemon: &Daemon, stop: &Arc<AtomicBool>, tuning: TcpTuning) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    // A client that stops reading its replies cannot hold `stop` for
+    // longer than the idle deadline.
+    let _ = stream.set_write_timeout(Some(tuning.idle_deadline));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,

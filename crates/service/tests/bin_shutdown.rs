@@ -158,6 +158,28 @@ fn stdin_eof_also_drains_cleanly() {
 }
 
 #[test]
+fn drain_over_the_socket_ends_the_process() {
+    let mut daemon = spawn_daemon(&["--drain-ms", "30000"]);
+    let mut client = Client::connect(&daemon.addr);
+    let submitted = client.ask(
+        r#"{"op":"submit","workload":"racy_counter","epochs":1,"nprocs":2,"seed_base":5,"seed_count":1}"#,
+    );
+    assert_eq!(submitted.get("ok").and_then(Value::as_bool), Some(true));
+
+    // Stdin stays open: the drain over the wire alone must end the
+    // process, after its reply is written.
+    let drained = client.ask(r#"{"op":"drain","deadline_ms":30000}"#);
+    assert_eq!(drained.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(drained.get("clean").and_then(Value::as_bool), Some(true));
+    let status = wait_with_deadline(&mut daemon.child, Duration::from_secs(60));
+    assert!(
+        status.success(),
+        "socket drain must exit 0 (got {status:?})"
+    );
+    assert!(daemon.child.stdin.is_some(), "stdin was never closed");
+}
+
+#[test]
 fn bad_flags_exit_nonzero_with_usage() {
     let out = Command::new(env!("CARGO_BIN_EXE_cvm-service"))
         .arg("--frobnicate")

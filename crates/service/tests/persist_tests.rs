@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use cvm_net::wire::{encode_frame, Wire};
+use cvm_net::wire::{decode_frame, encode_frame, Wire, FRAME_HEADER_BYTES};
 use cvm_service::persist::JOURNAL_FILE;
 use cvm_service::{
     CrashMode, CrashPoint, CrashSpec, Daemon, DaemonConfig, FsyncPolicy, JobId, JobPhase,
@@ -508,6 +508,208 @@ fn reopened_daemon_answers_every_retained_status_as_before() {
     );
     drop(daemon);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// Evicted jobs leave the shadow
+// ---------------------------------------------------------------------------
+
+/// The shadow and its snapshot hold the retained jobs, not every job
+/// served: a few hundred jobs under a budget that keeps a handful leave
+/// exactly the handful's bytes behind, and a reopen counts every job once.
+#[test]
+fn shadow_and_snapshot_grow_with_retained_jobs_not_jobs_served() {
+    let dir = scratch_dir("bounded");
+    let seed = seed().max(1);
+    let cfg = DaemonConfig {
+        workers: 2,
+        store_budget_bytes: 2048,
+        persist: PersistConfig {
+            fsync: FsyncPolicy::Never,
+            compact_every: 16,
+            ..PersistConfig::at(&dir)
+        },
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(cfg.clone());
+    // Race-free one-seed jobs of one shape: each encodes to the same size.
+    let spec = |i: u64| JobSpec::new(Workload::DisjointGrid { epochs: 1 }, 2, seed + i, 1);
+    daemon.submit(spec(0)).expect("admitted");
+    wait_all_terminal(&daemon, Duration::from_secs(60));
+    let per_job = daemon.stats().persist.shadow_bytes;
+    assert!(per_job > 0);
+
+    const SERVED: u64 = 301;
+    for batch in 0..(SERVED - 1) / 50 {
+        for i in 0..50 {
+            daemon.submit(spec(1 + batch * 50 + i)).expect("admitted");
+        }
+        wait_all_terminal(&daemon, Duration::from_secs(120));
+    }
+    let report = daemon.drain(Duration::from_secs(30));
+    assert!(report.clean);
+    let stats = daemon.stats();
+    let retained = daemon.jobs();
+    let kept = retained.len() as u64;
+    assert_eq!(stats.jobs_submitted, SERVED);
+    assert_eq!(kept + stats.store.jobs_evicted, SERVED);
+    assert!((1..SERVED / 10).contains(&kept), "{kept} jobs retained");
+    assert!(retained.iter().all(|j| j.phase == JobPhase::Done));
+    let p = report.persist;
+    assert_eq!(p.shadow_bytes, kept * per_job, "{kept} jobs retained");
+    // Magic, version and frame header; `next_job` and the job count; per
+    // job its id, bytes and three flags; the eviction queue; the count.
+    assert_eq!(
+        p.snapshot_bytes,
+        (8 + FRAME_HEADER_BYTES as u64) + 12 + kept * (8 + per_job + 3) + (4 + 8 * kept) + 8,
+        "{kept} jobs retained"
+    );
+    let before: Vec<_> = (1..=SERVED).map(|id| daemon.status(JobId(id))).collect();
+    drop(daemon);
+
+    let daemon = Daemon::start(cfg);
+    let again = daemon.stats();
+    assert_eq!(again.jobs_submitted, SERVED, "each job counted once");
+    assert_eq!(again.store, stats.store);
+    assert_eq!(again.persist.shadow_bytes, p.shadow_bytes);
+    assert_eq!(again.persist.snapshot_bytes, p.snapshot_bytes);
+    for (id, before) in (1..=SERVED).zip(before) {
+        let before = before.map(|snap| JobSnapshot {
+            recovered: true,
+            ..snap
+        });
+        assert_eq!(daemon.status(JobId(id)), before, "job {id}");
+    }
+    drop(daemon);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The journal's records, decoded.
+fn journal_records(dir: &std::path::Path) -> Vec<JournalRecord> {
+    let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+    let mut records = Vec::new();
+    let mut off = 0;
+    while off < bytes.len() {
+        let len = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap()) as usize;
+        let end = off + FRAME_HEADER_BYTES + len;
+        let body = decode_frame(&bytes[off..end]).expect("a whole frame");
+        records.push(JournalRecord::from_bytes(body).expect("a record"));
+        off = end;
+    }
+    records
+}
+
+/// A crash between writing a snapshot and trimming the journal leaves the
+/// journal holding the `Submitted` and `Evicted` records of jobs the
+/// snapshot no longer has.  Replaying them resurrects none, counts each
+/// eviction once, and the reopened daemon answers as one that never
+/// crashed.
+#[test]
+fn replayed_evictions_after_a_snapshot_resurrect_nothing() {
+    let seed = seed().max(1);
+    // What one racy job's results cost the store.
+    let job_bytes = {
+        let probe = Daemon::start(DaemonConfig {
+            workers: 1,
+            ..DaemonConfig::default()
+        });
+        probe.submit(racy_spec(seed, 1)).expect("admitted");
+        wait_all_terminal(&probe, Duration::from_secs(60));
+        probe.stats().store.bytes_live
+    };
+    // One worker and one job at a time: the same seal and eviction order
+    // on every daemon.  The budget keeps one job: the next one's results
+    // evict it, within the records between two compactions.
+    let daemon_at = |dir: &std::path::Path, crash: Option<CrashSpec>| {
+        Daemon::start(DaemonConfig {
+            workers: 1,
+            store_budget_bytes: job_bytes * 3 / 2,
+            persist: PersistConfig {
+                fsync: FsyncPolicy::Never,
+                compact_every: 16,
+                crash,
+                ..PersistConfig::at(dir)
+            },
+            ..DaemonConfig::default()
+        })
+    };
+    let serve = |daemon: &Daemon, i: u64| {
+        daemon.submit(racy_spec(seed + i, 1)).expect("admitted");
+        wait_all_terminal(daemon, Duration::from_secs(60));
+    };
+
+    // Serve until the second compaction wedges the persister past its
+    // rename: the journal was not trimmed, and nothing after it is kept.
+    let dir = scratch_dir("evict-window");
+    let crashed = daemon_at(
+        &dir,
+        Some(CrashSpec {
+            point: CrashPoint::PostSnapshotPreTrim,
+            at: 2,
+            mode: CrashMode::Wedge,
+        }),
+    );
+    let mut served = 0;
+    while crashed.stats().persist.snapshots_written < 2 {
+        assert!(served < 40, "the second compaction never came");
+        serve(&crashed, served);
+        served += 1;
+    }
+    drop(crashed);
+    let replayed = journal_records(&dir);
+    let evicted: Vec<JobId> = replayed
+        .iter()
+        .filter_map(|rec| match rec {
+            JournalRecord::Evicted { job } => Some(*job),
+            _ => None,
+        })
+        .filter(|job| {
+            replayed
+                .iter()
+                .any(|rec| matches!(rec, JournalRecord::Submitted { job: j, .. } if j == job))
+        })
+        .collect();
+    assert!(
+        !evicted.is_empty(),
+        "the untrimmed journal submits and evicts no job: {replayed:?}"
+    );
+
+    // The uncrashed reference serves the same jobs.
+    let reference_dir = scratch_dir("evict-window-ref");
+    let reference = daemon_at(&reference_dir, None);
+    for i in 0..served {
+        serve(&reference, i);
+    }
+
+    let reopened = daemon_at(&dir, None);
+    wait_all_terminal(&reopened, Duration::from_secs(60));
+    for job in &evicted {
+        assert_eq!(reopened.status(*job), None, "{job} came back");
+    }
+    let (want, got) = (reference.stats(), reopened.stats());
+    assert_eq!(got.store, want.store, "evictions counted once");
+    assert_eq!(got.jobs_submitted, want.jobs_submitted);
+    for id in (1..=served).map(JobId) {
+        let want = reference.status(id).map(|snap| JobSnapshot {
+            recovered: true,
+            ..snap
+        });
+        assert_eq!(reopened.status(id), want, "{id}");
+        let races = |daemon: &Daemon| {
+            daemon.races(id).map(|races| {
+                let found: Vec<_> = races
+                    .races
+                    .into_iter()
+                    .map(|r| (r.fingerprint, r.hits, r.rendered))
+                    .collect();
+                (found, races.reports_merged)
+            })
+        };
+        assert_eq!(races(&reopened), races(&reference), "{id}");
+    }
+    drop((reference, reopened));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&reference_dir).ok();
 }
 
 // ---------------------------------------------------------------------------
