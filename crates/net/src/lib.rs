@@ -34,6 +34,7 @@
 
 mod link;
 mod network;
+mod plan;
 pub mod reliable;
 mod stats;
 pub mod telemetry;
@@ -42,8 +43,6 @@ pub mod wire;
 pub use network::{
     Endpoint, NetConfig, NetError, NetEvent, NetSender, Network, Packet, HEADER_BYTES,
 };
-pub use reliable::{
-    backoff_delay, splitmix64, CorruptKind, FaultEvent, FaultPlan, ProtocolPhase,
-    ReliabilitySnapshot, ReliabilityStats,
-};
+pub use plan::{backoff_delay, splitmix64, CorruptKind, FaultEvent, FaultPlan, ProtocolPhase};
+pub use reliable::{ReliabilitySnapshot, ReliabilityStats};
 pub use stats::{ByteBreakdown, NetStats, StatsSnapshot, TrafficClass};

@@ -313,13 +313,13 @@ impl Network {
 
     /// Creates `n` endpoints over a *faulty* wire with the reliability
     /// protocol layered on top (CVM's UDP deployment): same API, plus the
-    /// reliability counters.  The [`FaultPlan`](crate::reliable::FaultPlan)
+    /// reliability counters.  The [`FaultPlan`](crate::FaultPlan)
     /// selects everything from plain Bernoulli loss to scripted
     /// partitions and kills.
     pub fn with_loss(
         n: usize,
         config: NetConfig,
-        loss: crate::reliable::FaultPlan,
+        loss: crate::FaultPlan,
     ) -> (
         Vec<Endpoint>,
         Arc<NetStats>,

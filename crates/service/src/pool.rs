@@ -343,11 +343,17 @@ fn run_seed(task: SeedTask, ctx: &WorkerCtx, runner: &mut Option<Runner>) {
         }
     };
 
-    ctx.persist.record(&JournalRecord::SeedDone {
+    // Journaled first (write-ahead), then merged and settled from the
+    // same image, taken back out of the record rather than copied into it.
+    let done = JournalRecord::SeedDone {
         job: job.id,
         seed,
-        outcome: image.clone(),
-    });
+        outcome: image,
+    };
+    ctx.persist.record(&done);
+    let JournalRecord::SeedDone { outcome: image, .. } = done else {
+        unreachable!("built as SeedDone above")
+    };
     ctx.persist
         .record_evictions(store.merge(job.id, seed, &image));
     stats.seeds_finished.fetch_add(1, Ordering::Relaxed);
